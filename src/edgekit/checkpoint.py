@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DigestMismatch, MagicMismatch, TruncatedFile, VersionMismatch
 
 MAGIC = b"EDTR"
-VERSION = 1
+VERSION = 2  # 2: batched attention weights, dotted config keys
 
 
 def config_digest(config_text: str) -> bytes:

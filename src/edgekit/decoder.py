@@ -99,11 +99,12 @@ def central_crop(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
 class UpsampleBlock(nn.Module):
     """Two strided transposed convolutions, each with BN + ReLU."""
 
-    def __init__(self, channels: int, pairs, rng: np.random.Generator):
+    def __init__(self, in_channels: int, out_channels: int, pairs,
+                 rng: np.random.Generator):
         super().__init__()
         (k1, s1), (k2, s2) = pairs
-        self.up1 = nn.DeconvBNReLU(channels, channels, k1, s1, rng)
-        self.up2 = nn.DeconvBNReLU(channels, channels, k2, s2, rng)
+        self.up1 = nn.DeconvBNReLU(in_channels, out_channels, k1, s1, rng)
+        self.up2 = nn.DeconvBNReLU(out_channels, out_channels, k2, s2, rng)
 
     def forward(self, x: Tensor, out_hw: tuple[int, int]) -> Tensor:
         return central_crop(self.up2(self.up1(x)), out_hw)
@@ -125,24 +126,41 @@ class SmoothStack(nn.Module):
         return self.c4(self.c3(self.c2(self.c1(x))))
 
 
-class BiMLADecoder(nn.Module):
-    """Bidirectional multi-level aggregation with learned upsampling."""
+def _path_convs(cfg: DecoderConfig, rng: np.random.Generator
+                ) -> tuple[nn.ModuleList, nn.ModuleList]:
+    """The 1x1 level projections and the kxk smoothing convs of one path."""
+    c, pc, k = cfg.in_channels, cfg.path_channels, cfg.conv_kernel
+    proj = nn.ModuleList(nn.Conv2d(c, pc, 1, rng) for _ in range(4))
+    conv = nn.ModuleList(nn.Conv2d(pc, pc, k, rng, padding=k // 2)
+                         for _ in range(4))
+    return proj, conv
+
+
+class _LevelDecoder(nn.Module):
+    """The top-down path and the forward pass both decoders share."""
 
     def __init__(self, cfg: DecoderConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        c, pc = cfg.in_channels, cfg.path_channels
-        k = cfg.conv_kernel
-        pad = k // 2
-        self.td_proj = nn.ModuleList(nn.Conv2d(c, pc, 1, rng) for _ in range(4))
-        self.td_conv = nn.ModuleList(nn.Conv2d(pc, pc, k, rng, padding=pad)
-                                     for _ in range(4))
-        self.bu_proj = nn.ModuleList(nn.Conv2d(c, pc, 1, rng) for _ in range(4))
-        self.bu_conv = nn.ModuleList(nn.Conv2d(pc, pc, k, rng, padding=pad)
-                                     for _ in range(4))
-        self.upsamplers = nn.ModuleList(UpsampleBlock(pc, cfg.upsample_pairs, rng)
+        self.td_proj, self.td_conv = _path_convs(cfg, rng)
+
+    def forward(self, taps: list[Tensor], grid: tuple[int, int],
+                out_hw: tuple[int, int]) -> tuple[Tensor, list[Tensor]]:
+        paths = self.paths(taps, grid)
+        ups = self.upsample(paths, out_hw)
+        return self.smooth(T.concat(ups, axis=1)), paths
+
+
+class BiMLADecoder(_LevelDecoder):
+    """Bidirectional multi-level aggregation with learned upsampling."""
+
+    def __init__(self, cfg: DecoderConfig, rng: np.random.Generator):
+        super().__init__(cfg, rng)
+        pc = cfg.path_channels
+        self.bu_proj, self.bu_conv = _path_convs(cfg, rng)
+        self.upsamplers = nn.ModuleList(UpsampleBlock(pc, pc, cfg.upsample_pairs, rng)
                                         for _ in range(8))
-        self.smooth = SmoothStack(8 * pc, cfg.smooth_channels, k, rng)
+        self.smooth = SmoothStack(8 * pc, cfg.smooth_channels, cfg.conv_kernel, rng)
 
     def paths(self, taps: list[Tensor], grid: tuple[int, int]) -> list[Tensor]:
         """The eight token-resolution path features (top-down then bottom-up)."""
@@ -154,26 +172,14 @@ class BiMLADecoder(nn.Module):
     def upsample(self, paths: list[Tensor], out_hw: tuple[int, int]) -> list[Tensor]:
         return [self.upsamplers[i](p, out_hw) for i, p in enumerate(paths)]
 
-    def forward(self, taps: list[Tensor], grid: tuple[int, int],
-                out_hw: tuple[int, int]) -> tuple[Tensor, list[Tensor]]:
-        paths = self.paths(taps, grid)
-        ups = self.upsample(paths, out_hw)
-        return self.smooth(T.concat(ups, axis=1)), paths
 
-
-class MLADecoder(nn.Module):
+class MLADecoder(_LevelDecoder):
     """Top-down-only comparison arm with fixed bilinear upsampling."""
 
     def __init__(self, cfg: DecoderConfig, rng: np.random.Generator):
-        super().__init__()
-        self.cfg = cfg
-        c, pc = cfg.in_channels, cfg.path_channels
-        k = cfg.conv_kernel
-        pad = k // 2
-        self.td_proj = nn.ModuleList(nn.Conv2d(c, pc, 1, rng) for _ in range(4))
-        self.td_conv = nn.ModuleList(nn.Conv2d(pc, pc, k, rng, padding=pad)
-                                     for _ in range(4))
-        self.smooth = SmoothStack(4 * pc, cfg.smooth_channels, k, rng)
+        super().__init__(cfg, rng)
+        self.smooth = SmoothStack(4 * cfg.path_channels, cfg.smooth_channels,
+                                  cfg.conv_kernel, rng)
 
     def paths(self, taps: list[Tensor], grid: tuple[int, int]) -> list[Tensor]:
         maps = [reshape_tokens(t, grid) for t in taps]
@@ -181,12 +187,6 @@ class MLADecoder(nn.Module):
 
     def upsample(self, paths: list[Tensor], out_hw: tuple[int, int]) -> list[Tensor]:
         return [T.bilinear_resize(p, out_hw) for p in paths]
-
-    def forward(self, taps: list[Tensor], grid: tuple[int, int],
-                out_hw: tuple[int, int]) -> tuple[Tensor, list[Tensor]]:
-        paths = self.paths(taps, grid)
-        ups = self.upsample(paths, out_hw)
-        return self.smooth(T.concat(ups, axis=1)), paths
 
 
 def build_decoder(cfg: DecoderConfig, rng: np.random.Generator) -> nn.Module:

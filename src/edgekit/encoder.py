@@ -90,31 +90,34 @@ def add_position(seq: TokenSequence, pos: Tensor) -> TokenSequence:
 
 
 class MultiHeadSelfAttention(nn.Module):
-    """Scaled dot-product attention with per-head projection matrices."""
+    """Scaled dot-product attention, all heads in batched products; ``w_q``,
+    ``w_k`` and ``w_v`` stack the per-head projections as (heads, C, head_dim)."""
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         super().__init__()
         c, u, m = cfg.embed_dim, cfg.head_dim, cfg.heads
-        self.heads = m
         self.scale = 1.0 / math.sqrt(u)
-        self.w_q = nn.ModuleList(nn.Linear(c, u, rng, bias=False) for _ in range(m))
-        self.w_k = nn.ModuleList(nn.Linear(c, u, rng, bias=False) for _ in range(m))
-        self.w_v = nn.ModuleList(nn.Linear(c, u, rng, bias=False) for _ in range(m))
+        self.w_q = Tensor(nn.xavier_uniform(rng, (m, c, u), c, u), requires_grad=True)
+        self.w_k = Tensor(nn.xavier_uniform(rng, (m, c, u), c, u), requires_grad=True)
+        self.w_v = Tensor(nn.xavier_uniform(rng, (m, c, u), c, u), requires_grad=True)
         self.w_o = nn.Linear(m * u, c, rng, bias=False)
 
-    def head_weights(self, z: Tensor, m: int) -> Tensor:
-        """Attention matrix of head ``m`` (rows sum to 1)."""
-        q = self.w_q[m](z)
-        k = self.w_k[m](z)
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), self.scale)
+    def weights(self, z: Tensor) -> Tensor:
+        """Attention matrices (B, heads, N, N) of every head (rows sum to 1)."""
+        b, n, c = z.shape
+        zh = T.reshape(z, (b, 1, n, c))  # broadcasts against (heads, C, d)
+        q = T.matmul(zh, self.w_q)
+        k = T.matmul(zh, self.w_k)
+        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), self.scale)
         return T.softmax(scores, axis=-1)
 
     def forward(self, z: Tensor) -> Tensor:
-        outs = []
-        for m in range(self.heads):
-            attn = self.head_weights(z, m)
-            outs.append(T.matmul(attn, self.w_v[m](z)))
-        return self.w_o(T.concat(outs, axis=-1))
+        b, n, c = z.shape
+        attn = self.weights(z)
+        heads = T.matmul(attn, T.matmul(T.reshape(z, (b, 1, n, c)), self.w_v))
+        # (B, heads, N, d) -> (B, N, heads * d), heads in order
+        merged = T.reshape(T.transpose(heads, (0, 2, 1, 3)), (b, n, -1))
+        return self.w_o(merged)
 
 
 class TransformerBlock(nn.Module):

@@ -9,13 +9,13 @@ with the stage-one features, and predicts the final edge map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
-from .decoder import DecoderConfig, build_decoder
+from .decoder import DecoderConfig, UpsampleBlock, build_decoder
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, PartitionError, ShapeError, UsageError
 from .tensor import Tensor
@@ -50,10 +50,14 @@ class ModelConfig:
         d = self.window_divisor
         if self.stage_mode not in STAGE_MODES:
             raise ConfigError(f"stage_mode must be one of {STAGE_MODES}")
-        if len(self.global_encoder.tap_indices) != 4:
-            raise ConfigError("coarse encoder must expose exactly 4 taps")
-        if len(self.local_encoder.tap_indices) != 4:
-            raise ConfigError("fine encoder must expose exactly 4 taps")
+        for role, enc, dec in (("coarse", self.global_encoder, self.global_decoder),
+                               ("fine", self.local_encoder, self.local_decoder)):
+            if len(enc.tap_indices) != 4:
+                raise ConfigError(f"{role} encoder must expose exactly 4 taps")
+            if dec.total_upsample != enc.patch_size:
+                raise ConfigError(f"{role} decoder upsampling must equal {role} patch size")
+            if dec.in_channels != enc.embed_dim:
+                raise ConfigError(f"{role} decoder width must match encoder embed dim")
         if d < 1:
             raise ConfigError(f"window_divisor must be positive, got {d}")
         if h % gp or w % gp:
@@ -62,14 +66,6 @@ class ModelConfig:
             raise ConfigError(
                 f"input {h}x{w} not divisible by window_divisor*fine patch {d * lp}"
             )
-        if self.global_decoder.total_upsample != gp:
-            raise ConfigError("coarse decoder upsampling must equal coarse patch size")
-        if self.local_decoder.total_upsample != lp:
-            raise ConfigError("fine decoder upsampling must equal fine patch size")
-        if self.global_decoder.in_channels != self.global_encoder.embed_dim:
-            raise ConfigError("coarse decoder width must match encoder embed dim")
-        if self.local_decoder.in_channels != self.local_encoder.embed_dim:
-            raise ConfigError("fine decoder width must match encoder embed dim")
         if not self.scales:
             raise ConfigError("scale set must not be empty")
 
@@ -84,67 +80,63 @@ class ModelConfig:
                 _scaled_extent(self.input_hw[1], scale, mult))
 
     def canonical_text(self) -> str:
-        """Stable key=value rendering used for checkpoint digests."""
-        enc = lambda e, p: {f"{p}_patch": e.patch_size, f"{p}_depth": e.depth,
-                            f"{p}_dim": e.embed_dim, f"{p}_heads": e.heads,
-                            f"{p}_head_dim": e.head_dim, f"{p}_mlp_ratio": e.mlp_ratio,
-                            f"{p}_taps": ",".join(map(str, e.tap_indices))}
-        dec = lambda d, p: {f"{p}_path_channels": d.path_channels,
-                            f"{p}_smooth_channels": d.smooth_channels,
-                            f"{p}_arch": d.arch}
-        kv: dict[str, object] = {
-            "input_hw": f"{self.input_hw[0]}x{self.input_hw[1]}",
-            "window_divisor": self.window_divisor,
-            "ffm_enabled": int(self.ffm_enabled),
-            "stage_mode": self.stage_mode,
-            "side_channels": self.side_channels,
-            "scales": ",".join(f"{s:g}" for s in self.scales),
-        }
-        kv.update(enc(self.global_encoder, "global"))
-        kv.update(enc(self.local_encoder, "local"))
-        kv.update(dec(self.global_decoder, "global"))
-        kv.update(dec(self.local_decoder, "local"))
-        return "".join(f"{k}={kv[k]}\n" for k in sorted(kv))
+        """Stable rendering used for checkpoint digests: one sorted
+        ``dotted.field.path=value`` line per leaf field."""
+        return "".join(f"{k}={_render(v)}\n" for k, v in sorted(_leaves(self)))
 
     @staticmethod
     def from_canonical_text(text: str) -> "ModelConfig":
-        kv = {}
+        """Inverse of :meth:`canonical_text`; every key must appear once.
+
+        Each value is parsed by the type of the matching default field.
+        """
+        defaults = dict(_leaves(ModelConfig()))
+        values = {}
         for line in text.splitlines():
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                kv[key] = value
+            key, sep, raw = line.partition("=")
+            if not sep or key not in defaults or key in values:
+                raise ConfigError(f"bad model config line {line!r}")
+            try:
+                values[key] = _parse(raw, defaults[key])
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        missing = sorted(set(defaults) - set(values))
+        if missing:
+            raise ConfigError(f"model config misses keys {missing}")
+        return _build(ModelConfig(), values)
 
-        def taps(key):
-            return tuple(int(v) for v in kv[key].split(","))
 
-        def enc(p):
-            return EncoderConfig(
-                patch_size=int(kv[f"{p}_patch"]), depth=int(kv[f"{p}_depth"]),
-                embed_dim=int(kv[f"{p}_dim"]), heads=int(kv[f"{p}_heads"]),
-                head_dim=int(kv[f"{p}_head_dim"]),
-                mlp_ratio=int(kv[f"{p}_mlp_ratio"]), tap_indices=taps(f"{p}_taps"))
+def _leaves(cfg, prefix: str = ""):
+    """(dotted path, value) of every non-dataclass field of a nested config."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
 
-        def dec(p, variant):
-            return DecoderConfig(
-                variant=variant, in_channels=int(kv[f"{p}_dim"]),
-                path_channels=int(kv[f"{p}_path_channels"]),
-                smooth_channels=int(kv[f"{p}_smooth_channels"]),
-                arch=kv[f"{p}_arch"])
 
-        h, _, w = kv["input_hw"].partition("x")
-        return ModelConfig(
-            input_hw=(int(h), int(w)),
-            global_encoder=enc("global"),
-            local_encoder=enc("local"),
-            global_decoder=dec("global", "global"),
-            local_decoder=dec("local", "local"),
-            window_divisor=int(kv["window_divisor"]),
-            ffm_enabled=bool(int(kv["ffm_enabled"])),
-            stage_mode=kv["stage_mode"],
-            side_channels=int(kv["side_channels"]),
-            scales=tuple(float(s) for s in kv["scales"].split(",")),
-        )
+def _render(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _parse(raw: str, default):
+    """Parse by the type of ``default``; bad text raises ValueError or KeyError."""
+    if isinstance(default, tuple):
+        return tuple(_parse(v, default[0]) for v in raw.split(","))
+    if isinstance(default, bool):
+        return {"True": True, "False": False}[raw]
+    return type(default)(raw)
+
+
+def _build(default, values: dict, prefix: str = ""):
+    """Rebuild a nested config shaped like ``default`` from parsed leaves."""
+    kwargs = {}
+    for f in fields(default):
+        sub = getattr(default, f.name)
+        kwargs[f.name] = (_build(sub, values, f"{prefix}{f.name}.")
+                          if is_dataclass(sub) else values[prefix + f.name])
+    return type(default)(**kwargs)
 
 
 def partition_windows(image: np.ndarray, divisor: int = 2) -> list[np.ndarray]:
@@ -165,22 +157,32 @@ def reassemble_windows(windows: list[np.ndarray], divisor: int = 2) -> np.ndarra
     return np.concatenate(rows, axis=-2)
 
 
-class SideHead(nn.Module):
+class SideHead(UpsampleBlock):
     """Upsamples one path feature to an auxiliary full-resolution edge map."""
 
     def __init__(self, path_channels: int, side_channels: int, pairs,
                  rng: np.random.Generator):
-        super().__init__()
-        (k1, s1), (k2, s2) = pairs
-        self.up1 = nn.DeconvBNReLU(path_channels, side_channels, k1, s1, rng)
-        self.up2 = nn.DeconvBNReLU(side_channels, side_channels, k2, s2, rng)
+        super().__init__(path_channels, side_channels, pairs, rng)
         self.out = nn.Conv2d(side_channels, 1, 1, rng)
 
     def forward(self, path: Tensor, out_hw: tuple[int, int]) -> Tensor:
-        from .decoder import central_crop
+        return T.sigmoid(self.out(super().forward(path, out_hw)))
 
-        up = central_crop(self.up2(self.up1(path)), out_hw)
-        return T.sigmoid(self.out(up))
+
+def _side_heads(cfg: ModelConfig, dec: DecoderConfig,
+                rng: np.random.Generator) -> nn.ModuleList:
+    """One side head per decoder path (8 for BiMLA, 4 for MLA)."""
+    n_paths = 8 if dec.arch == "bimla" else 4
+    return nn.ModuleList(SideHead(dec.path_channels, cfg.side_channels,
+                                  dec.upsample_pairs, rng)
+                         for _ in range(n_paths))
+
+
+def _token_grids(cfg: ModelConfig, cell: int) -> list[tuple[int, int]]:
+    """Token grids of the native input and every inference scale (native
+    first) when one token covers ``cell`` x ``cell`` pixels."""
+    sizes = [cfg.input_hw] + [cfg.scaled_hw(s) for s in cfg.scales]
+    return [(h // cell, w // cell) for h, w in sizes]
 
 
 class FeatureFusion(nn.Module):
@@ -214,18 +216,11 @@ class GlobalStage(nn.Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        gp = cfg.global_encoder.patch_size
-        grids = [(hw[0] // gp, hw[1] // gp)
-                 for hw in ([cfg.input_hw] + [cfg.scaled_hw(s) for s in cfg.scales])]
+        grids = _token_grids(cfg, cfg.global_encoder.patch_size)
         self.encoder = Encoder(cfg.global_encoder, grids, rng)
         self.decoder = build_decoder(cfg.global_decoder, rng)
         self.head = nn.Conv2d(cfg.global_decoder.smooth_channels, 1, 1, rng)
-        n_sides = 8 if cfg.global_decoder.arch == "bimla" else 4
-        self.sides = nn.ModuleList(
-            SideHead(cfg.global_decoder.path_channels, cfg.side_channels,
-                     cfg.global_decoder.upsample_pairs, rng)
-            for _ in range(n_sides)
-        )
+        self.sides = _side_heads(cfg, cfg.global_decoder, rng)
 
     def forward(self, image: np.ndarray):
         out_hw = (image.shape[-2], image.shape[-1])
@@ -239,10 +234,8 @@ class LocalStage(nn.Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        lp = cfg.local_encoder.patch_size
-        d = cfg.window_divisor
-        grids = [((hw[0] // d) // lp, (hw[1] // d) // lp)
-                 for hw in ([cfg.input_hw] + [cfg.scaled_hw(s) for s in cfg.scales])]
+        # a window is 1/divisor of the image, so a token covers divisor*patch
+        grids = _token_grids(cfg, cfg.window_divisor * cfg.local_encoder.patch_size)
         self.encoder = Encoder(cfg.local_encoder, grids, rng)
         self.decoder = build_decoder(cfg.local_decoder, rng)
         g_ch = cfg.global_decoder.smooth_channels
@@ -250,12 +243,7 @@ class LocalStage(nn.Module):
         self.fusion = FeatureFusion(g_ch, l_ch, rng)
         self.concat_fuse = nn.Conv2d(g_ch + l_ch, l_ch, 1, rng)
         self.head = nn.Conv2d(l_ch, 1, 1, rng)
-        n_sides = 8 if cfg.local_decoder.arch == "bimla" else 4
-        self.sides = nn.ModuleList(
-            SideHead(cfg.local_decoder.path_channels, cfg.side_channels,
-                     cfg.local_decoder.upsample_pairs, rng)
-            for _ in range(n_sides)
-        )
+        self.sides = _side_heads(cfg, cfg.local_decoder, rng)
 
     def window_taps(self, image: np.ndarray) -> tuple[list[Tensor], tuple[int, int]]:
         """Per-window taps reassembled into whole-image token grids."""
@@ -362,18 +350,26 @@ class EdgeDetector(nn.Module):
     # -- inference -----------------------------------------------------------
 
     def infer(self, image: np.ndarray) -> np.ndarray:
-        """Edge probabilities (B, 1, H, W) in eval mode, gradient-free."""
+        """Edge probabilities (B, 1, H, W) in eval mode, gradient-free.
+
+        Every submodule's train/eval flag is restored afterwards.
+        """
         squeeze = image.ndim == 3
         if squeeze:
             image = image[None]
+        modes = [(m, m.training) for m in self.modules()]
         self.eval()
-        with T.no_grad():
-            f_g, e_g, _ = self.run_stage1(image)
-            if self.cfg.stage_mode == "stage1_only":
-                out = e_g.data
-            else:
-                _, e_r, _, _ = self.run_stage2(image, f_g)
-                out = e_r.data
+        try:
+            with T.no_grad():
+                f_g, e_g, _ = self.run_stage1(image)
+                if self.cfg.stage_mode == "stage1_only":
+                    out = e_g.data
+                else:
+                    _, e_r, _, _ = self.run_stage2(image, f_g)
+                    out = e_r.data
+        finally:
+            for m, training in modes:
+                m.training = training
         return out[0] if squeeze else out
 
     def infer_multiscale(self, image: np.ndarray,

@@ -60,6 +60,12 @@ class Module:
         for name, child in self._children.items():
             yield from child.named_buffers(prefix + name + ".")
 
+    def modules(self) -> Iterator["Module"]:
+        """This module and every descendant, depth first."""
+        yield self
+        for child in self._children.values():
+            yield from child.modules()
+
     def train(self, mode: bool = True) -> "Module":
         object.__setattr__(self, "training", mode)
         for child in self._children.values():

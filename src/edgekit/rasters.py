@@ -85,6 +85,8 @@ def save_image(image: np.ndarray, path) -> None:
 def save_gray(values: np.ndarray, path) -> None:
     """Write (H, W) values in [0, 1] as binary P5 via round(255 * p)."""
     v = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise NumericError("gray values hold NaN or Inf")
     if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
         raise NumericError(
             f"gray values outside [0, 1]: range [{v.min()}, {v.max()}]"
@@ -105,6 +107,8 @@ def load_gray(path) -> np.ndarray:
 def save_float_raster(values: np.ndarray, path) -> None:
     """Lossless float32 dump: magic, rank, dims, little-endian payload."""
     v = np.asarray(values, dtype="<f4")
+    if not np.isfinite(v).all():
+        raise NumericError("float raster holds NaN or Inf")
     with open(path, "wb") as fh:
         fh.write(FLOAT_MAGIC)
         fh.write(struct.pack("<I", v.ndim))

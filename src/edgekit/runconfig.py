@@ -110,29 +110,21 @@ class RunConfig:
     def model_config(self) -> ModelConfig:
         v = self.values
         size = v["input_size"]
-        coarse = EncoderConfig(patch_size=16, depth=v["global_depth"],
-                               embed_dim=v["embed_dim"], heads=v["heads"],
-                               head_dim=v["head_dim"], mlp_ratio=v["mlp_ratio"],
-                               tap_indices=tuple(v["global_taps"]))
-        fine = EncoderConfig(patch_size=8, depth=v["local_depth"],
-                             embed_dim=v["embed_dim"], heads=v["heads"],
-                             head_dim=v["head_dim"], mlp_ratio=v["mlp_ratio"],
-                             tap_indices=tuple(v["local_taps"]))
-        gdec = DecoderConfig(variant="global", in_channels=v["embed_dim"],
-                             path_channels=v["path_channels"],
-                             smooth_channels=v["smooth_channels"],
-                             arch=v["decoder_arch"])
-        ldec = DecoderConfig(variant="local", in_channels=v["embed_dim"],
-                             path_channels=v["path_channels"],
-                             smooth_channels=v["smooth_channels"],
-                             arch=v["decoder_arch"])
-        return ModelConfig(input_hw=(size, size), global_encoder=coarse,
-                           local_encoder=fine, global_decoder=gdec,
-                           local_decoder=ldec,
-                           window_divisor=v["window_divisor"],
-                           ffm_enabled=v["ffm"], stage_mode=v["stage_mode"],
-                           side_channels=v["side_channels"],
-                           scales=tuple(v["scales"]))
+        enc = dict(embed_dim=v["embed_dim"], heads=v["heads"],
+                   head_dim=v["head_dim"], mlp_ratio=v["mlp_ratio"])
+        dec = dict(in_channels=v["embed_dim"], path_channels=v["path_channels"],
+                   smooth_channels=v["smooth_channels"], arch=v["decoder_arch"])
+        return ModelConfig(
+            input_hw=(size, size),
+            global_encoder=EncoderConfig(patch_size=16, depth=v["global_depth"],
+                                         tap_indices=tuple(v["global_taps"]), **enc),
+            local_encoder=EncoderConfig(patch_size=8, depth=v["local_depth"],
+                                        tap_indices=tuple(v["local_taps"]), **enc),
+            global_decoder=DecoderConfig(variant="global", **dec),
+            local_decoder=DecoderConfig(variant="local", **dec),
+            window_divisor=v["window_divisor"], ffm_enabled=v["ffm"],
+            stage_mode=v["stage_mode"], side_channels=v["side_channels"],
+            scales=tuple(v["scales"]))
 
     def train_config(self) -> TrainConfig:
         v = self.values

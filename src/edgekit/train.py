@@ -235,47 +235,38 @@ def train_two_phase(model: EdgeDetector, scenes: list[Scene],
 
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult()
-    out_hw = (cfg.crop, cfg.crop)
-
     model.train()
-    opt1 = SGD(model.stage1_parameters(), cfg.base_lr, cfg.iterations_stage1,
-               momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-               power=cfg.lr_power)
-    for it in range(cfg.iterations_stage1):
-        x, y, ign = _sample_batch(scenes, cfg, rng)
-        with T.fresh_tape():
-            f_g, e_g, paths = model.run_stage1(x)
-            sides = model.side_outputs(paths, "global", out_hw)
-            loss = stage_loss(e_g, sides, y, cfg.lam, ign)
-            T.backward(loss)
-        opt1.step()
-        opt1.zero_grad()
-        result.history.append((it, 1, loss.item()))
-
+    _train_phase(model, scenes, cfg, rng, 1, result)
     model.freeze_stage1()
     result.stage1_digest_after_phase1 = stage1_digest(model)
-    if model.cfg.stage_mode == "stage1_only":
-        result.stage1_digest_final = result.stage1_digest_after_phase1
-        return result
-
-    model.local_stage.train()
-    opt2 = SGD(model.stage2_parameters(), cfg.base_lr, cfg.iterations_stage2,
-               momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-               power=cfg.lr_power)
-    for it in range(cfg.iterations_stage2):
-        x, y, ign = _sample_batch(scenes, cfg, rng)
-        with T.fresh_tape():
-            f_g, _, _ = model.run_stage1(x)
-            _, e_r, paths, _ = model.run_stage2(x, f_g)
-            sides = model.side_outputs(paths, "local", out_hw)
-            loss = stage_loss(e_r, sides, y, cfg.lam, ign)
-            T.backward(loss)
-        opt2.step()
-        opt2.zero_grad()
-        result.history.append((it, 2, loss.item()))
-
+    if model.cfg.stage_mode == "two_stage":
+        _train_phase(model, scenes, cfg, rng, 2, result)
     result.stage1_digest_final = stage1_digest(model)
     return result
+
+
+def _train_phase(model: EdgeDetector, scenes: list[Scene], cfg: TrainConfig,
+                 rng: np.random.Generator, stage: int, result: TrainResult) -> None:
+    """Optimize one stage; stage two runs on top of the frozen stage one."""
+    if stage == 1:
+        iterations, params = cfg.iterations_stage1, model.stage1_parameters()
+    else:
+        iterations, params = cfg.iterations_stage2, model.stage2_parameters()
+    opt = SGD(params, cfg.base_lr, iterations, momentum=cfg.momentum,
+              weight_decay=cfg.weight_decay, power=cfg.lr_power)
+    out_hw = (cfg.crop, cfg.crop)
+    for it in range(iterations):
+        x, y, ign = _sample_batch(scenes, cfg, rng)
+        with T.fresh_tape():
+            f_g, edge, paths = model.run_stage1(x)
+            if stage == 2:
+                _, edge, paths, _ = model.run_stage2(x, f_g)
+            sides = model.side_outputs(paths, "global" if stage == 1 else "local", out_hw)
+            loss = stage_loss(edge, sides, y, cfg.lam, ign)
+            T.backward(loss)
+        opt.step()
+        opt.zero_grad()
+        result.history.append((it, stage, loss.item()))
 
 
 def write_loss_csv(result: TrainResult, path) -> None:

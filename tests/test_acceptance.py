@@ -63,11 +63,9 @@ def test_shape_and_normalization_suite():
     max_row_err = 0.0
     with T.no_grad():
         for block in enc.blocks:
-            zn = block.norm1(z)
-            for m in range(block.attn.heads):
-                w = block.attn.head_weights(zn, m)
-                max_row_err = max(max_row_err,
-                                  float(np.abs(w.data.sum(axis=-1) - 1.0).max()))
+            w = block.attn.weights(block.norm1(z))  # (B, heads, N, N)
+            max_row_err = max(max_row_err,
+                              float(np.abs(w.data.sum(axis=-1) - 1.0).max()))
             z = block(z)
     rows_ok = max_row_err < 1e-12
 

@@ -1,9 +1,12 @@
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
+from edgekit.checkpoint import load_checkpoint
 from edgekit.cli import main
+from edgekit.errors import VersionMismatch
 from edgekit.rasters import load_edge_map, save_edge_map
 from edgekit.synth import write_dataset
 
@@ -145,3 +148,16 @@ def test_infer_epfm_output(trained, tmp_path):
     e = load_edge_map(target)
     assert e.shape == (32, 32)
     assert 0.0 <= e.min() and e.max() <= 1.0
+
+
+def test_version1_checkpoint_exit_code(trained, tmp_path):
+    _, data, out, _ = trained
+    old = tmp_path / "v1.ckpt"
+    blob = bytearray((out / "model.ckpt").read_bytes())
+    blob[4:8] = struct.pack("<I", 1)
+    old.write_bytes(bytes(blob))
+    with pytest.raises(VersionMismatch):
+        load_checkpoint(old)
+    assert main(["infer", "--ckpt", str(old), "--in",
+                 str(data / "images" / "000.ppm"),
+                 "--out", str(tmp_path / "e.pgm")]) == 3

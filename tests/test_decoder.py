@@ -104,11 +104,11 @@ def test_zero_taps_zero_paths():
 
 
 def test_upsample_extents():
-    up = UpsampleBlock(2, ((4, 2), (16, 8)), np.random.default_rng(0))
+    up = UpsampleBlock(3, 2, ((4, 2), (16, 8)), np.random.default_rng(0))
     up.eval()
-    out = up(Tensor(rng.normal(size=(1, 2, 4, 4))), (64, 64))
+    out = up(Tensor(rng.normal(size=(1, 3, 4, 4))), (64, 64))
     assert out.shape == (1, 2, 64, 64)
-    out = up(Tensor(rng.normal(size=(1, 2, 20, 20))), (320, 320))
+    out = up(Tensor(rng.normal(size=(1, 3, 20, 20))), (320, 320))
     assert out.shape == (1, 2, 320, 320)
 
 

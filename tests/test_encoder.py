@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgekit import nn
 from edgekit import tensor as T
 from edgekit.encoder import (Encoder, EncoderConfig, MultiHeadSelfAttention,
                              TokenSequence, TransformerBlock, add_position,
@@ -77,12 +78,12 @@ def test_position_embedding_receives_gradient():
 def test_single_token_attention_weight_is_one():
     attn = MultiHeadSelfAttention(TOY, np.random.default_rng(0))
     z = Tensor(rng.normal(size=(1, 1, 8)))
-    w = attn.head_weights(z, 0)
-    assert np.allclose(w.data, [[[1.0]]])
-    # head output equals its value row
-    v = attn.w_v[0](z)
-    head = T.matmul(w, v)
-    assert np.allclose(head.data, v.data)
+    w = attn.weights(z)
+    assert np.allclose(w.data, np.ones((1, TOY.heads, 1, 1)))
+    # each head's output equals its value row
+    for m in range(TOY.heads):
+        v = z.data @ attn.w_v.data[m]
+        assert np.allclose(w.data[:, m] @ v, v)
 
 
 def test_zero_weights_block_is_identity():
@@ -97,29 +98,52 @@ def test_zero_weights_block_is_identity():
 
 
 def test_single_head_equals_direct_computation():
-    cfg = EncoderConfig(patch_size=8, depth=1, embed_dim=4, heads=1, head_dim=4,
+    # two heads, so the per-head weight slices and the concat order are checked
+    cfg = EncoderConfig(patch_size=8, depth=1, embed_dim=4, heads=2, head_dim=2,
                         mlp_ratio=2, tap_indices=(1,))
     attn = MultiHeadSelfAttention(cfg, np.random.default_rng(3))
     attn.w_o.weight.data = np.eye(4)
-    z = Tensor(rng.normal(size=(1, 6, 4)))
+    z = Tensor(rng.normal(size=(2, 6, 4)))
     out = attn(z).data
-    q = z.data @ attn.w_q[0].weight.data
-    k = z.data @ attn.w_k[0].weight.data
-    v = z.data @ attn.w_v[0].weight.data
-    s = q @ k.transpose(0, 2, 1) / 2.0
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    a = e / e.sum(axis=-1, keepdims=True)
-    assert np.allclose(out, a @ v, atol=1e-12)
+    heads = []
+    for m in range(2):
+        q = z.data @ attn.w_q.data[m]
+        k = z.data @ attn.w_k.data[m]
+        v = z.data @ attn.w_v.data[m]
+        s = q @ k.transpose(0, 2, 1) / np.sqrt(2.0)
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        heads.append(e / e.sum(axis=-1, keepdims=True) @ v)
+    assert np.allclose(out, np.concatenate(heads, axis=-1), atol=1e-12)
 
 
 def test_attention_rows_sum_to_one_every_head():
     enc = Encoder(TOY, [(2, 2)], np.random.default_rng(1))
     z = Tensor(rng.normal(size=(2, 4, 8)))
     for block in enc.blocks:
-        zn = block.norm1(z)
-        for m in range(block.attn.heads):
-            w = block.attn.head_weights(zn, m)
-            assert np.abs(w.data.sum(axis=-1) - 1.0).max() < 1e-12
+        w = block.attn.weights(block.norm1(z))
+        assert w.shape == (2, TOY.heads, 4, 4)
+        assert np.abs(w.data.sum(axis=-1) - 1.0).max() < 1e-12
+
+
+def test_stacked_head_weights_keep_per_head_draw_order():
+    attn = MultiHeadSelfAttention(TOY, np.random.default_rng(0))
+    replay = np.random.default_rng(0)
+    for w in (attn.w_q, attn.w_k, attn.w_v):
+        for m in range(TOY.heads):
+            expect = nn.xavier_uniform(replay, (8, 4), 8, 4)
+            assert np.array_equal(w.data[m], expect)
+
+
+def test_attention_tape_records_independent_of_heads():
+    counts = []
+    for heads in (1, 2, 8):
+        cfg = EncoderConfig(patch_size=8, depth=1, embed_dim=8, heads=heads,
+                            head_dim=4, mlp_ratio=2, tap_indices=(1,))
+        attn = MultiHeadSelfAttention(cfg, np.random.default_rng(0))
+        with T.fresh_tape() as tape:
+            attn(Tensor(rng.normal(size=(2, 5, 8))))
+            counts.append(len(tape))
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_encode_all_taps_when_every_block_tapped():

@@ -65,6 +65,18 @@ def test_gray_range_validation(tmp_path):
         rasters.save_gray(np.array([[1.5]]), tmp_path / "bad.pgm")
 
 
+def test_non_finite_maps_rejected(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.full((4, 4), 0.5)
+        m[1, 2] = bad
+        for name in ("e.pgm", "e.epfm"):
+            with pytest.raises(NumericError):
+                rasters.save_edge_map(m, tmp_path / name)
+            assert not (tmp_path / name).exists()
+        with pytest.raises(NumericError):
+            rasters.save_gray(m, tmp_path / "g.pgm")
+
+
 def test_parse_error_reports_offset(tmp_path):
     p = tmp_path / "trunc.pgm"
     rasters.save_gray(np.zeros((4, 4)), p)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from edgekit import tensor as T
+from edgekit.decoder import DecoderConfig
+from edgekit.encoder import EncoderConfig
 from edgekit.errors import ConfigError, PartitionError, ShapeError, UsageError
 from edgekit.model import (EdgeDetector, ModelConfig, partition_windows,
                            reassemble_windows)
@@ -164,6 +166,7 @@ def test_infer_stage_modes(image):
     one = EdgeDetector(tiny_cfg(stage_mode="stage1_only"), seed=12)
     out_two = two.infer(image)
     out_one = one.infer(image)
+    one.eval()  # infer restores the training mode the model was built in
     with T.no_grad():
         _, e_g, _ = one.run_stage1(image)
     assert np.array_equal(out_one, e_g.data)
@@ -234,5 +237,46 @@ def test_state_round_trip(net):
 
 
 def test_canonical_text_round_trip():
-    cfg = ModelConfig.toy(input_hw=(64, 64))
-    assert ModelConfig.from_canonical_text(cfg.canonical_text()) == cfg
+    fine = EncoderConfig(patch_size=8, depth=4, embed_dim=32, heads=2,
+                         head_dim=16, mlp_ratio=2, tap_indices=(1, 2, 3, 4))
+    fine_dec = DecoderConfig(variant="local", in_channels=32, path_channels=8,
+                             smooth_channels=12, arch="mla")
+    cfgs = [ModelConfig.toy(input_hw=(64, 64)),
+            ModelConfig.toy(input_hw=(32, 96), local_encoder=fine,
+                            local_decoder=fine_dec, ffm_enabled=False,
+                            stage_mode="stage1_only", side_channels=2,
+                            scales=(0.75, 1.0 / 3.0))]
+    for cfg in cfgs:
+        assert ModelConfig.from_canonical_text(cfg.canonical_text()) == cfg
+    text = cfgs[0].canonical_text()
+    assert "global_encoder.heads=8\n" in text
+    assert text.splitlines() == sorted(text.splitlines())
+
+
+def test_canonical_text_rejects_missing_unknown_and_malformed_keys():
+    text = ModelConfig.toy().canonical_text()
+    lines = text.splitlines(keepends=True)
+    bad = [
+        "".join(lines[1:]),                                 # missing key
+        text + "global_encoder.colour=red\n",               # unknown key
+        text + "window_divisor\n",                          # no "="
+        text + lines[0],                                    # repeated key
+        text.replace("global_encoder.heads=8", "global_encoder.heads=eight"),
+        text.replace("ffm_enabled=True", "ffm_enabled=1"),
+        text.replace("scales=0.5,1.0,1.5", "scales=0.5,,1.5"),
+        text.replace("global_encoder.heads=8", "global_encoder.heads=0"),
+    ]
+    for case in bad:
+        assert case != text
+        with pytest.raises(ConfigError):
+            ModelConfig.from_canonical_text(case)
+
+
+def test_infer_restores_every_module_mode(image):
+    net2 = EdgeDetector(tiny_cfg(), seed=4)
+    net2.train()
+    net2.freeze_stage1()
+    net2.infer(image)
+    assert net2.training
+    assert not any(m.training for m in net2.global_stage.modules())
+    assert all(m.training for m in net2.local_stage.modules())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,6 +244,25 @@ def test_two_phase_history_stages():
     _, result = _tiny_train(iters=2)
     assert [s for _, s, _ in result.history] == [1, 1, 2, 2]
     assert all(np.isfinite(l) for _, _, l in result.history)
+
+
+def test_two_phase_as_separate_one_phase_calls():
+    """Each phase in its own call, the other at zero iterations."""
+    scenes = _tiny_scenes()
+    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32), scales=(1.0,)), seed=0)
+    tcfg = TrainConfig(iterations_stage1=2, iterations_stage2=0, batch_size=1,
+                       crop=32, seed=0)
+    r1 = train_two_phase(model, scenes, tcfg)
+    assert [(i, s) for i, s, _ in r1.history] == [(0, 1), (1, 1)]
+    assert r1.stage1_digest_after_phase1 == r1.stage1_digest_final
+    assert r1.stage1_digest_final == stage1_digest(model)
+    model.global_stage.set_requires_grad(True)
+    r2 = train_two_phase(model, scenes,
+                         replace(tcfg, iterations_stage1=0, iterations_stage2=2))
+    assert [(i, s) for i, s, _ in r2.history] == [(0, 2), (1, 2)]
+    assert r2.stage1_digest_after_phase1 == r2.stage1_digest_final
+    assert r2.stage1_digest_final == r1.stage1_digest_final
+    assert all(np.isfinite(l) for _, _, l in r1.history + r2.history)
 
 
 def test_stage1_only_skips_phase_two():
