@@ -339,13 +339,14 @@ class EdgeDetector(nn.Module):
             raise UsageError(
                 f"state mismatch: missing {missing[:3]}, unexpected {extra[:3]}"
             )
-        for name, p in self.named_parameters():
-            if arrays[name].shape != p.data.shape:
+        for name, a in own.items():
+            if arrays[name].shape != a.shape:
                 raise ShapeError(f"tensor {name} has shape {arrays[name].shape}, "
-                                 f"expected {p.data.shape}")
+                                 f"expected {a.shape}")
+        for name, p in self.named_parameters():
             p.data = arrays[name].astype(np.float64)
         for name, b in self.named_buffers():
-            b[...] = arrays[name].astype(np.float64)
+            b[...] = arrays[name]
 
     # -- inference -----------------------------------------------------------
 

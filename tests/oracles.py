@@ -1,8 +1,9 @@
 """Independent brute-force oracles used only by the test suite.
 
 These deliberately re-implement matching and score aggregation with plain
-loops and exact maximum-cardinality assignment, so the production bench
-(greedy matching, vectorized sweep) can be checked against them.
+loops and exact maximum-cardinality assignment (Kuhn's augmenting paths), so
+the production bench (Hopcroft-Karp matching on vectorized candidate graphs,
+one graph per annotator for the whole sweep) can be checked against them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ THRESHOLDS = [k / 100.0 for k in range(1, 100)]
 
 def optimal_match_count(pred_pts, gt_pts, radius: float) -> int:
     """Maximum one-to-one matching within ``radius`` (Kuhn's augmenting paths)."""
-    pred_pts = [tuple(p) for p in pred_pts]
-    gt_pts = [tuple(g) for g in gt_pts]
+    pred_pts = [tuple(int(v) for v in p) for p in pred_pts]
+    gt_pts = [tuple(int(v) for v in g) for g in gt_pts]
     r2 = radius * radius
     adj: list[list[int]] = []
     for py, px in pred_pts:

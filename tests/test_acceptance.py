@@ -192,8 +192,7 @@ def test_ablation_direction(overfit_run):
 
 def test_evaluation_oracle():
     g = np.random.default_rng(2024)
-    greedy_total = 0
-    optimal_total = 0
+    exact = 0
     for _ in range(50):
         pred = np.zeros((8, 8), bool)
         gt = np.zeros((8, 8), bool)
@@ -201,11 +200,10 @@ def test_evaluation_oracle():
         ngt = int(g.integers(1, 17))
         pred[g.integers(0, 8, npix), g.integers(0, 8, npix)] = True
         gt[g.integers(0, 8, ngt), g.integers(0, 8, ngt)] = True
-        mp, _ = match_correspondence(pred, gt, tol=0.2)
-        greedy_total += int(mp.sum())
-        optimal_total += optimal_match_count(np.argwhere(pred), np.argwhere(gt),
-                                             0.2 * math.hypot(8, 8))
-    ratio = greedy_total / max(optimal_total, 1)
+        mp, mg = match_correspondence(pred, gt, tol=0.2)
+        best = optimal_match_count(np.argwhere(pred), np.argwhere(gt),
+                                   0.2 * math.hypot(8, 8))
+        exact += int(mp.sum()) == int(mg.sum()) == best
 
     # handcrafted 6x6 set with unambiguous matchings
     preds, stacks = [], []
@@ -236,9 +234,9 @@ def test_evaluation_oracle():
     ods, ois, ap = brute_force_report(preds, stacks, 0.15)
     diff = max(abs(rep.ods - ods), abs(rep.ois - ois), abs(rep.ap - ap))
 
-    ok = ratio >= 0.9 and diff < 1e-9
+    ok = exact == 50 and diff < 1e-9
     report("evaluation oracle", ok,
-           f"greedy/optimal match ratio {ratio:.3f} (>= 0.9) over 50 "
+           f"match count equals the optimal assignment on {exact}/50 "
            f"instances; 3-image report agrees with brute force to "
            f"{diff:.1e} (< 1e-9)")
 

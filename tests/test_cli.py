@@ -4,10 +4,12 @@ import struct
 import numpy as np
 import pytest
 
-from edgekit.checkpoint import load_checkpoint
+from edgekit.checkpoint import load_checkpoint, save_checkpoint
 from edgekit.cli import main
-from edgekit.errors import VersionMismatch
-from edgekit.rasters import load_edge_map, save_edge_map
+from edgekit.errors import ShapeError, VersionMismatch
+from edgekit.evalbench import DEFAULT_TOLERANCE
+from edgekit.model import EdgeDetector, ModelConfig
+from edgekit.rasters import FLOAT_MAGIC, load_edge_map, load_gray, save_edge_map
 from edgekit.synth import write_dataset
 
 SMALL_CONFIG = """
@@ -159,5 +161,88 @@ def test_version1_checkpoint_exit_code(trained, tmp_path):
     with pytest.raises(VersionMismatch):
         load_checkpoint(old)
     assert main(["infer", "--ckpt", str(old), "--in",
+                 str(data / "images" / "000.ppm"),
+                 "--out", str(tmp_path / "e.pgm")]) == 3
+
+
+def test_eval_rerun_byte_identical_with_matching(tmp_path, capsys):
+    # at 128x128 the default tolerance is a 1.36 px radius, so the matcher
+    # chooses among candidates instead of counting coincident pixels
+    assert DEFAULT_TOLERANCE * np.hypot(128, 128) > 1.0
+    data = tmp_path / "data"
+    assert main(["synth", "--n", "2", "--seed", "4", "--size", "128",
+                 "--out", str(data)]) == 0
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    rng = np.random.default_rng(4)
+    for stem in ("000", "001"):
+        gt = load_gray(data / "gt" / stem / "annotator_1.pgm")
+        shifted = np.roll(gt, 1, axis=1)  # one pixel off: no coincidences
+        noisy = 0.8 * shifted + 0.3 * rng.random(gt.shape)
+        save_edge_map(np.clip(noisy, 0.0, 1.0), pred / f"{stem}.epfm")
+    csvs = []
+    for name in ("x.csv", "y.csv"):
+        assert main(["eval", "--pred", str(pred), "--gt", str(data / "gt"),
+                     "--csv", str(tmp_path / name)]) == 0
+        csvs.append((tmp_path / name).read_bytes())
+    assert csvs[0] == csvs[1]
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    ods = float(summary.split()[0].removeprefix("ODS="))
+    assert ods > 0.5
+
+
+def _eval_dir(root, pred_map, gt_map, suffix=".pgm"):
+    pred = root / "pred"
+    pred.mkdir()
+    gt_dir = root / "gt" / "000"
+    gt_dir.mkdir(parents=True)
+    if suffix == ".epfm":
+        v = np.asarray(pred_map, dtype="<f4")  # written by hand: may hold NaN
+        (pred / "000.epfm").write_bytes(
+            FLOAT_MAGIC + struct.pack("<3I", 2, *v.shape) + v.tobytes())
+    else:
+        save_edge_map(pred_map, pred / f"000{suffix}")
+    save_edge_map(gt_map, gt_dir / "annotator_1.pgm")
+    return ["eval", "--pred", str(pred), "--gt", str(root / "gt")]
+
+
+def test_eval_shape_mismatch_exit_code(tmp_path):
+    gt = np.zeros((8, 8))
+    gt[4, :] = 1.0
+    args = _eval_dir(tmp_path, np.full((16, 16), 0.5), gt)
+    assert main(args) == 3
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.01"])
+def test_eval_bad_tolerance_exit_code(tmp_path, tol):
+    gt = np.zeros((8, 8))
+    gt[4, :] = 1.0
+    args = _eval_dir(tmp_path, gt, gt)
+    assert main(args + [f"--tol={tol}"]) == 3
+
+
+def test_eval_non_finite_prediction_exit_code(tmp_path):
+    gt = np.zeros((8, 8))
+    gt[4, :] = 1.0
+    pred = gt.copy()
+    pred[2, 3] = np.nan
+    args = _eval_dir(tmp_path, pred, gt, suffix=".epfm")
+    assert main(args) == 4
+    assert main(args + ["--no-nms"]) == 4
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,)])
+def test_checkpoint_buffer_shape_exit_code(trained, tmp_path, shape):
+    _, data, out, _ = trained
+    arrays, config_text = load_checkpoint(out / "model.ckpt")
+    name = next(n for n in sorted(arrays) if n.endswith("running_mean"))
+    assert arrays[name].shape != shape
+    arrays[name] = np.zeros(shape)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, arrays, config_text)
+    model = EdgeDetector(ModelConfig.from_canonical_text(config_text))
+    with pytest.raises(ShapeError):
+        model.load_state_arrays(arrays)
+    assert main(["infer", "--ckpt", str(bad), "--in",
                  str(data / "images" / "000.ppm"),
                  "--out", str(tmp_path / "e.pgm")]) == 3

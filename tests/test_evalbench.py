@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgekit.errors import InputError
+from edgekit.errors import ConfigError, InputError, NumericError, ShapeError
 from edgekit.evalbench import (THRESHOLDS, aggregate_ods_ois_ap,
                                evaluate_predictions, match_correspondence,
                                nms_thin, pr_sweep)
@@ -79,8 +79,6 @@ def test_match_one_to_one():
 
 def test_greedy_vs_optimal_on_random_small_instances():
     g = np.random.default_rng(2024)
-    greedy_total = 0
-    optimal_total = 0
     for _ in range(50):
         pred = np.zeros((8, 8), bool)
         gt = np.zeros((8, 8), bool)
@@ -89,12 +87,10 @@ def test_greedy_vs_optimal_on_random_small_instances():
         pred[g.integers(0, 8, npix), g.integers(0, 8, npix)] = True
         gt[g.integers(0, 8, ngt), g.integers(0, 8, ngt)] = True
         tol = 0.2  # radius about 2.26 px on an 8x8 grid
-        mp, _ = match_correspondence(pred, gt, tol=tol)
-        greedy_total += int(mp.sum())
+        mp, mg = match_correspondence(pred, gt, tol=tol)
         radius = tol * np.hypot(8, 8)
-        optimal_total += optimal_match_count(np.argwhere(pred),
-                                             np.argwhere(gt), radius)
-    assert greedy_total >= 0.9 * optimal_total
+        best = optimal_match_count(np.argwhere(pred), np.argwhere(gt), radius)
+        assert int(mp.sum()) == int(mg.sum()) == best
 
 
 def test_match_symmetric_under_optimal_oracle():
@@ -146,6 +142,108 @@ def test_pr_sweep_monotone_pred_counts():
     assert np.all(np.diff(counts[:, 1]) <= 0)
 
 
+# Radii in pixels on a 16x16 map: from the four direct neighbours at 1.0 px
+# to a disk of 57 offsets at 4.3 px.
+PROPERTY_RADII = (1.0, 2.26, 2.7, 4.3)
+
+
+def _property_maps(g):
+    # values on the threshold grid, so pixels tie and sit exactly at thresholds
+    prob = np.round(g.random((16, 16)), 2) * (g.random((16, 16)) < 0.5)
+    gts = [g.random((16, 16)) < 0.2 for _ in range(3)]
+    return prob, gts
+
+
+@pytest.mark.parametrize("radius", PROPERTY_RADII)
+def test_pr_sweep_counts_are_maximum_matchings(radius):
+    g = np.random.default_rng(int(radius * 100))
+    tol = radius / np.hypot(16, 16)
+    for _ in range(3):
+        prob, gts = _property_maps(g)
+        counts = pr_sweep(prob, gts, tol=tol)
+        total_gt = sum(int(gt.sum()) for gt in gts)
+        for k, t in enumerate(THRESHOLDS):
+            pb = prob >= t
+            per_annotator = [optimal_match_count(np.argwhere(pb),
+                                                 np.argwhere(gt), radius)
+                             for gt in gts]
+            mp, tp, mg, tg = counts[k]
+            assert mg == sum(per_annotator)
+            assert tp == pb.sum() and tg == total_gt
+            assert max(per_annotator) <= mp <= tp
+
+
+@pytest.mark.parametrize("radius", PROPERTY_RADII)
+def test_pr_sweep_rows_equal_direct_matching(radius):
+    g = np.random.default_rng(int(radius * 100) + 1)
+    tol = radius / np.hypot(16, 16)
+    for _ in range(3):
+        prob, gts = _property_maps(g)
+        counts = pr_sweep(prob, gts, tol=tol)
+        for k, t in enumerate(THRESHOLDS):
+            # the map zeroed below t ranks its pixels as the sweep does
+            pred = np.where(prob >= t, prob, 0.0)
+            matched_any = np.zeros(pred.shape, bool)
+            matched_gt = 0
+            for gt in gts:
+                mp, mg = match_correspondence(pred, gt, tol=tol)
+                assert mp.sum() == mg.sum()
+                assert np.all(pred[mp] > 0) and np.all(gt[mg])
+                matched_any |= mp
+                matched_gt += int(mg.sum())
+            row = (matched_any.sum(), (pred > 0).sum(), matched_gt,
+                   sum(int(gt.sum()) for gt in gts))
+            assert tuple(counts[k]) == row
+
+
+def test_pr_sweep_below_one_pixel_counts_coincidences():
+    g = np.random.default_rng(8)
+    tol = 0.99 / np.hypot(16, 16)
+    for _ in range(5):
+        prob, gts = _property_maps(g)
+        counts = pr_sweep(prob, gts, tol=tol)
+        any_gt = np.logical_or.reduce(gts)
+        for k, t in enumerate(THRESHOLDS):
+            pb = prob >= t
+            row = ((pb & any_gt).sum(), pb.sum(),
+                   sum(int((pb & gt).sum()) for gt in gts),
+                   sum(int(gt.sum()) for gt in gts))
+            assert tuple(counts[k]) == row
+
+
+def test_evaluation_rejects_mismatched_shapes():
+    pred = rng.random((16, 16))
+    gt = np.zeros((8, 8), np.uint8)
+    with pytest.raises(ShapeError):
+        evaluate_predictions([pred], [[gt]])
+    with pytest.raises(ShapeError):
+        match_correspondence(pred > 0.5, gt)
+    with pytest.raises(ShapeError):
+        pr_sweep(pred, [np.zeros((16, 16)), gt])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.01])
+def test_evaluation_rejects_bad_tolerance(tol):
+    pred = rng.random((8, 8))
+    gt = (rng.random((8, 8)) < 0.3).astype(np.uint8)
+    with pytest.raises(ConfigError):
+        evaluate_predictions([pred], [[gt]], tol=tol)
+    with pytest.raises(ConfigError):
+        match_correspondence(pred > 0.5, gt, tol=tol)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_evaluation_rejects_non_finite_prediction(bad):
+    pred = rng.random((8, 8))
+    pred[3, 4] = bad
+    gt = (rng.random((8, 8)) < 0.3).astype(np.uint8)
+    for apply_nms in (True, False):
+        with pytest.raises(NumericError):
+            evaluate_predictions([pred], [[gt]], apply_nms=apply_nms)
+    with pytest.raises(NumericError):
+        match_correspondence(pred, gt)
+
+
 def test_pr_sweep_needs_ground_truth():
     with pytest.raises(InputError):
         pr_sweep(np.zeros((4, 4)), [], tol=0.1)
@@ -194,7 +292,7 @@ def test_aggregate_requires_counts():
 
 
 def _handcrafted_set():
-    """Three 6x6 images with unambiguous matchings (greedy == optimal)."""
+    """Three 6x6 images whose matchings are unambiguous."""
     preds, stacks = [], []
     # image 1: exact match, single annotator
     gt = np.zeros((6, 6), np.uint8)
