@@ -433,17 +433,48 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int):
 
 
 def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int) -> np.ndarray:
-    """Adjoint of strided cross-correlation: scatter y through w."""
+    """Adjoint of strided cross-correlation: scatter y through w.
+
+    The kernel is zero-padded to (qh*sh, qw*sw), so tap (a*sh + r, c*sw + t)
+    of input pixel (n, m) lands at output block (n + a, m + c), phase (r, t).
+    The product therefore goes out in qh*qw block adds instead of kh*kw
+    strided ones. Every output pixel still sums its terms in (i, j) order and
+    the padded taps add exact zeros, so the result equals the per-tap scatter
+    bit for bit.
+    """
     b, co, h, wdt = y.shape
     _, ci, kh, kw = w.shape
-    out = np.zeros((b, ci, (h - 1) * sh + kh, (wdt - 1) * sw + kw))
+    qh, qw = -(-kh // sh), -(-kw // sw)
+    if (qh * sh, qw * sw) != (kh, kw):
+        w = np.pad(w, ((0, 0), (0, 0), (0, qh * sh - kh), (0, qw * sw - kw)))
     spread = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, co) @ w.reshape(co, -1)
-    spread = spread.reshape(b, h, wdt, ci, kh, kw)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i:i + (h - 1) * sh + 1:sh, j:j + (wdt - 1) * sw + 1:sw] += \
-                spread[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return out
+    spread = spread.reshape(b, h, wdt, ci, qh, sh, qw, sw)
+    out = np.zeros((b, ci, h + qh - 1, sh, wdt + qw - 1, sw))
+    for a in range(qh):
+        for c in range(qw):
+            out[:, :, a:a + h, :, c:c + wdt, :] += \
+                spread[:, :, :, :, a, :, c, :].transpose(0, 3, 1, 4, 2, 5)
+    out = out.reshape(b, ci, (h + qh - 1) * sh, (wdt + qw - 1) * sw)
+    return out[:, :, :(h - 1) * sh + kh, :(wdt - 1) * sw + kw]
+
+
+# A stride-1 conv is k*k shifted matmuls of one NHWC copy of its padded
+# input: row r + i*wp + j of that copy is tap (i, j) of output row r, so each
+# tap is a contiguous slice. Its temporaries are that copy (N x c_in) and the
+# accumulator (N x c_out), where im2col copies an N x c_in*k*k matrix. When
+# c_in < c_out the k*k passes over the accumulator cost more than the im2col
+# copy saves, so those convs, and strided ones, keep im2col.
+def _per_tap(c_in: int, c_out: int, sh: int, sw: int) -> bool:
+    return sh == 1 and sw == 1 and c_in >= c_out
+
+
+def _tap_rows(xp: np.ndarray, kh: int, kw: int):
+    """NHWC rows of a padded input, the rows every tap can shift over, and
+    each tap's (i, j, row offset)."""
+    b, c, hp, wp = xp.shape
+    rows = xp.transpose(0, 2, 3, 1).reshape(b * hp * wp, c)
+    m = rows.shape[0] - (kh - 1) * wp - (kw - 1)
+    return rows, m, [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, sh: int, sw: int,
@@ -458,9 +489,58 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, sh: int, sw: int,
             f"{h + 2 * ph}x{wdt + 2 * pw}"
         )
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    cols, ho, wo = _im2col(xp, kh, kw, sh, sw)
-    out = cols @ w.reshape(co, -1).T
-    return out.reshape(b, ho, wo, co).transpose(0, 3, 1, 2), xp.shape
+    if not _per_tap(c, co, sh, sw):
+        cols, ho, wo = _im2col(xp, kh, kw, sh, sw)
+        out = cols @ w.reshape(co, -1).T
+        return out.reshape(b, ho, wo, co).transpose(0, 3, 1, 2), xp.shape
+    _, _, hp, wp = xp.shape
+    rows, m, taps = _tap_rows(xp, kh, kw)
+    wt = w.transpose(2, 3, 1, 0).copy()
+    acc = np.zeros((rows.shape[0], co))
+    for i, j, o in taps:
+        acc[:m] += rows[o:o + m] @ wt[i, j]
+    out = acc.reshape(b, hp, wp, co)[:, :hp - kh + 1, :wp - kw + 1]
+    return out.transpose(0, 3, 1, 2), xp.shape
+
+
+def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
+                      sh: int, sw: int) -> np.ndarray:
+    """Gradient of a conv's OIHW kernel, given its padded input and the
+    gradient of its output."""
+    b, c, hp, wp = xp.shape
+    _, co, ho, wo = g.shape
+    if not _per_tap(c, co, sh, sw):
+        cols, _, _ = _im2col(xp, kh, kw, sh, sw)
+        gmat = g.transpose(0, 2, 3, 1).reshape(-1, co)
+        return (cols.T @ gmat).T.reshape(co, c, kh, kw)
+    rows, m, taps = _tap_rows(xp, kh, kw)
+    gfull = np.zeros((b, hp, wp, co))
+    gfull[:, :ho, :wo] = g.transpose(0, 2, 3, 1)
+    gm = gfull.reshape(-1, co)[:m]
+    gw = np.empty((co, c, kh, kw))
+    for i, j, o in taps:
+        gw[:, :, i, j] = gm.T @ rows[o:o + m]
+    return gw
+
+
+def _check_bias(op: str, bias, channels: int):
+    if bias is None:
+        return None
+    b = _as_tensor(bias)
+    if b.data.shape != (channels,):
+        raise ShapeError(
+            f"{op} bias shape {b.data.shape} does not match {channels} "
+            f"output channels"
+        )
+    return b
+
+
+def _check_4d(op: str, x: Tensor, w: Tensor) -> None:
+    if x.data.ndim != 4 or w.data.ndim != 4:
+        raise ShapeError(
+            f"{op} needs a 4-D input and kernel, got {x.data.shape} x "
+            f"{w.data.shape}"
+        )
 
 
 def conv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
@@ -468,12 +548,16 @@ def conv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
     x, w = _as_tensor(x), _as_tensor(w)
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
-    out, padded_shape = _conv_forward(x.data, w.data, sh, sw, ph, pw)
-    b = None
-    if bias is not None:
-        b = _as_tensor(bias)
-        out = out + b.data[None, :, None, None]
+    if sh < 1 or sw < 1:
+        raise ConfigError(f"conv2d stride must be positive, got {stride}")
+    if ph < 0 or pw < 0:
+        raise ConfigError(f"conv2d padding must be non-negative, got {padding}")
+    _check_4d("conv2d", x, w)
     co, ci, kh, kw = w.data.shape
+    b = _check_bias("conv2d", bias, co)
+    out, padded_shape = _conv_forward(x.data, w.data, sh, sw, ph, pw)
+    if b is not None:
+        out = out + b.data[None, :, None, None]
 
     def adjoint(g):
         gw = None
@@ -481,9 +565,7 @@ def conv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
         if w.requires_grad:
             xp = (np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
                   if (ph or pw) else x.data)
-            cols, ho, wo = _im2col(xp, kh, kw, sh, sw)
-            gmat = g.transpose(0, 2, 3, 1).reshape(-1, co)
-            gw = (cols.T @ gmat).T.reshape(w.data.shape)
+            gw = _conv_weight_grad(xp, g, kh, kw, sh, sw)
         if x.requires_grad:
             if sh == 1 and sw == 1:
                 # full correlation with the flipped kernel hits BLAS directly
@@ -514,14 +596,14 @@ def deconv2d(x, w, bias=None, stride=1) -> Tensor:
     sh, sw = _pair(stride)
     if sh < 1 or sw < 1:
         raise ConfigError(f"deconv2d stride must be positive, got {stride}")
-    if x.data.ndim != 4 or w.data.ndim != 4 or x.data.shape[1] != w.data.shape[0]:
+    _check_4d("deconv2d", x, w)
+    if x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(
             f"deconv2d shapes incompatible: {x.data.shape} x {w.data.shape}"
         )
+    b = _check_bias("deconv2d", bias, w.data.shape[1])
     out = _deconv_raw(x.data, w.data, sh, sw)
-    b = None
-    if bias is not None:
-        b = _as_tensor(bias)
+    if b is not None:
         out = out + b.data[None, :, None, None]
 
     def adjoint(g):

@@ -4,6 +4,10 @@ These deliberately re-implement matching and score aggregation with plain
 loops and exact maximum-cardinality assignment (Kuhn's augmenting paths), so
 the production bench (Hopcroft-Karp matching on vectorized candidate graphs,
 one graph per annotator for the whole sweep) can be checked against them.
+
+The convolution references are the engine's earlier kernels: a transposed
+convolution scattered one kernel tap at a time, and a conv2d that multiplies
+one im2col matrix (every receptive field as a row) by the flattened kernel.
 """
 
 from __future__ import annotations
@@ -123,3 +127,56 @@ def brute_force_report(preds, gt_stacks, tol: float):
     ap = sum((rs[i + 1] - rs[i]) * (env[i + 1] + env[i]) * 0.5
              for i in range(len(rs) - 1))
     return ods, ois, ap
+
+
+def deconv_loop(y: np.ndarray, w: np.ndarray, sh: int, sw: int) -> np.ndarray:
+    """Transposed convolution of NCHW ``y`` with a (C_in, C_out, kh, kw)
+    kernel, scattering each of the kh*kw taps with one strided add."""
+    b, co, h, wdt = y.shape
+    _, ci, kh, kw = w.shape
+    out = np.zeros((b, ci, (h - 1) * sh + kh, (wdt - 1) * sw + kw))
+    spread = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, co) @ w.reshape(co, -1)
+    spread = spread.reshape(b, h, wdt, ci, kh, kw)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:i + (h - 1) * sh + 1:sh, j:j + (wdt - 1) * sw + 1:sw] += \
+                spread[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return out
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int):
+    b, c, hp, wp = xp.shape
+    ho = (hp - kh) // sh + 1
+    wo = (wp - kw) // sw + 1
+    cols = np.empty((b, ho, wo, c, kh, kw))
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, :, i:i + (ho - 1) * sh + 1:sh, j:j + (wo - 1) * sw + 1:sw]
+            cols[..., i, j] = patch.transpose(0, 2, 3, 1)
+    return cols.reshape(b * ho * wo, c * kh * kw), ho, wo
+
+
+def conv_im2col(x: np.ndarray, w: np.ndarray, sh: int, sw: int,
+                ph: int, pw: int) -> np.ndarray:
+    """Cross-correlation of NCHW ``x`` with an OIHW kernel through im2col."""
+    co, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols, ho, wo = _im2col(xp, kh, kw, sh, sw)
+    out = cols @ w.reshape(co, -1).T
+    return out.reshape(x.shape[0], ho, wo, co).transpose(0, 3, 1, 2)
+
+
+def conv_im2col_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, sh: int,
+                      sw: int, ph: int, pw: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``sum(conv_im2col(x, w, ...) * g)`` with respect to x and
+    w: the kernel's from the im2col matrix, the input's by scattering g back
+    through the kernel and cropping the padding."""
+    co, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols, _, _ = _im2col(xp, kh, kw, sh, sw)
+    gw = (cols.T @ g.transpose(0, 2, 3, 1).reshape(-1, co)).T.reshape(w.shape)
+    gp = np.zeros(xp.shape)
+    raw = deconv_loop(g, w, sh, sw)
+    gp[:, :, :raw.shape[2], :raw.shape[3]] = raw
+    gx = gp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]]
+    return gx, gw

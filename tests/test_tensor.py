@@ -7,6 +7,7 @@ from edgekit import tensor as T
 from edgekit.errors import ConfigError, NumericError, ShapeError, UsageError
 from edgekit.gradcheck import check_op
 from edgekit.tensor import Tensor
+from oracles import conv_im2col, conv_im2col_grads, deconv_loop
 
 rng = np.random.default_rng(1234)
 
@@ -140,6 +141,82 @@ def test_deconv2d_gradcheck():
                  [rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(2, 3, 4, 4))],
                  rng)
     assert r.max_rel_err < 1e-5
+
+
+def test_conv2d_gradcheck_channels_not_increasing():
+    for k, pad in ((3, 1), (1, 0)):
+        r = check_op(lambda x, w, b: T.conv2d(x, w, b, stride=1, padding=pad),
+                     [rng.normal(size=(2, 4, 5, 7)), rng.normal(size=(3, 4, k, k)),
+                      rng.normal(size=3)], rng)
+        assert r.max_rel_err < 1e-5, (k, pad)
+
+
+def test_deconv2d_gradcheck_kernel_not_multiple_of_stride():
+    r = check_op(lambda x, w, b: T.deconv2d(x, w, b, stride=2),
+                 [rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 3, 3, 3)),
+                  rng.normal(size=3)], rng)
+    assert r.max_rel_err < 1e-5
+
+
+@pytest.mark.parametrize("hw", [(4, 4), (3, 5)])
+@pytest.mark.parametrize("kernel, stride", [
+    ((4, 4), (2, 2)), ((8, 8), (4, 4)), ((16, 16), (8, 8)), ((2, 2), (2, 2)),
+    ((1, 1), (2, 2)), ((3, 3), (2, 2)), ((5, 3), (3, 2)), ((3, 3), (1, 1)),
+])
+def test_deconv2d_equals_tap_loop_reference(kernel, stride, hw):
+    y = rng.normal(size=(2, 3) + hw)
+    w = rng.normal(size=(3, 2) + kernel)
+    out = T.deconv2d(Tensor(y), Tensor(w), stride=stride).data
+    assert np.array_equal(out, deconv_loop(y, w, *stride))
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("c_in, c_out", [(6, 3), (4, 4), (2, 5)])
+def test_conv2d_matches_im2col_reference(c_in, c_out, k, pad, stride, batch):
+    x = Tensor(rng.normal(size=(batch, c_in, 7, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(c_out, c_in, k, k)), requires_grad=True)
+    ref = conv_im2col(x.data, w.data, stride, stride, pad, pad)
+    g = rng.normal(size=ref.shape)
+    with T.fresh_tape():
+        out = T.conv2d(x, w, stride=stride, padding=pad)
+        T.backward(T.tensor_sum(T.mul(out, g)))
+    ref_gx, ref_gw = conv_im2col_grads(x.data, w.data, g, stride, stride, pad, pad)
+    for got, want in ((out.data, ref), (x.grad, ref_gx), (w.grad, ref_gw)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(stride=0), ConfigError),
+    (dict(stride=(1, -1)), ConfigError),
+    (dict(padding=-1), ConfigError),
+    (dict(padding=(0, -2)), ConfigError),
+    (dict(x=np.zeros((2, 4, 4))), ShapeError),
+    (dict(w=np.zeros((2, 2, 3))), ShapeError),
+    (dict(bias=np.zeros(1)), ShapeError),
+    (dict(bias=np.zeros((2, 1))), ShapeError),
+])
+def test_conv2d_rejects_misuse(kwargs, error):
+    args = dict(x=np.zeros((1, 2, 4, 4)), w=np.zeros((2, 2, 3, 3)), bias=None,
+                stride=1, padding=0) | kwargs
+    with pytest.raises(error):
+        T.conv2d(Tensor(args.pop("x")), Tensor(args.pop("w")), **args)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(x=np.zeros((2, 4, 4))),
+    dict(w=np.zeros((2, 2, 3))),
+    dict(bias=np.zeros(1)),
+    dict(bias=np.zeros(3)),
+])
+def test_deconv2d_rejects_misuse(kwargs):
+    args = dict(x=np.zeros((1, 2, 4, 4)), w=np.zeros((2, 2, 3, 3)),
+                bias=None) | kwargs
+    with pytest.raises(ShapeError):
+        T.deconv2d(Tensor(args["x"]), Tensor(args["w"]), args["bias"], stride=2)
 
 
 def test_layer_norm_constant_row_maps_to_bias():
