@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DigestMismatch, MagicMismatch, TruncatedFile, VersionMismatch
 
 MAGIC = b"EDTR"
-VERSION = 2  # 2: batched attention weights, dotted config keys
+VERSION = 3  # 3: one resizable position embedding per encoder, no scales key
 
 
 def config_digest(config_text: str) -> bytes:

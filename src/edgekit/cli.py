@@ -17,7 +17,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (CheckpointError, ConfigError, EdgekitError, InputError,
                      NumericError, ParseError)
 from .evalbench import evaluate_predictions, write_pr_csv
-from .model import EdgeDetector, ModelConfig
+from .model import DEFAULT_SCALES, EdgeDetector, ModelConfig
 from .rasters import load_edge_map, load_image, save_edge_map
 from .runconfig import RunConfig, default_config_text
 from .synth import load_annotators, load_dataset, write_dataset
@@ -67,9 +67,7 @@ def _cmd_infer(args) -> int:
     model = _load_model(args.ckpt)
     image = load_image(args.input)
     if args.ms:
-        scales = (tuple(float(s) for s in args.scales.split(","))
-                  if args.scales else None)
-        edge = model.infer_multiscale(image, scales)
+        edge = model.infer_multiscale(image, args.scales or DEFAULT_SCALES)
     else:
         edge = model.infer(image)
     save_edge_map(edge[0], args.out)
@@ -110,6 +108,14 @@ def _cmd_config(args) -> int:
     return 0
 
 
+def _scale_list(text: str) -> tuple[float, ...]:
+    """Comma-separated numbers; their range is checked by infer_multiscale."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="edgekit",
                                  description=__doc__.splitlines()[0])
@@ -133,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ms", action="store_true", help="multi-scale averaging")
-    p.add_argument("--scales", default=None, help="comma list, e.g. 0.5,1.0,1.5")
+    p.add_argument("--scales", type=_scale_list, default=None,
+                   help="comma list for --ms, e.g. 0.5,1.0,1.5")
     p.set_defaults(fn=_cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -157,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if getattr(args, "scales", None) is not None and not args.ms:
+        ap.error("infer: --scales requires --ms")
     try:
         return args.fn(args)
     except (ParseError, ConfigError, InputError, CheckpointError) as exc:

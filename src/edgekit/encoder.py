@@ -2,9 +2,9 @@
 
 One Encoder instance serves both roles in the detector: the coarse-patch
 context encoder and the fine-patch window encoder (the latter shared across
-all windows of an image). Position embeddings are built per token grid at
-construction time; requesting an unknown grid is a shape error rather than
-an interpolation.
+all windows of an image). Each encoder trains one position embedding for its
+native token grid and bilinearly resizes it to any other grid, as ViT and
+SETR do, so the same weights serve every input size.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def flatten_patches(image: np.ndarray, patch: int) -> tuple[np.ndarray, tuple[in
 
 
 def add_position(seq: TokenSequence, pos: Tensor) -> TokenSequence:
-    """Add learned position embeddings; no resizing across grids."""
+    """Add position embeddings already sized to the token grid."""
     n, c = seq.tokens.shape[-2], seq.tokens.shape[-1]
     if pos.shape != (n, c):
         raise ShapeError(
@@ -141,40 +141,36 @@ class TransformerBlock(nn.Module):
 class Encoder(nn.Module):
     """Patch projection, position embeddings, and tapped transformer stack.
 
-    ``grids`` lists every token grid the encoder must accept; the first is
-    the primary (trained) one, additional grids get fixed random embeddings
-    kept as buffers so that scaled inference stays deterministic.
+    ``grid`` is the native token grid: its position embedding ``pos`` is
+    trained and added as is, while any other grid adds ``pos`` bilinearly
+    resized to that grid.
     """
 
-    def __init__(self, cfg: EncoderConfig, grids: list[tuple[int, int]],
+    def __init__(self, cfg: EncoderConfig, grid: tuple[int, int],
                  rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
+        self.grid = grid
         c = cfg.embed_dim
         self.proj = nn.Linear(cfg.patch_size * cfg.patch_size * 3, c, rng)
-        primary = grids[0]
-        self.pos = Tensor(rng.normal(0.0, 0.02, size=(primary[0] * primary[1], c)),
+        self.pos = Tensor(rng.normal(0.0, 0.02, size=(grid[0] * grid[1], c)),
                           requires_grad=True)
-        self._pos_grids: dict[tuple[int, int], Tensor] = {primary: self.pos}
-        for g in grids[1:]:
-            if g in self._pos_grids:
-                continue
-            buf = rng.normal(0.0, 0.02, size=(g[0] * g[1], c))
-            self.register_buffer(f"pos_{g[0]}x{g[1]}", buf)
-            self._pos_grids[g] = Tensor(buf)
         self.blocks = nn.ModuleList(TransformerBlock(cfg, rng)
                                     for _ in range(cfg.depth))
+
+    def position(self, grid: tuple[int, int]) -> Tensor:
+        """Position embeddings (gh * gw, C) for a token grid, row-major."""
+        if grid == self.grid:
+            return self.pos
+        (h, w), c = self.grid, self.cfg.embed_dim
+        pos = T.transpose(T.reshape(self.pos, (1, h, w, c)), (0, 3, 1, 2))
+        pos = T.transpose(T.bilinear_resize(pos, grid), (0, 2, 3, 1))
+        return T.reshape(pos, (grid[0] * grid[1], c))
 
     def embed(self, image: np.ndarray) -> TokenSequence:
         patches, grid = flatten_patches(image, self.cfg.patch_size)
         seq = TokenSequence(self.proj(Tensor(patches)), grid)
-        pos = self._pos_grids.get(grid)
-        if pos is None:
-            raise ShapeError(
-                f"no position embedding built for token grid {grid}; "
-                f"known grids: {sorted(self._pos_grids)}"
-            )
-        return add_position(seq, pos)
+        return add_position(seq, self.position(grid))
 
     def encode(self, seq: TokenSequence) -> list[Tensor]:
         """Run all blocks, returning outputs at the configured tap indices."""

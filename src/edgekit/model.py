@@ -9,6 +9,7 @@ with the stage-one features, and predicts the final edge map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -21,11 +22,7 @@ from .errors import ConfigError, PartitionError, ShapeError, UsageError
 from .tensor import Tensor
 
 STAGE_MODES = ("two_stage", "stage1_only")
-
-
-def _scaled_extent(extent: int, scale: float, multiple: int) -> int:
-    """Scale and round to the nearest positive multiple (at least one unit)."""
-    return max(multiple, int(round(extent * scale / multiple)) * multiple)
+DEFAULT_SCALES = (0.5, 1.0, 1.5)  # multi-scale inference factors
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,6 @@ class ModelConfig:
     ffm_enabled: bool = True
     stage_mode: str = "two_stage"
     side_channels: int = 4
-    scales: tuple[float, ...] = (0.5, 1.0, 1.5)
 
     def __post_init__(self):
         h, w = self.input_hw
@@ -66,18 +62,10 @@ class ModelConfig:
             raise ConfigError(
                 f"input {h}x{w} not divisible by window_divisor*fine patch {d * lp}"
             )
-        if not self.scales:
-            raise ConfigError("scale set must not be empty")
 
     @staticmethod
     def toy(**overrides) -> "ModelConfig":
         return replace(ModelConfig(), **overrides) if overrides else ModelConfig()
-
-    def scaled_hw(self, scale: float) -> tuple[int, int]:
-        gp = self.global_encoder.patch_size
-        mult = max(gp, self.window_divisor * self.local_encoder.patch_size)
-        return (_scaled_extent(self.input_hw[0], scale, mult),
-                _scaled_extent(self.input_hw[1], scale, mult))
 
     def canonical_text(self) -> str:
         """Stable rendering used for checkpoint digests: one sorted
@@ -178,11 +166,10 @@ def _side_heads(cfg: ModelConfig, dec: DecoderConfig,
                          for _ in range(n_paths))
 
 
-def _token_grids(cfg: ModelConfig, cell: int) -> list[tuple[int, int]]:
-    """Token grids of the native input and every inference scale (native
-    first) when one token covers ``cell`` x ``cell`` pixels."""
-    sizes = [cfg.input_hw] + [cfg.scaled_hw(s) for s in cfg.scales]
-    return [(h // cell, w // cell) for h, w in sizes]
+def _native_grid(cfg: ModelConfig, cell: int) -> tuple[int, int]:
+    """Token grid of the native input when one token covers ``cell`` x
+    ``cell`` pixels."""
+    return cfg.input_hw[0] // cell, cfg.input_hw[1] // cell
 
 
 class FeatureFusion(nn.Module):
@@ -216,8 +203,8 @@ class GlobalStage(nn.Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        grids = _token_grids(cfg, cfg.global_encoder.patch_size)
-        self.encoder = Encoder(cfg.global_encoder, grids, rng)
+        grid = _native_grid(cfg, cfg.global_encoder.patch_size)
+        self.encoder = Encoder(cfg.global_encoder, grid, rng)
         self.decoder = build_decoder(cfg.global_decoder, rng)
         self.head = nn.Conv2d(cfg.global_decoder.smooth_channels, 1, 1, rng)
         self.sides = _side_heads(cfg, cfg.global_decoder, rng)
@@ -235,8 +222,8 @@ class LocalStage(nn.Module):
         super().__init__()
         self.cfg = cfg
         # a window is 1/divisor of the image, so a token covers divisor*patch
-        grids = _token_grids(cfg, cfg.window_divisor * cfg.local_encoder.patch_size)
-        self.encoder = Encoder(cfg.local_encoder, grids, rng)
+        grid = _native_grid(cfg, cfg.window_divisor * cfg.local_encoder.patch_size)
+        self.encoder = Encoder(cfg.local_encoder, grid, rng)
         self.decoder = build_decoder(cfg.local_decoder, rng)
         g_ch = cfg.global_decoder.smooth_channels
         l_ch = cfg.local_decoder.smooth_channels
@@ -353,17 +340,23 @@ class EdgeDetector(nn.Module):
     def infer(self, image: np.ndarray) -> np.ndarray:
         """Edge probabilities (B, 1, H, W) in eval mode, gradient-free.
 
-        Every submodule's train/eval flag is restored afterwards.
+        Any H x W runs: the image is edge-padded up to the next multiple of
+        both the coarse patch and the fine window cell, and the map is
+        cropped back. Every submodule's train/eval flag is restored afterwards.
         """
-        squeeze = image.ndim == 3
-        if squeeze:
-            image = image[None]
+        image, squeeze = _as_batch(image)
+        h, w = image.shape[-2:]
+        cfg = self.cfg
+        mult = math.lcm(cfg.global_encoder.patch_size,
+                        cfg.window_divisor * cfg.local_encoder.patch_size)
+        image = np.pad(image, ((0, 0), (0, 0), (0, -h % mult), (0, -w % mult)),
+                       mode="edge")
         modes = [(m, m.training) for m in self.modules()]
         self.eval()
         try:
             with T.no_grad():
                 f_g, e_g, _ = self.run_stage1(image)
-                if self.cfg.stage_mode == "stage1_only":
+                if cfg.stage_mode == "stage1_only":
                     out = e_g.data
                 else:
                     _, e_r, _, _ = self.run_stage2(image, f_g)
@@ -371,26 +364,38 @@ class EdgeDetector(nn.Module):
         finally:
             for m, training in modes:
                 m.training = training
+        out = out[..., :h, :w]
         return out[0] if squeeze else out
 
     def infer_multiscale(self, image: np.ndarray,
-                         scales: tuple[float, ...] | None = None) -> np.ndarray:
-        scales = tuple(self.cfg.scales if scales is None else scales)
-        if not scales:
-            raise ConfigError("multiscale inference needs at least one scale")
-        squeeze = image.ndim == 3
-        if squeeze:
-            image = image[None]
-        h, w = image.shape[-2], image.shape[-1]
+                         scales: tuple[float, ...] = DEFAULT_SCALES) -> np.ndarray:
+        """Mean of the edge maps of the image resized to round(s * H) x
+        round(s * W) for every scale s, each map resized back to H x W."""
+        scales = tuple(scales)
+        if not scales or not all(math.isfinite(s) and s > 0 for s in scales):
+            raise ConfigError(f"scales must be finite and positive, got {scales}")
+        image, squeeze = _as_batch(image)
+        h, w = image.shape[-2:]
         acc = np.zeros((image.shape[0], 1, h, w))
         with T.no_grad():
             for s in scales:
-                sh, sw = self.cfg.scaled_hw(s)
-                scaled = (image if (sh, sw) == (h, w)
-                          else T.bilinear_resize(Tensor(image), (sh, sw)).data)
-                e = self.infer(scaled)
-                if e.shape[-2:] != (h, w):
-                    e = T.bilinear_resize(Tensor(e), (h, w)).data
-                acc += e
+                size = (max(1, round(s * h)), max(1, round(s * w)))
+                if size == (h, w):
+                    acc += self.infer(image)
+                else:
+                    e = self.infer(T.bilinear_resize(Tensor(image), size).data)
+                    acc += T.bilinear_resize(Tensor(e), (h, w)).data
         acc /= len(scales)
         return acc[0] if squeeze else acc
+
+
+def _as_batch(image: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A (3, H, W) or (B, 3, H, W) image as a batch, and whether it was one
+    image; H and W must be at least one pixel."""
+    squeeze = image.ndim == 3
+    if squeeze:
+        image = image[None]
+    if image.ndim != 4 or 0 in image.shape[-2:]:
+        raise ShapeError(f"expected a (B, 3, H, W) input with H, W >= 1, "
+                         f"got {image.shape}")
+    return image, squeeze

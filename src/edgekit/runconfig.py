@@ -29,13 +29,9 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(v) for v in s.split(","))
 
 
-def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in s.split(","))
-
-
 # key -> (parser, default, description)
 SCHEMA: dict[str, tuple] = {
-    "input_size": (int, 64, "square side of model inputs and training crops"),
+    "input_size": (int, 64, "square side of the native input and training crops"),
     "embed_dim": (int, 64, "token embedding width of both encoders"),
     "heads": (int, 8, "attention heads per block"),
     "head_dim": (int, 8, "per-head query/key/value width"),
@@ -51,7 +47,6 @@ SCHEMA: dict[str, tuple] = {
     "ffm": (_parse_bool, True, "fuse stages with the feature-transform module"),
     "stage_mode": (str, "two_stage", "two_stage or stage1_only"),
     "window_divisor": (int, 2, "fine stage window grid divisor"),
-    "scales": (_parse_floats, (0.5, 1.0, 1.5), "multi-scale inference factors"),
     "eta": (float, 0.3, "annotator consensus threshold"),
     "lambda": (float, 0.4, "side-output loss weight"),
     "lr": (float, 5e-4, "base learning rate (polynomial decay)"),
@@ -60,12 +55,10 @@ SCHEMA: dict[str, tuple] = {
     "weight_decay": (float, 2e-4, "L2 weight decay folded into the velocity"),
     "iterations": (int, 600, "iterations per training stage"),
     "batch_size": (int, 2, "training batch size"),
-    "crop": (int, 64, "random crop side (must equal input_size)"),
     "seed": (int, 0, "seed for weights, batches, and augmentation"),
     "flip": (_parse_bool, True, "random horizontal flips during training"),
     "ignore_band": (_parse_bool, False,
                     "exclude sub-threshold annotator pixels from the loss"),
-    "eval_tolerance": (float, 0.0075, "match radius as a diagonal fraction"),
     "data_dir": (str, "data", "dataset directory (images/ + gt/)"),
     "out_dir": (str, "runs", "output directory for checkpoints and CSVs"),
 }
@@ -123,19 +116,14 @@ class RunConfig:
             global_decoder=DecoderConfig(variant="global", **dec),
             local_decoder=DecoderConfig(variant="local", **dec),
             window_divisor=v["window_divisor"], ffm_enabled=v["ffm"],
-            stage_mode=v["stage_mode"], side_channels=v["side_channels"],
-            scales=tuple(v["scales"]))
+            stage_mode=v["stage_mode"], side_channels=v["side_channels"])
 
     def train_config(self) -> TrainConfig:
         v = self.values
-        if v["crop"] != v["input_size"]:
-            raise ConfigError(
-                f"crop {v['crop']} must equal input_size {v['input_size']}"
-            )
         return TrainConfig(eta=v["eta"], lam=v["lambda"], base_lr=v["lr"],
                            iterations_stage1=v["iterations"],
                            iterations_stage2=v["iterations"],
-                           batch_size=v["batch_size"], crop=v["crop"],
+                           batch_size=v["batch_size"], crop=v["input_size"],
                            seed=v["seed"], flip=v["flip"],
                            use_ignore_band=v["ignore_band"],
                            momentum=v["momentum"],

@@ -125,7 +125,7 @@ def _two_block_encoder_check(rng: np.random.Generator) -> tuple[str, GradcheckRe
 
     cfg = EncoderConfig(patch_size=8, depth=2, embed_dim=8, heads=2, head_dim=4,
                         mlp_ratio=2, tap_indices=(1, 2))
-    enc = Encoder(cfg, [(2, 2)], rng)
+    enc = Encoder(cfg, (2, 2), rng)
     img = rng.random((1, 3, 16, 16))
 
     def loss_fn():
@@ -146,7 +146,7 @@ def full_model_check(seed: int = 0, probes_per_tensor: int = 1,
     gradients reach all parameters in a single backward pass.
     """
     rng = np.random.default_rng(seed)
-    cfg = ModelConfig.toy(input_hw=input_hw, scales=(1.0,))
+    cfg = ModelConfig.toy(input_hw=input_hw)
     model = EdgeDetector(cfg, seed=seed)
     model.train()
     img = rng.random((1, 3, *input_hw))

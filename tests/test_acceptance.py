@@ -57,7 +57,7 @@ def test_gradient_suite():
 def test_shape_and_normalization_suite():
     rng = np.random.default_rng(1)
     # attention rows sum to 1 for every block and head
-    enc = Encoder(EncoderConfig.coarse_toy(), [(4, 4)], rng)
+    enc = Encoder(EncoderConfig.coarse_toy(), (4, 4), rng)
     seq = enc.embed(rng.random((1, 3, 64, 64)))
     z = seq.tokens
     max_row_err = 0.0
@@ -73,8 +73,7 @@ def test_shape_and_normalization_suite():
     shapes_ok = True
     for h in (32, 64, 96, 160):
         for w in (32, 64, 96, 160):
-            net = EdgeDetector(ModelConfig.toy(input_hw=(h, w), scales=(1.0,)),
-                               seed=0)
+            net = EdgeDetector(ModelConfig.toy(input_hw=(h, w)), seed=0)
             net.eval()
             img = rng.random((1, 3, h, w))
             with T.no_grad():
@@ -132,7 +131,7 @@ def overfit_run():
     raw = [generate_scene(rng, 64) for _ in range(8)]
     scenes = [Scene(img, AnnotationStack(maps, consensus_labels(maps, 0.3)))
               for img, _, maps in raw]
-    model = EdgeDetector(ModelConfig.toy(scales=(1.0,)), seed=0)
+    model = EdgeDetector(ModelConfig.toy(), seed=0)
     tcfg = TrainConfig(base_lr=5e-4, iterations_stage1=400,
                        iterations_stage2=400, batch_size=2, crop=64,
                        seed=0, flip=False)
@@ -249,8 +248,8 @@ def test_determinism(tmp_path):
     data = tmp_path / "data"
     assert main(["synth", "--n", "2", "--seed", "5", "--size", "32",
                  "--out", str(data)]) == 0
-    cfg_text = ("input_size=32\ncrop=32\niterations=3\nbatch_size=1\nseed=2\n"
-                "scales=1.0\ndata_dir={d}\nout_dir={o}\n")
+    cfg_text = ("input_size=32\niterations=3\nbatch_size=1\nseed=2\n"
+                "data_dir={d}\nout_dir={o}\n")
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / f"run_{tag}"

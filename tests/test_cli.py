@@ -9,16 +9,15 @@ from edgekit.cli import main
 from edgekit.errors import ShapeError, VersionMismatch
 from edgekit.evalbench import DEFAULT_TOLERANCE
 from edgekit.model import EdgeDetector, ModelConfig
-from edgekit.rasters import FLOAT_MAGIC, load_edge_map, load_gray, save_edge_map
+from edgekit.rasters import (FLOAT_MAGIC, load_edge_map, load_gray, save_edge_map,
+                             save_image)
 from edgekit.synth import write_dataset
 
 SMALL_CONFIG = """
 input_size=32
-crop=32
 iterations=3
 batch_size=1
 seed=1
-scales=1.0
 data_dir={data}
 out_dir={out}
 """
@@ -154,15 +153,51 @@ def test_infer_epfm_output(trained, tmp_path):
 
 def test_version1_checkpoint_exit_code(trained, tmp_path):
     _, data, out, _ = trained
-    old = tmp_path / "v1.ckpt"
-    blob = bytearray((out / "model.ckpt").read_bytes())
-    blob[4:8] = struct.pack("<I", 1)
-    old.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatch):
-        load_checkpoint(old)
-    assert main(["infer", "--ckpt", str(old), "--in",
-                 str(data / "images" / "000.ppm"),
-                 "--out", str(tmp_path / "e.pgm")]) == 3
+    for version in (1, 2):
+        old = tmp_path / f"v{version}.ckpt"
+        blob = bytearray((out / "model.ckpt").read_bytes())
+        blob[4:8] = struct.pack("<I", version)
+        old.write_bytes(bytes(blob))
+        with pytest.raises(VersionMismatch):
+            load_checkpoint(old)
+        assert main(["infer", "--ckpt", str(old), "--in",
+                     str(data / "images" / "000.ppm"),
+                     "--out", str(tmp_path / "e.pgm")]) == 3
+
+
+@pytest.mark.parametrize("ms", [[], ["--ms"]])
+def test_infer_any_size_round_trip(trained, tmp_path, ms):
+    _, _, out, _ = trained
+    img = tmp_path / "odd.ppm"
+    save_image(np.random.default_rng(7).random((3, 37, 50)), img)
+    target = tmp_path / "odd.pgm"
+    assert main(["infer", "--ckpt", str(out / "model.ckpt"), "--in", str(img),
+                 "--out", str(target)] + ms) == 0
+    e = load_gray(target)
+    assert e.shape == (37, 50)
+    assert 0.0 <= e.min() and e.max() <= 1.0
+
+
+@pytest.mark.parametrize("extra, code", [
+    (["--ms", "--scales", "0.5,abc"], 2),   # not numbers: argparse
+    (["--ms", "--scales", ""], 2),
+    (["--scales", "0.5"], 2),               # --scales without --ms
+    (["--ms", "--scales", "nan"], 3),       # numbers out of range: ConfigError
+    (["--ms", "--scales", "0.5,inf"], 3),
+    (["--ms", "--scales", "0"], 3),
+    (["--ms", "--scales", "1.0,-1"], 3),
+])
+def test_infer_scales_misuse_exit_codes(trained, tmp_path, extra, code):
+    _, data, out, _ = trained
+    args = ["infer", "--ckpt", str(out / "model.ckpt"),
+            "--in", str(data / "images" / "000.ppm"), "--out", str(tmp_path / "e.pgm")]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(args + extra)
+        assert exc.value.code == 2
+    else:
+        assert main(args + extra) == code
+    assert not (tmp_path / "e.pgm").exists()
 
 
 def test_eval_rerun_byte_identical_with_matching(tmp_path, capsys):

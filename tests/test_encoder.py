@@ -43,7 +43,7 @@ def test_flatten_patches_indivisible():
 
 
 def test_zero_image_zero_bias_gives_zero_tokens():
-    enc = Encoder(TOY, [(2, 2)], np.random.default_rng(0))
+    enc = Encoder(TOY, (2, 2), np.random.default_rng(0))
     enc.proj.bias.data[:] = 0.0
     patches, grid = flatten_patches(np.zeros((1, 3, 16, 16)), 8)
     tokens = enc.proj(Tensor(patches))
@@ -66,7 +66,7 @@ def test_add_position_shape_error_no_interpolation():
 
 
 def test_position_embedding_receives_gradient():
-    enc = Encoder(TOY, [(2, 2)], np.random.default_rng(0))
+    enc = Encoder(TOY, (2, 2), np.random.default_rng(0))
     img = rng.random((1, 3, 16, 16))
     with T.fresh_tape():
         taps, _ = enc(img)
@@ -117,7 +117,7 @@ def test_single_head_equals_direct_computation():
 
 
 def test_attention_rows_sum_to_one_every_head():
-    enc = Encoder(TOY, [(2, 2)], np.random.default_rng(1))
+    enc = Encoder(TOY, (2, 2), np.random.default_rng(1))
     z = Tensor(rng.normal(size=(2, 4, 8)))
     for block in enc.blocks:
         w = block.attn.weights(block.norm1(z))
@@ -149,7 +149,7 @@ def test_attention_tape_records_independent_of_heads():
 def test_encode_all_taps_when_every_block_tapped():
     cfg = EncoderConfig(patch_size=8, depth=4, embed_dim=8, heads=2, head_dim=4,
                         mlp_ratio=2, tap_indices=(1, 2, 3, 4))
-    enc = Encoder(cfg, [(2, 2)], np.random.default_rng(0))
+    enc = Encoder(cfg, (2, 2), np.random.default_rng(0))
     taps, _ = enc(rng.random((1, 3, 16, 16)))
     assert len(taps) == 4
 
@@ -175,7 +175,7 @@ def test_encoder_deterministic_replay():
     img = rng.random((1, 3, 16, 16))
 
     def run():
-        enc = Encoder(TOY, [(2, 2)], np.random.default_rng(5))
+        enc = Encoder(TOY, (2, 2), np.random.default_rng(5))
         taps, _ = enc(img)
         return [t.data.copy() for t in taps]
 
@@ -185,7 +185,7 @@ def test_encoder_deterministic_replay():
 
 
 def test_permutation_equivariance_without_positions():
-    enc = Encoder(TOY, [(2, 2)], np.random.default_rng(2))
+    enc = Encoder(TOY, (2, 2), np.random.default_rng(2))
     tokens = rng.normal(size=(1, 4, 8))
     perm = np.array([2, 0, 3, 1])
     base = enc.encode(TokenSequence(Tensor(tokens), (2, 2)))
@@ -195,21 +195,33 @@ def test_permutation_equivariance_without_positions():
 
 
 def test_tapped_output_shape():
-    enc = Encoder(TOY, [(3, 2)], np.random.default_rng(2))
+    enc = Encoder(TOY, (3, 2), np.random.default_rng(2))
     taps, grid = enc(rng.random((2, 3, 24, 16)))
     assert grid == (3, 2)
     for t in taps:
         assert t.shape == (2, 6, 8)
 
 
-def test_unknown_grid_rejected():
-    enc = Encoder(TOY, [(2, 2)], np.random.default_rng(2))
-    with pytest.raises(ShapeError, match="position embedding"):
-        enc(rng.random((1, 3, 32, 32)))
+def test_other_grids_resize_the_trained_embedding():
+    """The native grid adds ``pos`` itself; any other grid adds its bilinear
+    resize, and the gradient reaches ``pos`` through the resize."""
+    enc = Encoder(TOY, (2, 2), np.random.default_rng(2))
+    assert enc.position((2, 2)) is enc.pos
+    native = np.transpose(enc.pos.data.reshape(1, 2, 2, 8), (0, 3, 1, 2))
+    for grid in ((3, 2), (4, 4)):
+        enc.zero_grad()
+        with T.fresh_tape():
+            taps, got = enc(rng.random((1, 3, 8 * grid[0], 8 * grid[1])))
+            T.backward(T.tensor_sum(taps[-1]))
+        assert got == grid
+        assert taps[-1].shape == (1, grid[0] * grid[1], 8)
+        assert np.abs(enc.pos.grad).max() > 0
+        want = T.bilinear_resize(Tensor(native), grid).data[0].reshape(8, -1).T
+        assert np.array_equal(enc.position(grid).data, want)
 
 
 def test_two_block_encoder_gradcheck():
-    enc = Encoder(TOY, [(2, 2)], np.random.default_rng(4))
+    enc = Encoder(TOY, (2, 2), np.random.default_rng(4))
     img = rng.random((1, 3, 16, 16))
 
     def loss_fn():

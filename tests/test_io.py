@@ -193,7 +193,10 @@ def test_runconfig_comments_and_overrides():
     assert run["ffm"] is False
 
 
-def test_runconfig_crop_must_match_input():
-    run = RunConfig.parse("crop=32\ninput_size=64\n")
-    with pytest.raises(ConfigError):
-        run.train_config()
+def test_runconfig_crop_follows_input_size():
+    run = RunConfig.parse("input_size=32\n")
+    assert run.train_config().crop == 32
+    assert run.model_config().input_hw == (32, 32)
+    for key in ("crop", "scales", "eval_tolerance"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            RunConfig.parse(f"{key}=32\n")

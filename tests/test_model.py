@@ -13,7 +13,7 @@ rng = np.random.default_rng(5)
 
 
 def tiny_cfg(**over):
-    base = dict(input_hw=(32, 32), scales=(1.0,))
+    base = dict(input_hw=(32, 32))
     base.update(over)
     return ModelConfig.toy(**base)
 
@@ -184,15 +184,15 @@ def test_infer_repeat_bit_identical(net, image):
 
 
 def test_multiscale_single_scale_equals_infer():
-    cfg = ModelConfig.toy(input_hw=(32, 32), scales=(0.5, 1.0, 1.5))
-    net2 = EdgeDetector(cfg, seed=2)
-    img = rng.random((1, 3, 32, 32))
-    assert np.array_equal(net2.infer_multiscale(img, (1.0,)), net2.infer(img))
+    net2 = EdgeDetector(tiny_cfg(), seed=2)
+    # scale 1.0 keeps the image's own size, native or not
+    for hw in ((32, 32), (64, 64), (80, 48)):
+        img = rng.random((1, 3, *hw))
+        assert np.array_equal(net2.infer_multiscale(img, (1.0,)), net2.infer(img))
 
 
 def test_multiscale_range_and_commutativity():
-    cfg = ModelConfig.toy(input_hw=(32, 32), scales=(0.5, 1.0, 1.5))
-    net2 = EdgeDetector(cfg, seed=2)
+    net2 = EdgeDetector(tiny_cfg(), seed=2)
     img = rng.random((1, 3, 32, 32))
     a = net2.infer_multiscale(img, (0.5, 1.0, 1.5))
     b = net2.infer_multiscale(img, (1.5, 0.5, 1.0))
@@ -201,17 +201,37 @@ def test_multiscale_range_and_commutativity():
 
 
 def test_multiscale_empty_scales_rejected(net, image):
-    with pytest.raises(ConfigError):
-        net.infer_multiscale(image, ())
+    for scales in ((), (1.0, float("nan")), (float("inf"),), (0.0,), (-1.0,),
+                   (0.5, -0.01)):
+        with pytest.raises(ConfigError):
+            net.infer_multiscale(image, scales)
 
 
 def test_output_shape_for_legal_sizes():
     for h in (32, 64, 96):
         for w in (32, 64):
-            cfg = ModelConfig.toy(input_hw=(h, w), scales=(1.0,))
+            cfg = ModelConfig.toy(input_hw=(h, w))
             m = EdgeDetector(cfg, seed=0)
             out = m.infer(np.random.default_rng(1).random((1, 3, h, w)))
             assert out.shape == (1, 1, h, w)
+
+
+@pytest.mark.parametrize("mode", ["two_stage", "stage1_only"])
+def test_infer_any_size(mode):
+    """Sizes that are not a multiple of the 16 px cell are edge-padded and
+    cropped back; a native-size image pads nothing."""
+    m = EdgeDetector(tiny_cfg(stage_mode=mode), seed=0)
+    for h, w in ((80, 80), (128, 96), (70, 50), (1, 17)):
+        img = np.random.default_rng(1).random((2, 3, h, w))
+        out = m.infer(img)
+        assert out.shape == (2, 1, h, w)
+        assert np.isfinite(out).all() and 0.0 <= out.min() and out.max() <= 1.0
+        assert m.infer_multiscale(img[0]).shape == (1, h, w)
+    img = np.random.default_rng(2).random((1, 3, 70, 50))
+    padded = np.pad(img, ((0, 0), (0, 0), (0, 10), (0, 14)), mode="edge")
+    assert np.array_equal(m.infer(img), m.infer(padded)[..., :70, :50])
+    with pytest.raises(ShapeError):
+        m.infer(np.zeros((1, 3, 0, 16)))
 
 
 def test_config_validation():
@@ -219,8 +239,6 @@ def test_config_validation():
         ModelConfig.toy(input_hw=(40, 64))  # not divisible by 16
     with pytest.raises(ConfigError):
         ModelConfig.toy(stage_mode="three_stage")
-    with pytest.raises(ConfigError):
-        ModelConfig.toy(scales=())
 
 
 def test_state_round_trip(net):
@@ -244,8 +262,7 @@ def test_canonical_text_round_trip():
     cfgs = [ModelConfig.toy(input_hw=(64, 64)),
             ModelConfig.toy(input_hw=(32, 96), local_encoder=fine,
                             local_decoder=fine_dec, ffm_enabled=False,
-                            stage_mode="stage1_only", side_channels=2,
-                            scales=(0.75, 1.0 / 3.0))]
+                            stage_mode="stage1_only", side_channels=2)]
     for cfg in cfgs:
         assert ModelConfig.from_canonical_text(cfg.canonical_text()) == cfg
     text = cfgs[0].canonical_text()
@@ -263,7 +280,7 @@ def test_canonical_text_rejects_missing_unknown_and_malformed_keys():
         text + lines[0],                                    # repeated key
         text.replace("global_encoder.heads=8", "global_encoder.heads=eight"),
         text.replace("ffm_enabled=True", "ffm_enabled=1"),
-        text.replace("scales=0.5,1.0,1.5", "scales=0.5,,1.5"),
+        text.replace("input_hw=64,64", "input_hw=64,,64"),
         text.replace("global_encoder.heads=8", "global_encoder.heads=0"),
     ]
     for case in bad:

@@ -365,3 +365,8 @@ def test_bilinear_resize_constant_preserved():
     x = np.full((1, 1, 4, 4), 2.5)
     out = T.bilinear_resize(Tensor(x), (9, 7))
     assert np.allclose(out.data, 2.5, atol=1e-12)
+
+
+def test_bilinear_resize_same_size_is_identity():
+    x = rng.normal(size=(2, 3, 5, 4))
+    assert np.array_equal(T.bilinear_resize(Tensor(x), (5, 4)).data, x)

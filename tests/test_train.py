@@ -218,7 +218,7 @@ def _tiny_scenes(n=2, size=32, seed=8):
 
 def _tiny_train(seed=0, iters=3):
     scenes = _tiny_scenes()
-    cfg = ModelConfig.toy(input_hw=(32, 32), scales=(1.0,))
+    cfg = ModelConfig.toy(input_hw=(32, 32))
     model = EdgeDetector(cfg, seed=seed)
     tcfg = TrainConfig(iterations_stage1=iters, iterations_stage2=iters,
                        batch_size=1, crop=32, seed=seed, flip=True)
@@ -249,7 +249,7 @@ def test_two_phase_history_stages():
 def test_two_phase_as_separate_one_phase_calls():
     """Each phase in its own call, the other at zero iterations."""
     scenes = _tiny_scenes()
-    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32), scales=(1.0,)), seed=0)
+    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
     tcfg = TrainConfig(iterations_stage1=2, iterations_stage2=0, batch_size=1,
                        crop=32, seed=0)
     r1 = train_two_phase(model, scenes, tcfg)
@@ -267,7 +267,7 @@ def test_two_phase_as_separate_one_phase_calls():
 
 def test_stage1_only_skips_phase_two():
     scenes = _tiny_scenes()
-    cfg = ModelConfig.toy(input_hw=(32, 32), scales=(1.0,), stage_mode="stage1_only")
+    cfg = ModelConfig.toy(input_hw=(32, 32), stage_mode="stage1_only")
     model = EdgeDetector(cfg, seed=0)
     tcfg = TrainConfig(iterations_stage1=2, iterations_stage2=2,
                        batch_size=1, crop=32, seed=0)
@@ -277,7 +277,7 @@ def test_stage1_only_skips_phase_two():
 
 def test_crop_larger_than_image_rejected():
     scenes = _tiny_scenes()
-    cfg = ModelConfig.toy(input_hw=(64, 64), scales=(1.0,))
+    cfg = ModelConfig.toy(input_hw=(64, 64))
     model = EdgeDetector(cfg, seed=0)
     tcfg = TrainConfig(iterations_stage1=1, iterations_stage2=1, crop=64,
                        batch_size=1, seed=0)
@@ -286,7 +286,7 @@ def test_crop_larger_than_image_rejected():
 
 
 def test_side_outputs_count_range_and_gradient_reach():
-    cfg = ModelConfig.toy(input_hw=(32, 32), scales=(1.0,))
+    cfg = ModelConfig.toy(input_hw=(32, 32))
     model = EdgeDetector(cfg, seed=2)
     model.train()
     img = rng.random((1, 3, 32, 32))
