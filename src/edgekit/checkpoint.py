@@ -8,7 +8,8 @@ Layout (all integers little-endian uint32, floats little-endian float32):
 Tensors are written in sorted-name order so identical weights always produce
 byte-identical files. The canonical model-config text is embedded so a
 checkpoint is self-describing; its digest is checked on load, and an
-expected config (when supplied) must hash to the same digest.
+expected config (when supplied) must hash to the same digest. A NaN or Inf
+value (also one the float32 cast makes) is refused on save and on load.
 """
 
 from __future__ import annotations
@@ -19,10 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DigestMismatch, MagicMismatch, TruncatedFile, VersionMismatch
+from .errors import (DigestMismatch, MagicMismatch, NumericError, TruncatedFile,
+                     VersionMismatch)
 
 MAGIC = b"EDTR"
-VERSION = 3  # 3: one resizable position embedding per encoder, no scales key
+# 4: exact-size upsampling; a version-3 file (upsample then crop) has the same
+#    tensors, so it would load and silently compute a different function
+VERSION = 4
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise NumericError(f"checkpoint tensor {name} holds NaN or Inf")
 
 
 def config_digest(config_text: str) -> bytes:
@@ -40,7 +49,9 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str) -> No
     names = sorted(arrays)
     blob += struct.pack("<I", len(names))
     for name in names:
-        arr = np.asarray(arrays[name], dtype="<f4")
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            arr = np.asarray(arrays[name], dtype="<f4")
+        _check_finite(name, arr)
         nb = name.encode("utf-8")
         blob += struct.pack("<I", len(nb))
         blob += nb
@@ -90,5 +101,7 @@ def load_checkpoint(path, expected_config: str | None = None
         rank = r.u32()
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         payload = r.take(int(np.prod(dims, dtype=np.int64)) * 4)
-        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        _check_finite(name, arr)
+        arrays[name] = arr.astype(np.float64)
     return arrays, config_text

@@ -2,7 +2,8 @@
 
 The main decoder runs a top-down and a bottom-up aggregation path over the
 four tapped levels, upsamples all eight path outputs with learned strided
-transposed convolutions, and smooths the concatenation. The coarse variant
+transposed convolutions (kernel 2s, stride s, padding s/2: exactly s times
+the size, nothing cropped), and smooths the concatenation. The coarse variant
 uses 3x3 path/smoothing convolutions and 16x total upsampling; the fine
 variant uses 1x1 convolutions (no padding artifacts) and 8x upsampling.
 A single-path bilinear decoder is kept as the ablation comparison arm.
@@ -90,14 +91,9 @@ def bottom_up_path(maps: list[Tensor], proj: nn.ModuleList,
     return out
 
 
-def central_crop(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
-    h, w = x.shape[2], x.shape[3]
-    th, tw = out_hw
-    return T.crop2d(x, (h - th) // 2, (w - tw) // 2, th, tw)
-
-
 class UpsampleBlock(nn.Module):
-    """Two strided transposed convolutions, each with BN + ReLU."""
+    """Two strided transposed convolutions, each with BN + ReLU: exactly
+    s1 * s2 times the input size."""
 
     def __init__(self, in_channels: int, out_channels: int, pairs,
                  rng: np.random.Generator):
@@ -106,8 +102,8 @@ class UpsampleBlock(nn.Module):
         self.up1 = nn.DeconvBNReLU(in_channels, out_channels, k1, s1, rng)
         self.up2 = nn.DeconvBNReLU(out_channels, out_channels, k2, s2, rng)
 
-    def forward(self, x: Tensor, out_hw: tuple[int, int]) -> Tensor:
-        return central_crop(self.up2(self.up1(x)), out_hw)
+    def forward(self, x: Tensor) -> Tensor:
+        return self.up2(self.up1(x))
 
 
 class SmoothStack(nn.Module):
@@ -144,10 +140,10 @@ class _LevelDecoder(nn.Module):
         self.cfg = cfg
         self.td_proj, self.td_conv = _path_convs(cfg, rng)
 
-    def forward(self, taps: list[Tensor], grid: tuple[int, int],
-                out_hw: tuple[int, int]) -> tuple[Tensor, list[Tensor]]:
+    def forward(self, taps: list[Tensor], grid: tuple[int, int]
+                ) -> tuple[Tensor, list[Tensor]]:
         paths = self.paths(taps, grid)
-        ups = self.upsample(paths, out_hw)
+        ups = self.upsample(paths)
         return self.smooth(T.concat(ups, axis=1)), paths
 
 
@@ -169,8 +165,8 @@ class BiMLADecoder(_LevelDecoder):
         bu = bottom_up_path(maps, self.bu_proj, self.bu_conv)
         return td + bu
 
-    def upsample(self, paths: list[Tensor], out_hw: tuple[int, int]) -> list[Tensor]:
-        return [self.upsamplers[i](p, out_hw) for i, p in enumerate(paths)]
+    def upsample(self, paths: list[Tensor]) -> list[Tensor]:
+        return [self.upsamplers[i](p) for i, p in enumerate(paths)]
 
 
 class MLADecoder(_LevelDecoder):
@@ -185,8 +181,9 @@ class MLADecoder(_LevelDecoder):
         maps = [reshape_tokens(t, grid) for t in taps]
         return top_down_path(maps, self.td_proj, self.td_conv)
 
-    def upsample(self, paths: list[Tensor], out_hw: tuple[int, int]) -> list[Tensor]:
-        return [T.bilinear_resize(p, out_hw) for p in paths]
+    def upsample(self, paths: list[Tensor]) -> list[Tensor]:
+        f = self.cfg.total_upsample
+        return [T.bilinear_resize(p, (f * p.shape[2], f * p.shape[3])) for p in paths]
 
 
 def build_decoder(cfg: DecoderConfig, rng: np.random.Generator) -> nn.Module:

@@ -153,8 +153,8 @@ class SideHead(UpsampleBlock):
         super().__init__(path_channels, side_channels, pairs, rng)
         self.out = nn.Conv2d(side_channels, 1, 1, rng)
 
-    def forward(self, path: Tensor, out_hw: tuple[int, int]) -> Tensor:
-        return T.sigmoid(self.out(super().forward(path, out_hw)))
+    def forward(self, path: Tensor) -> Tensor:
+        return T.sigmoid(self.out(super().forward(path)))
 
 
 def _side_heads(cfg: ModelConfig, dec: DecoderConfig,
@@ -210,9 +210,8 @@ class GlobalStage(nn.Module):
         self.sides = _side_heads(cfg, cfg.global_decoder, rng)
 
     def forward(self, image: np.ndarray):
-        out_hw = (image.shape[-2], image.shape[-1])
         taps, grid = self.encoder(image)
-        f_g, paths = self.decoder(taps, grid, out_hw)
+        f_g, paths = self.decoder(taps, grid)
         e_g = T.sigmoid(self.head(f_g))
         return f_g, e_g, paths
 
@@ -254,9 +253,8 @@ class LocalStage(nn.Module):
         if f_g is None:
             raise UsageError("stage two requires the stage-one feature map")
         use_ffm = self.cfg.ffm_enabled if ffm_enabled is None else ffm_enabled
-        out_hw = (image.shape[-2], image.shape[-1])
         taps, grid = self.window_taps(image)
-        f_r, paths = self.decoder(taps, grid, out_hw)
+        f_r, paths = self.decoder(taps, grid)
         if use_ffm:
             fused = self.fusion(f_g, f_r)
         else:
@@ -288,10 +286,15 @@ class EdgeDetector(nn.Module):
 
     def side_outputs(self, paths: list[Tensor], stage: str,
                      out_hw: tuple[int, int]) -> list[Tensor]:
+        """One sigmoid edge map per path feature, each exactly ``out_hw``."""
         heads = self.global_stage.sides if stage == "global" else self.local_stage.sides
         if len(paths) != len(heads):
             raise ShapeError(f"expected {len(heads)} path features, got {len(paths)}")
-        return [heads[i](p, out_hw) for i, p in enumerate(paths)]
+        sides = [heads[i](p) for i, p in enumerate(paths)]
+        if any(s.shape[2:] != tuple(out_hw) for s in sides):
+            raise ShapeError(f"{stage} side heads give {sides[0].shape[2:]} maps, "
+                             f"expected {tuple(out_hw)}")
+        return sides
 
     # -- parameter groups ---------------------------------------------------
 

@@ -147,13 +147,15 @@ class Conv2d(Module):
 
 
 class Deconv2d(Module):
-    """Transposed convolution layer; weight shape (in, out, k, k)."""
+    """Transposed convolution layer; weight shape (in, out, k, k); padding
+    (k - stride) // 2, so k = 2 * stride maps h x w to exactly stride * h x w."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, stride: int = 1, bias: bool = True):
         super().__init__()
         k = kernel_size
         self.stride = stride
+        self.padding = (k - stride) // 2
         self.weight = Tensor(
             he_normal(rng, (in_channels, out_channels, k, k), in_channels * k * k),
             requires_grad=True,
@@ -161,7 +163,8 @@ class Deconv2d(Module):
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.deconv2d(x, self.weight, self.bias, stride=self.stride)
+        return T.deconv2d(x, self.weight, self.bias, stride=self.stride,
+                          padding=self.padding)
 
 
 class BatchNorm2d(Module):

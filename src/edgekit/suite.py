@@ -114,8 +114,12 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
     side = SideHead(3, 2, ((4, 2), (8, 4)), rng)
     pmap = rng.normal(size=(1, 3, 3, 3))
     checks.append(("side_head",
-                   _module_check(side, lambda: side(Tensor(pmap), (24, 24)),
-                                 rng, probes=2)))
+                   _module_check(side, lambda: side(Tensor(pmap)), rng, probes=2)))
+
+    checks.append(("deconv2d_padded",
+                   check_op(lambda x, w, b: T.deconv2d(x, w, b, 2, (1, 2)),
+                            [r(size=(1, 2, 3, 4)), r(size=(2, 3, 4, 4)),
+                             r(size=3)], rng)))
     return checks
 
 
@@ -151,13 +155,12 @@ def full_model_check(seed: int = 0, probes_per_tensor: int = 1,
     model.train()
     img = rng.random((1, 3, *input_hw))
     labels = (rng.random((1, 1, *input_hw)) < 0.08).astype(np.float64)
-    out_hw = input_hw
 
     def loss_fn():
         f_g, e_g, gpaths = model.run_stage1(img)
         f_r, e_r, rpaths, _ = model.run_stage2(img, f_g, ffm_enabled=True)
-        sides_g = model.side_outputs(gpaths, "global", out_hw)
-        sides_r = model.side_outputs(rpaths, "local", out_hw)
+        sides_g = model.side_outputs(gpaths, "global", input_hw)
+        sides_r = model.side_outputs(rpaths, "local", input_hw)
         e_off = T.sigmoid(model.local_stage.head(
             model.local_stage.concat_fuse(T.concat([f_g, f_r], axis=1))))
         loss = T.add(stage_loss(e_g, sides_g, labels),

@@ -432,30 +432,39 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int):
     return cols, ho, wo
 
 
-def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int) -> np.ndarray:
-    """Adjoint of strided cross-correlation: scatter y through w.
+def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
+                ph: int = 0, pw: int = 0) -> np.ndarray:
+    """Adjoint of strided cross-correlation: scatter y through w, keeping
+    the full map minus ph rows and pw columns on each side.
 
     The kernel is zero-padded to (qh*sh, qw*sw), so tap (a*sh + r, c*sw + t)
-    of input pixel (n, m) lands at output block (n + a, m + c), phase (r, t).
-    The product therefore goes out in qh*qw block adds instead of kh*kw
-    strided ones. Every output pixel still sums its terms in (i, j) order and
-    the padded taps add exact zeros, so the result equals the per-tap scatter
-    bit for bit.
+    of input pixel (n, m) lands at full-map row (n + a)*sh + r. One
+    transposing copy lays the product out as an (h*sh, w*sw) image per tap
+    block (a, c), added in one go to the part of the kept map it covers; the
+    dropped border is never computed. Every output pixel still sums its terms
+    in (i, j) order and the padded taps add exact zeros, so the result equals
+    the per-tap scatter, sliced, bit for bit.
     """
     b, co, h, wdt = y.shape
     _, ci, kh, kw = w.shape
+    ho, wo = (h - 1) * sh + kh - 2 * ph, (wdt - 1) * sw + kw - 2 * pw
     qh, qw = -(-kh // sh), -(-kw // sw)
     if (qh * sh, qw * sw) != (kh, kw):
         w = np.pad(w, ((0, 0), (0, 0), (0, qh * sh - kh), (0, qw * sw - kw)))
     spread = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, co) @ w.reshape(co, -1)
-    spread = spread.reshape(b, h, wdt, ci, qh, sh, qw, sw)
-    out = np.zeros((b, ci, h + qh - 1, sh, wdt + qw - 1, sw))
+    spread = (spread.reshape(b, h, wdt, ci, qh, sh, qw, sw)
+              .transpose(0, 3, 4, 6, 1, 5, 2, 7)
+              .reshape(b, ci, qh, qw, h * sh, wdt * sw))
+    out = np.zeros((b, ci, ho, wo))
     for a in range(qh):
+        # full-map rows [r0, r1) of block a's image that the kept map holds
+        r0, r1 = max(a * sh, ph), min((a + h) * sh, ph + ho)
         for c in range(qw):
-            out[:, :, a:a + h, :, c:c + wdt, :] += \
-                spread[:, :, :, :, a, :, c, :].transpose(0, 3, 1, 4, 2, 5)
-    out = out.reshape(b, ci, (h + qh - 1) * sh, (wdt + qw - 1) * sw)
-    return out[:, :, :(h - 1) * sh + kh, :(wdt - 1) * sw + kw]
+            c0, c1 = max(c * sw, pw), min((c + wdt) * sw, pw + wo)
+            if r0 < r1 and c0 < c1:
+                out[:, :, r0 - ph:r1 - ph, c0 - pw:c1 - pw] += \
+                    spread[:, :, a, c, r0 - a * sh:r1 - a * sh, c0 - c * sw:c1 - c * sw]
+    return out
 
 
 # A stride-1 conv is k*k shifted matmuls of one NHWC copy of its padded
@@ -585,45 +594,54 @@ def conv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
     return _apply(out, inputs, adjoint)
 
 
-def deconv2d(x, w, bias=None, stride=1) -> Tensor:
-    """Transposed convolution; exact adjoint of :func:`conv2d` at padding 0.
+def deconv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
+    """Transposed convolution; exact adjoint of :func:`conv2d` with the same
+    stride and padding.
 
     The kernel is indexed (C_in, C_out, kh, kw), so ``deconv2d(y, w)`` with a
     conv kernel ``w`` of shape (C_out, C_in, kh, kw) computes the gradient of
-    ``conv2d(x, w)`` with respect to ``x``.
+    ``conv2d(x, w)`` with respect to ``x``. ``padding`` drops rows and
+    columns on each side: kernel 2s, stride s, padding s/2 give s*h x s*w.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     sh, sw = _pair(stride)
+    ph, pw = _pair(padding)
     if sh < 1 or sw < 1:
         raise ConfigError(f"deconv2d stride must be positive, got {stride}")
+    if ph < 0 or pw < 0:
+        raise ConfigError(f"deconv2d padding must be non-negative, got {padding}")
     _check_4d("deconv2d", x, w)
     if x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(
             f"deconv2d shapes incompatible: {x.data.shape} x {w.data.shape}"
         )
-    b = _check_bias("deconv2d", bias, w.data.shape[1])
-    out = _deconv_raw(x.data, w.data, sh, sw)
+    bsz, ci, h, wdt = x.data.shape
+    _, co, kh, kw = w.data.shape
+    if (h - 1) * sh + kh <= 2 * ph or (wdt - 1) * sw + kw <= 2 * pw:
+        raise ShapeError(
+            f"deconv2d padding {padding} leaves no output pixel of the "
+            f"{(h - 1) * sh + kh}x{(wdt - 1) * sw + kw} map"
+        )
+    b = _check_bias("deconv2d", bias, co)
+    out = _deconv_raw(x.data, w.data, sh, sw, ph, pw)
     if b is not None:
         out = out + b.data[None, :, None, None]
 
     def adjoint(g):
-        gx = None
-        gw = None
+        # one im2col of g, zero-padded back to the full map, serves both the
+        # x-adjoint (conv2d of g with this stride and padding) and w-adjoint
+        gp = g
+        if ph or pw:
+            gp = np.zeros((bsz, co, g.shape[2] + 2 * ph, g.shape[3] + 2 * pw))
+            gp[:, :, ph:ph + g.shape[2], pw:pw + g.shape[3]] = g
+        cols, _, _ = _im2col(gp, kh, kw, sh, sw)
+        gx = gw = None
         if x.requires_grad:
-            gx, _ = _conv_forward(g, w.data, sh, sw, 0, 0)
+            gx = (cols @ w.data.reshape(ci, -1).T).reshape(bsz, h, wdt, ci)
+            gx = gx.transpose(0, 3, 1, 2)
         if w.requires_grad:
-            bsz, ci, h, wdt = x.data.shape
-            _, co, kh, kw = w.data.shape
-            s0, s1, s2, s3 = g.strides
-            gview = np.lib.stride_tricks.as_strided(
-                g,
-                shape=(bsz, co, h, wdt, kh, kw),
-                strides=(s0, s1, s2 * sh, s3 * sw, s2, s3),
-                writeable=False,
-            )
             xm = x.data.transpose(1, 0, 2, 3).reshape(ci, -1)
-            gm = gview.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h * wdt, co * kh * kw)
-            gw = (xm @ gm).reshape(ci, co, kh, kw)
+            gw = (xm @ cols).reshape(ci, co, kh, kw)
         if b is None:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)))

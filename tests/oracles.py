@@ -6,8 +6,9 @@ the production bench (Hopcroft-Karp matching on vectorized candidate graphs,
 one graph per annotator for the whole sweep) can be checked against them.
 
 The convolution references are the engine's earlier kernels: a transposed
-convolution scattered one kernel tap at a time, and a conv2d that multiplies
-one im2col matrix (every receptive field as a row) by the flattened kernel.
+convolution scattered one kernel tap at a time (its padded form slices the
+full map), and a conv2d that multiplies one im2col matrix (every receptive
+field as a row) by the flattened kernel.
 """
 
 from __future__ import annotations
@@ -142,6 +143,13 @@ def deconv_loop(y: np.ndarray, w: np.ndarray, sh: int, sw: int) -> np.ndarray:
             out[:, :, i:i + (h - 1) * sh + 1:sh, j:j + (wdt - 1) * sw + 1:sw] += \
                 spread[:, :, :, :, i, j].transpose(0, 3, 1, 2)
     return out
+
+
+def deconv_padded(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
+                  ph: int, pw: int) -> np.ndarray:
+    """:func:`deconv_loop` with ph rows and pw columns sliced off each side."""
+    out = deconv_loop(y, w, sh, sw)
+    return out[:, :, ph:out.shape[2] - ph, pw:out.shape[3] - pw]
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int):

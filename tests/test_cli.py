@@ -153,7 +153,7 @@ def test_infer_epfm_output(trained, tmp_path):
 
 def test_version1_checkpoint_exit_code(trained, tmp_path):
     _, data, out, _ = trained
-    for version in (1, 2):
+    for version in (1, 2, 3):
         old = tmp_path / f"v{version}.ckpt"
         blob = bytearray((out / "model.ckpt").read_bytes())
         blob[4:8] = struct.pack("<I", version)
@@ -163,6 +163,18 @@ def test_version1_checkpoint_exit_code(trained, tmp_path):
         assert main(["infer", "--ckpt", str(old), "--in",
                      str(data / "images" / "000.ppm"),
                      "--out", str(tmp_path / "e.pgm")]) == 3
+
+
+def test_non_finite_checkpoint_exit_code(trained, tmp_path):
+    _, data, out, _ = trained
+    blob = bytearray((out / "model.ckpt").read_bytes())
+    blob[-4:] = struct.pack("<f", float("nan"))   # last value of the last tensor
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(bytes(blob))
+    assert main(["infer", "--ckpt", str(bad), "--in",
+                 str(data / "images" / "000.ppm"),
+                 "--out", str(tmp_path / "e.pgm")]) == 4
+    assert not (tmp_path / "e.pgm").exists()
 
 
 @pytest.mark.parametrize("ms", [[], ["--ms"]])

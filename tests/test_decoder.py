@@ -106,10 +106,10 @@ def test_zero_taps_zero_paths():
 def test_upsample_extents():
     up = UpsampleBlock(3, 2, ((4, 2), (16, 8)), np.random.default_rng(0))
     up.eval()
-    out = up(Tensor(rng.normal(size=(1, 3, 4, 4))), (64, 64))
+    out = up(Tensor(rng.normal(size=(1, 3, 4, 4))))
     assert out.shape == (1, 2, 64, 64)
-    out = up(Tensor(rng.normal(size=(1, 3, 20, 20))), (320, 320))
-    assert out.shape == (1, 2, 320, 320)
+    out = up(Tensor(rng.normal(size=(1, 3, 20, 12))))
+    assert out.shape == (1, 2, 320, 192)
 
 
 def test_decode_output_extent_and_paths():
@@ -120,7 +120,7 @@ def test_decode_output_extent_and_paths():
         grid = (2, 3)
         out_hw = (grid[0] * patch, grid[1] * patch)
         taps = [Tensor(rng.normal(size=(1, 6, 4))) for _ in range(4)]
-        feats, paths = dec(taps, grid, out_hw)
+        feats, paths = dec(taps, grid)
         assert feats.shape == (1, 4, *out_hw)
         assert len(paths) == 8
         assert cfg.total_upsample == patch
@@ -130,7 +130,7 @@ def test_zero_taps_constant_output():
     dec = BiMLADecoder(small_cfg(), np.random.default_rng(0))
     dec.eval()
     taps = [Tensor(np.zeros((1, 4, 4))) for _ in range(4)]
-    feats, _ = dec(taps, (2, 2), (32, 32))
+    feats, _ = dec(taps, (2, 2))
     for ch in range(feats.shape[1]):
         assert np.ptp(feats.data[0, ch]) < 1e-12
 
@@ -140,14 +140,15 @@ def test_local_variant_receptive_field_confined():
     dec = BiMLADecoder(cfg, np.random.default_rng(3))
     dec.eval()
     base = [rng.normal(size=(1, 9, 4)) for _ in range(4)]
-    feats0, _ = dec([Tensor(t) for t in base], (3, 3), (24, 24))
+    feats0, _ = dec([Tensor(t) for t in base], (3, 3))
     bumped = [t.copy() for t in base]
     ti, tj = 1, 1  # middle token of the (3,3) grid
     bumped[2][0, ti * 3 + tj] += 1.0
-    feats1, _ = dec([Tensor(t) for t in bumped], (3, 3), (24, 24))
+    feats1, _ = dec([Tensor(t) for t in bumped], (3, 3))
     diff = np.abs(feats1.data - feats0.data).sum(axis=(0, 1))
-    # fine-variant upsampling footprint: stride 8, kernels (4,2) then (8,4),
-    # crop offset 6 -> rows [8 i - 6, 8 i + 14)
+    # fine-variant upsampling footprint: token i reaches rows [2 i - 1, 2 i + 3)
+    # after the (4, 2, padding 1) deconv and, through the (8, 4, padding 2)
+    # one, rows [4 r - 2, 4 r + 6) of each of those: [8 i - 6, 8 i + 14)
     lo, hi = 8 * ti - 6, 8 * ti + 14
     mask = np.zeros((24, 24), dtype=bool)
     mask[max(lo, 0):hi, max(lo, 0):hi] = True
@@ -161,7 +162,7 @@ def test_mla_arm_top_down_only():
     assert isinstance(dec, MLADecoder)
     dec.eval()
     taps = [Tensor(rng.normal(size=(1, 4, 4))) for _ in range(4)]
-    feats, paths = dec(taps, (2, 2), (32, 32))
+    feats, paths = dec(taps, (2, 2))
     assert len(paths) == 4
     assert feats.shape == (1, 4, 32, 32)
 
@@ -183,7 +184,7 @@ def test_decoder_gradcheck_small():
     weights = rng.normal(size=(1, 4, 16, 16))
 
     def loss_fn():
-        feats, _ = dec([Tensor(t) for t in taps_data], (2, 2), (16, 16))
+        feats, _ = dec([Tensor(t) for t in taps_data], (2, 2))
         return T.tensor_sum(T.mul(feats, weights))
 
     report = check_gradients(loss_fn, list(dec.named_parameters()),

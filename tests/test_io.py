@@ -160,6 +160,24 @@ def test_checkpoint_digest_mismatch(tmp_path):
         load_checkpoint(p, "other=config\n")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e39])  # -1e39 is -Inf in float32
+def test_checkpoint_refuses_non_finite_values(tmp_path, bad):
+    arrays = _arrays()
+    arrays["b.bias"][1] = bad
+    p = tmp_path / "m.ckpt"
+    with np.errstate(all="raise"), pytest.raises(NumericError, match="b.bias"):
+        save_checkpoint(p, arrays, "k=v\n")
+    assert not p.exists()
+    arrays["b.bias"][1] = 0.5
+    save_checkpoint(p, arrays, "k=v\n")
+    data = bytearray(p.read_bytes())
+    with np.errstate(over="ignore"):
+        data[-4:] = np.float32(bad).tobytes()   # the last value of "b.bias"
+    p.write_bytes(bytes(data))
+    with pytest.raises(NumericError, match="b.bias"):
+        load_checkpoint(p)
+
+
 def test_checkpoint_truncation(tmp_path):
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, _arrays(), "k=v\n")

@@ -7,7 +7,7 @@ from edgekit import tensor as T
 from edgekit.errors import ConfigError, NumericError, ShapeError, UsageError
 from edgekit.gradcheck import check_op
 from edgekit.tensor import Tensor
-from oracles import conv_im2col, conv_im2col_grads, deconv_loop
+from oracles import conv_im2col, conv_im2col_grads, deconv_loop, deconv_padded
 
 rng = np.random.default_rng(1234)
 
@@ -170,6 +170,46 @@ def test_deconv2d_equals_tap_loop_reference(kernel, stride, hw):
     assert np.array_equal(out, deconv_loop(y, w, *stride))
 
 
+@pytest.mark.parametrize("kernel, stride, padding, hw", [
+    ((4, 4), (2, 2), (1, 1), (4, 4)), ((16, 16), (8, 8), (4, 4), (2, 2)),
+    ((8, 8), (4, 4), (2, 2), (3, 3)), ((4, 4), (2, 2), (1, 2), (3, 3)),
+    ((8, 8), (4, 4), (2, 2), (2, 5)), ((5, 3), (3, 2), (2, 1), (3, 4)),
+    ((7, 5), (1, 1), (3, 2), (1, 2)),   # some taps reach no kept pixel
+])
+def test_deconv2d_padded_equals_central_slice_of_reference(kernel, stride, padding, hw):
+    y = Tensor(rng.normal(size=(2, 3) + hw), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2) + kernel), requires_grad=True)
+    want = deconv_padded(y.data, w.data, *stride, *padding)
+    g = rng.normal(size=want.shape)
+    with T.fresh_tape():
+        out = T.deconv2d(y, w, stride=stride, padding=padding)
+        T.backward(T.tensor_sum(T.mul(out, g)))
+    assert np.array_equal(out.data, want)
+    # the adjoints are a padded conv of g and its kernel gradient against y
+    ref_gy = conv_im2col(g, w.data, *stride, *padding)
+    _, ref_gw = conv_im2col_grads(g, w.data, y.data, *stride, *padding)
+    for got, ref in ((y.grad, ref_gy), (w.grad, ref_gw)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_deconv2d_padded_adjoint_inner_product():
+    x = rng.normal(size=(1, 2, 4, 6))
+    w = rng.normal(size=(3, 2, 4, 4))
+    conv = T.conv2d(Tensor(x), Tensor(w), stride=2, padding=(1, 2)).data
+    y = rng.normal(size=conv.shape)
+    back = T.deconv2d(Tensor(y), Tensor(w), stride=2, padding=(1, 2)).data
+    assert back.shape == x.shape
+    assert abs((conv * y).sum() - (x * back).sum()) < 1e-9
+
+
+def test_deconv2d_negative_padding_rejected():
+    for padding in (-1, (0, -1)):
+        with pytest.raises(ConfigError):
+            T.deconv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 4, 4))),
+                       stride=2, padding=padding)
+
+
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("pad", [0, 1, 2])
@@ -211,12 +251,15 @@ def test_conv2d_rejects_misuse(kwargs, error):
     dict(w=np.zeros((2, 2, 3))),
     dict(bias=np.zeros(1)),
     dict(bias=np.zeros(3)),
+    dict(padding=(5, 0)),   # 2 * 5 rows of the 9-row map leave none
+    dict(padding=(1, 5)),
 ])
 def test_deconv2d_rejects_misuse(kwargs):
     args = dict(x=np.zeros((1, 2, 4, 4)), w=np.zeros((2, 2, 3, 3)),
-                bias=None) | kwargs
+                bias=None, padding=0) | kwargs
     with pytest.raises(ShapeError):
-        T.deconv2d(Tensor(args["x"]), Tensor(args["w"]), args["bias"], stride=2)
+        T.deconv2d(Tensor(args["x"]), Tensor(args["w"]), args["bias"], stride=2,
+                   padding=args["padding"])
 
 
 def test_layer_norm_constant_row_maps_to_bias():

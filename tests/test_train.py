@@ -300,6 +300,9 @@ def test_side_outputs_count_range_and_gradient_reach():
             assert 0.0 < s.data.min() and s.data.max() < 1.0
         loss = stage_loss(Tensor(np.full((1, 1, 32, 32), 0.5)), sides, y)
         T.backward(loss)
+    for hw in ((16, 16), (32, 48)):  # the heads give exactly 32 x 32
+        with pytest.raises(ShapeError):
+            model.side_outputs(paths, "global", hw)
     for conv in list(model.global_stage.decoder.td_conv) + \
             list(model.global_stage.decoder.bu_conv):
         assert conv.weight.grad is not None
