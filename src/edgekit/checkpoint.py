@@ -26,7 +26,9 @@ from .errors import (DigestMismatch, MagicMismatch, NumericError, TruncatedFile,
 MAGIC = b"EDTR"
 # 4: exact-size upsampling; a version-3 file (upsample then crop) has the same
 #    tensors, so it would load and silently compute a different function
-VERSION = 4
+# 5: flat model-config keys; a version-4 file's nested keys would fail to
+#    parse as a confusing config-line error instead of a version mismatch
+VERSION = 5
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:

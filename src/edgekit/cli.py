@@ -16,7 +16,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (CheckpointError, ConfigError, EdgekitError, InputError,
                      NumericError, ParseError)
-from .evalbench import evaluate_predictions, write_pr_csv
+from .evalbench import DEFAULT_TOLERANCE, evaluate_predictions, write_pr_csv
 from .model import DEFAULT_SCALES, EdgeDetector, ModelConfig
 from .rasters import load_edge_map, load_image, save_edge_map
 from .runconfig import RunConfig, default_config_text
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--tol", type=float, default=0.0075)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--csv", default=None, help="write the PR table here")
     p.add_argument("--no-nms", action="store_true",
                    help="skip thinning (predictions already thin)")

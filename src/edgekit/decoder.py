@@ -2,57 +2,29 @@
 
 The main decoder runs a top-down and a bottom-up aggregation path over the
 four tapped levels, upsamples all eight path outputs with learned strided
-transposed convolutions (kernel 2s, stride s, padding s/2: exactly s times
-the size, nothing cropped), and smooths the concatenation. The coarse variant
-uses 3x3 path/smoothing convolutions and 16x total upsampling; the fine
-variant uses 1x1 convolutions (no padding artifacts) and 8x upsampling.
-A single-path bilinear decoder is kept as the ablation comparison arm.
+transposed convolutions, and smooths the concatenation. Both stages build it
+from the shared widths of ``ModelConfig`` (input width ``embed_dim``); the
+stage fixes the rest. Its patch side p sets the upsampling, (kernel, stride)
+(4, 2) then (p, p/2), each padded by half its stride: exactly p times the
+token grid, nothing cropped. The coarse stage (p = 16) uses 3x3
+path/smoothing convolutions, the fine stage (p = 8) 1x1 ones (no padding
+artifacts). A single-path bilinear decoder is kept as the ablation
+comparison arm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .tensor import Tensor
 
-VARIANTS = {
-    # variant -> ((k1, s1), (k2, s2), path/smoothing conv kernel)
-    "global": (((4, 2), (16, 8)), 3),
-    "local": (((4, 2), (8, 4)), 1),
-}
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    variant: str                 # "global" (coarse stage) or "local" (fine stage)
-    in_channels: int             # embedding width of the paired encoder
-    path_channels: int
-    smooth_channels: int
-    arch: str = "bimla"          # "bimla" or "mla" (bilinear comparison arm)
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown decoder variant {self.variant!r}")
-        if self.arch not in ("bimla", "mla"):
-            raise ConfigError(f"unknown decoder arch {self.arch!r}")
-
-    @property
-    def upsample_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return VARIANTS[self.variant][0]
-
-    @property
-    def conv_kernel(self) -> int:
-        return VARIANTS[self.variant][1]
-
-    @property
-    def total_upsample(self) -> int:
-        (_, s1), (_, s2) = self.upsample_pairs
-        return s1 * s2
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 def reshape_tokens(tokens: Tensor, grid: tuple[int, int]) -> Tensor:
@@ -92,15 +64,14 @@ def bottom_up_path(maps: list[Tensor], proj: nn.ModuleList,
 
 
 class UpsampleBlock(nn.Module):
-    """Two strided transposed convolutions, each with BN + ReLU: exactly
-    s1 * s2 times the input size."""
+    """Two strided transposed convolutions, (kernel, stride) (4, 2) then
+    (p, p / 2), each with BN + ReLU: exactly p times the input size."""
 
-    def __init__(self, in_channels: int, out_channels: int, pairs,
+    def __init__(self, in_channels: int, out_channels: int, patch: int,
                  rng: np.random.Generator):
         super().__init__()
-        (k1, s1), (k2, s2) = pairs
-        self.up1 = nn.DeconvBNReLU(in_channels, out_channels, k1, s1, rng)
-        self.up2 = nn.DeconvBNReLU(out_channels, out_channels, k2, s2, rng)
+        self.up1 = nn.DeconvBNReLU(in_channels, out_channels, 4, 2, rng)
+        self.up2 = nn.DeconvBNReLU(out_channels, out_channels, patch, patch // 2, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.up2(self.up1(x))
@@ -112,33 +83,32 @@ class SmoothStack(nn.Module):
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  rng: np.random.Generator):
         super().__init__()
-        pad = kernel // 2
-        self.c1 = nn.ConvBNReLU(in_channels, out_channels, kernel, rng, padding=pad)
-        self.c2 = nn.ConvBNReLU(out_channels, out_channels, kernel, rng, padding=pad)
-        self.c3 = nn.ConvBNReLU(out_channels, out_channels, kernel, rng, padding=pad)
+        self.c1 = nn.ConvBNReLU(in_channels, out_channels, kernel, rng)
+        self.c2 = nn.ConvBNReLU(out_channels, out_channels, kernel, rng)
+        self.c3 = nn.ConvBNReLU(out_channels, out_channels, kernel, rng)
         self.c4 = nn.ConvBNReLU(out_channels, out_channels, 1, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.c4(self.c3(self.c2(self.c1(x))))
 
 
-def _path_convs(cfg: DecoderConfig, rng: np.random.Generator
+def _path_convs(cfg: ModelConfig, kernel: int, rng: np.random.Generator
                 ) -> tuple[nn.ModuleList, nn.ModuleList]:
     """The 1x1 level projections and the kxk smoothing convs of one path."""
-    c, pc, k = cfg.in_channels, cfg.path_channels, cfg.conv_kernel
+    c, pc = cfg.embed_dim, cfg.path_channels
     proj = nn.ModuleList(nn.Conv2d(c, pc, 1, rng) for _ in range(4))
-    conv = nn.ModuleList(nn.Conv2d(pc, pc, k, rng, padding=k // 2)
-                         for _ in range(4))
+    conv = nn.ModuleList(nn.Conv2d(pc, pc, kernel, rng) for _ in range(4))
     return proj, conv
 
 
 class _LevelDecoder(nn.Module):
-    """The top-down path and the forward pass both decoders share."""
+    """The top-down path and the forward pass both decoders share; ``patch``
+    is the stage's patch side and ``kernel`` its path/smoothing kernel."""
 
-    def __init__(self, cfg: DecoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, patch: int, kernel: int,
+                 rng: np.random.Generator):
         super().__init__()
-        self.cfg = cfg
-        self.td_proj, self.td_conv = _path_convs(cfg, rng)
+        self.td_proj, self.td_conv = _path_convs(cfg, kernel, rng)
 
     def forward(self, taps: list[Tensor], grid: tuple[int, int]
                 ) -> tuple[Tensor, list[Tensor]]:
@@ -150,13 +120,14 @@ class _LevelDecoder(nn.Module):
 class BiMLADecoder(_LevelDecoder):
     """Bidirectional multi-level aggregation with learned upsampling."""
 
-    def __init__(self, cfg: DecoderConfig, rng: np.random.Generator):
-        super().__init__(cfg, rng)
+    def __init__(self, cfg: ModelConfig, patch: int, kernel: int,
+                 rng: np.random.Generator):
+        super().__init__(cfg, patch, kernel, rng)
         pc = cfg.path_channels
-        self.bu_proj, self.bu_conv = _path_convs(cfg, rng)
-        self.upsamplers = nn.ModuleList(UpsampleBlock(pc, pc, cfg.upsample_pairs, rng)
+        self.bu_proj, self.bu_conv = _path_convs(cfg, kernel, rng)
+        self.upsamplers = nn.ModuleList(UpsampleBlock(pc, pc, patch, rng)
                                         for _ in range(8))
-        self.smooth = SmoothStack(8 * pc, cfg.smooth_channels, cfg.conv_kernel, rng)
+        self.smooth = SmoothStack(8 * pc, cfg.smooth_channels, kernel, rng)
 
     def paths(self, taps: list[Tensor], grid: tuple[int, int]) -> list[Tensor]:
         """The eight token-resolution path features (top-down then bottom-up)."""
@@ -172,19 +143,24 @@ class BiMLADecoder(_LevelDecoder):
 class MLADecoder(_LevelDecoder):
     """Top-down-only comparison arm with fixed bilinear upsampling."""
 
-    def __init__(self, cfg: DecoderConfig, rng: np.random.Generator):
-        super().__init__(cfg, rng)
+    def __init__(self, cfg: ModelConfig, patch: int, kernel: int,
+                 rng: np.random.Generator):
+        super().__init__(cfg, patch, kernel, rng)
+        self.patch = patch
         self.smooth = SmoothStack(4 * cfg.path_channels, cfg.smooth_channels,
-                                  cfg.conv_kernel, rng)
+                                  kernel, rng)
 
     def paths(self, taps: list[Tensor], grid: tuple[int, int]) -> list[Tensor]:
         maps = [reshape_tokens(t, grid) for t in taps]
         return top_down_path(maps, self.td_proj, self.td_conv)
 
     def upsample(self, paths: list[Tensor]) -> list[Tensor]:
-        f = self.cfg.total_upsample
+        f = self.patch
         return [T.bilinear_resize(p, (f * p.shape[2], f * p.shape[3])) for p in paths]
 
 
-def build_decoder(cfg: DecoderConfig, rng: np.random.Generator) -> nn.Module:
-    return BiMLADecoder(cfg, rng) if cfg.arch == "bimla" else MLADecoder(cfg, rng)
+def build_decoder(cfg: ModelConfig, patch: int, kernel: int,
+                  rng: np.random.Generator) -> nn.Module:
+    """The decoder ``cfg.decoder_arch`` names, for one stage's patch and kernel."""
+    arch = BiMLADecoder if cfg.decoder_arch == "bimla" else MLADecoder
+    return arch(cfg, patch, kernel, rng)

@@ -50,16 +50,6 @@ class EncoderConfig:
         return EncoderConfig(patch_size=8, depth=12, embed_dim=1024, heads=16,
                              head_dim=64, mlp_ratio=4, tap_indices=(3, 6, 9, 12))
 
-    @staticmethod
-    def coarse_toy() -> "EncoderConfig":
-        return EncoderConfig(patch_size=16, depth=8, embed_dim=64, heads=8,
-                             head_dim=8, mlp_ratio=4, tap_indices=(2, 4, 6, 8))
-
-    @staticmethod
-    def fine_toy() -> "EncoderConfig":
-        return EncoderConfig(patch_size=8, depth=4, embed_dim=64, heads=8,
-                             head_dim=8, mlp_ratio=4, tap_indices=(1, 2, 3, 4))
-
 
 class TokenSequence(NamedTuple):
     tokens: Tensor          # (B, N, C)

@@ -10,67 +10,85 @@ with the stage-one features, and predicts the final edge map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
-from .decoder import DecoderConfig, UpsampleBlock, build_decoder
+from .decoder import UpsampleBlock, build_decoder
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, PartitionError, ShapeError, UsageError
 from .tensor import Tensor
 
 STAGE_MODES = ("two_stage", "stage1_only")
 DEFAULT_SCALES = (0.5, 1.0, 1.5)  # multi-scale inference factors
+GLOBAL_PATCH = 16  # coarse-stage patch side, as in the paper
+LOCAL_PATCH = 8    # fine-stage patch side
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Every model setting, one field per model key of the run file.
+
+    Both stages share the transformer and decoder widths; the patch sizes
+    and the decoder kernels are fixed by the stage, not configured.
+    """
+
     input_hw: tuple[int, int] = (64, 64)
-    global_encoder: EncoderConfig = field(default_factory=EncoderConfig.coarse_toy)
-    local_encoder: EncoderConfig = field(default_factory=EncoderConfig.fine_toy)
-    global_decoder: DecoderConfig = field(default_factory=lambda: DecoderConfig(
-        variant="global", in_channels=64, path_channels=16, smooth_channels=16))
-    local_decoder: DecoderConfig = field(default_factory=lambda: DecoderConfig(
-        variant="local", in_channels=64, path_channels=16, smooth_channels=16))
+    embed_dim: int = 64
+    heads: int = 8
+    head_dim: int = 8
+    mlp_ratio: int = 4
+    path_channels: int = 16
+    smooth_channels: int = 16
+    decoder_arch: str = "bimla"  # "bimla" or "mla" (bilinear comparison arm)
+    global_depth: int = 8
+    global_taps: tuple[int, ...] = (2, 4, 6, 8)
+    local_depth: int = 4
+    local_taps: tuple[int, ...] = (1, 2, 3, 4)
+    side_channels: int = 4
     window_divisor: int = 2
     ffm_enabled: bool = True
     stage_mode: str = "two_stage"
-    side_channels: int = 4
 
     def __post_init__(self):
         h, w = self.input_hw
-        gp = self.global_encoder.patch_size
-        lp = self.local_encoder.patch_size
         d = self.window_divisor
         if self.stage_mode not in STAGE_MODES:
             raise ConfigError(f"stage_mode must be one of {STAGE_MODES}")
-        for role, enc, dec in (("coarse", self.global_encoder, self.global_decoder),
-                               ("fine", self.local_encoder, self.local_decoder)):
-            if len(enc.tap_indices) != 4:
-                raise ConfigError(f"{role} encoder must expose exactly 4 taps")
-            if dec.total_upsample != enc.patch_size:
-                raise ConfigError(f"{role} decoder upsampling must equal {role} patch size")
-            if dec.in_channels != enc.embed_dim:
-                raise ConfigError(f"{role} decoder width must match encoder embed dim")
+        if self.decoder_arch not in ("bimla", "mla"):
+            raise ConfigError(f"unknown decoder arch {self.decoder_arch!r}")
+        for stage in ("global", "local"):
+            if len(self.encoder(stage).tap_indices) != 4:
+                raise ConfigError(f"{stage} encoder must expose exactly 4 taps")
         if d < 1:
             raise ConfigError(f"window_divisor must be positive, got {d}")
-        if h % gp or w % gp:
-            raise ConfigError(f"input {h}x{w} not divisible by coarse patch {gp}")
-        if h % (d * lp) or w % (d * lp):
+        if h % GLOBAL_PATCH or w % GLOBAL_PATCH:
             raise ConfigError(
-                f"input {h}x{w} not divisible by window_divisor*fine patch {d * lp}"
-            )
+                f"input {h}x{w} not divisible by coarse patch {GLOBAL_PATCH}")
+        cell = d * LOCAL_PATCH
+        if h % cell or w % cell:
+            raise ConfigError(
+                f"input {h}x{w} not divisible by window_divisor*fine patch {cell}")
 
     @staticmethod
     def toy(**overrides) -> "ModelConfig":
-        return replace(ModelConfig(), **overrides) if overrides else ModelConfig()
+        return ModelConfig(**overrides)
+
+    def encoder(self, stage: str) -> EncoderConfig:
+        """Encoder settings of the "global" (coarse) or "local" (fine) stage."""
+        patch, depth, taps = {
+            "global": (GLOBAL_PATCH, self.global_depth, self.global_taps),
+            "local": (LOCAL_PATCH, self.local_depth, self.local_taps)}[stage]
+        return EncoderConfig(patch_size=patch, depth=depth, embed_dim=self.embed_dim,
+                             heads=self.heads, head_dim=self.head_dim,
+                             mlp_ratio=self.mlp_ratio, tap_indices=taps)
 
     def canonical_text(self) -> str:
         """Stable rendering used for checkpoint digests: one sorted
-        ``dotted.field.path=value`` line per leaf field."""
-        return "".join(f"{k}={_render(v)}\n" for k, v in sorted(_leaves(self)))
+        ``field=value`` line per field."""
+        return "".join(f"{k}={_render(v)}\n" for k, v in sorted(asdict(self).items()))
 
     @staticmethod
     def from_canonical_text(text: str) -> "ModelConfig":
@@ -78,7 +96,7 @@ class ModelConfig:
 
         Each value is parsed by the type of the matching default field.
         """
-        defaults = dict(_leaves(ModelConfig()))
+        defaults = asdict(ModelConfig())
         values = {}
         for line in text.splitlines():
             key, sep, raw = line.partition("=")
@@ -91,17 +109,7 @@ class ModelConfig:
         missing = sorted(set(defaults) - set(values))
         if missing:
             raise ConfigError(f"model config misses keys {missing}")
-        return _build(ModelConfig(), values)
-
-
-def _leaves(cfg, prefix: str = ""):
-    """(dotted path, value) of every non-dataclass field of a nested config."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if is_dataclass(value):
-            yield from _leaves(value, f"{prefix}{f.name}.")
-        else:
-            yield prefix + f.name, value
+        return ModelConfig(**values)
 
 
 def _render(value) -> str:
@@ -115,16 +123,6 @@ def _parse(raw: str, default):
     if isinstance(default, bool):
         return {"True": True, "False": False}[raw]
     return type(default)(raw)
-
-
-def _build(default, values: dict, prefix: str = ""):
-    """Rebuild a nested config shaped like ``default`` from parsed leaves."""
-    kwargs = {}
-    for f in fields(default):
-        sub = getattr(default, f.name)
-        kwargs[f.name] = (_build(sub, values, f"{prefix}{f.name}.")
-                          if is_dataclass(sub) else values[prefix + f.name])
-    return type(default)(**kwargs)
 
 
 def partition_windows(image: np.ndarray, divisor: int = 2) -> list[np.ndarray]:
@@ -148,21 +146,20 @@ def reassemble_windows(windows: list[np.ndarray], divisor: int = 2) -> np.ndarra
 class SideHead(UpsampleBlock):
     """Upsamples one path feature to an auxiliary full-resolution edge map."""
 
-    def __init__(self, path_channels: int, side_channels: int, pairs,
+    def __init__(self, path_channels: int, side_channels: int, patch: int,
                  rng: np.random.Generator):
-        super().__init__(path_channels, side_channels, pairs, rng)
+        super().__init__(path_channels, side_channels, patch, rng)
         self.out = nn.Conv2d(side_channels, 1, 1, rng)
 
     def forward(self, path: Tensor) -> Tensor:
         return T.sigmoid(self.out(super().forward(path)))
 
 
-def _side_heads(cfg: ModelConfig, dec: DecoderConfig,
+def _side_heads(cfg: ModelConfig, patch: int,
                 rng: np.random.Generator) -> nn.ModuleList:
     """One side head per decoder path (8 for BiMLA, 4 for MLA)."""
-    n_paths = 8 if dec.arch == "bimla" else 4
-    return nn.ModuleList(SideHead(dec.path_channels, cfg.side_channels,
-                                  dec.upsample_pairs, rng)
+    n_paths = 8 if cfg.decoder_arch == "bimla" else 4
+    return nn.ModuleList(SideHead(cfg.path_channels, cfg.side_channels, patch, rng)
                          for _ in range(n_paths))
 
 
@@ -185,8 +182,8 @@ class FeatureFusion(nn.Module):
         self.scale_gen.weight.data *= 0.1
         self.scale_gen.bias.data[:] = 1.0
         self.shift_gen.weight.data *= 0.1
-        self.smooth1 = nn.ConvBNReLU(local_channels, local_channels, 3, rng, padding=1)
-        self.smooth2 = nn.ConvBNReLU(local_channels, local_channels, 3, rng, padding=1)
+        self.smooth1 = nn.ConvBNReLU(local_channels, local_channels, 3, rng)
+        self.smooth2 = nn.ConvBNReLU(local_channels, local_channels, 3, rng)
 
     def modulate(self, f_g: Tensor, f_r: Tensor) -> Tensor:
         if f_g.shape[2:] != f_r.shape[2:]:
@@ -200,14 +197,16 @@ class FeatureFusion(nn.Module):
 
 
 class GlobalStage(nn.Module):
+    """Coarse context stage: 16 px patches, 3x3 decoder convolutions."""
+
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        grid = _native_grid(cfg, cfg.global_encoder.patch_size)
-        self.encoder = Encoder(cfg.global_encoder, grid, rng)
-        self.decoder = build_decoder(cfg.global_decoder, rng)
-        self.head = nn.Conv2d(cfg.global_decoder.smooth_channels, 1, 1, rng)
-        self.sides = _side_heads(cfg, cfg.global_decoder, rng)
+        grid = _native_grid(cfg, GLOBAL_PATCH)
+        self.encoder = Encoder(cfg.encoder("global"), grid, rng)
+        self.decoder = build_decoder(cfg, GLOBAL_PATCH, 3, rng)
+        self.head = nn.Conv2d(cfg.smooth_channels, 1, 1, rng)
+        self.sides = _side_heads(cfg, GLOBAL_PATCH, rng)
 
     def forward(self, image: np.ndarray):
         taps, grid = self.encoder(image)
@@ -217,19 +216,20 @@ class GlobalStage(nn.Module):
 
 
 class LocalStage(nn.Module):
+    """Windowed fine stage: 8 px patches, 1x1 decoder convolutions."""
+
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
         # a window is 1/divisor of the image, so a token covers divisor*patch
-        grid = _native_grid(cfg, cfg.window_divisor * cfg.local_encoder.patch_size)
-        self.encoder = Encoder(cfg.local_encoder, grid, rng)
-        self.decoder = build_decoder(cfg.local_decoder, rng)
-        g_ch = cfg.global_decoder.smooth_channels
-        l_ch = cfg.local_decoder.smooth_channels
-        self.fusion = FeatureFusion(g_ch, l_ch, rng)
-        self.concat_fuse = nn.Conv2d(g_ch + l_ch, l_ch, 1, rng)
-        self.head = nn.Conv2d(l_ch, 1, 1, rng)
-        self.sides = _side_heads(cfg, cfg.local_decoder, rng)
+        grid = _native_grid(cfg, cfg.window_divisor * LOCAL_PATCH)
+        self.encoder = Encoder(cfg.encoder("local"), grid, rng)
+        self.decoder = build_decoder(cfg, LOCAL_PATCH, 1, rng)
+        ch = cfg.smooth_channels
+        self.fusion = FeatureFusion(ch, ch, rng)
+        self.concat_fuse = nn.Conv2d(2 * ch, ch, 1, rng)
+        self.head = nn.Conv2d(ch, 1, 1, rng)
+        self.sides = _side_heads(cfg, LOCAL_PATCH, rng)
 
     def window_taps(self, image: np.ndarray) -> tuple[list[Tensor], tuple[int, int]]:
         """Per-window taps reassembled into whole-image token grids."""
@@ -240,7 +240,7 @@ class LocalStage(nn.Module):
         batched = batched.reshape(b * d * d, *image.shape[1:-2],
                                   image.shape[-2] // d, image.shape[-1] // d)
         taps, (gh, gw) = self.encoder(batched)
-        c = self.cfg.local_encoder.embed_dim
+        c = self.cfg.embed_dim
         merged = []
         for tap in taps:
             t = T.reshape(tap, (b, d, d, gh, gw, c))
@@ -350,8 +350,7 @@ class EdgeDetector(nn.Module):
         image, squeeze = _as_batch(image)
         h, w = image.shape[-2:]
         cfg = self.cfg
-        mult = math.lcm(cfg.global_encoder.patch_size,
-                        cfg.window_divisor * cfg.local_encoder.patch_size)
+        mult = math.lcm(GLOBAL_PATCH, cfg.window_divisor * LOCAL_PATCH)
         image = np.pad(image, ((0, 0), (0, 0), (0, -h % mult), (0, -w % mult)),
                        mode="edge")
         modes = [(m, m.training) for m in self.modules()]

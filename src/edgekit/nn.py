@@ -128,13 +128,12 @@ class Linear(Module):
 
 
 class Conv2d(Module):
+    """Stride-1 convolution padded by k // 2, so an odd kernel keeps the size."""
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 1, padding: int = 0,
-                 bias: bool = True):
+                 rng: np.random.Generator, bias: bool = True):
         super().__init__()
         k = kernel_size
-        self.stride = stride
-        self.padding = padding
         self.weight = Tensor(
             he_normal(rng, (out_channels, in_channels, k, k), in_channels * k * k),
             requires_grad=True,
@@ -142,16 +141,16 @@ class Conv2d(Module):
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding)
+        return T.conv2d(x, self.weight, self.bias, padding=self.weight.shape[-1] // 2)
 
 
 class Deconv2d(Module):
-    """Transposed convolution layer; weight shape (in, out, k, k); padding
-    (k - stride) // 2, so k = 2 * stride maps h x w to exactly stride * h x w."""
+    """Bias-free transposed convolution; weight shape (in, out, k, k);
+    padding (k - stride) // 2, so k = 2 * stride maps h x w to exactly
+    stride * h x w."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 1, bias: bool = True):
+                 stride: int, rng: np.random.Generator):
         super().__init__()
         k = kernel_size
         self.stride = stride
@@ -160,18 +159,14 @@ class Deconv2d(Module):
             he_normal(rng, (in_channels, out_channels, k, k), in_channels * k * k),
             requires_grad=True,
         )
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.deconv2d(x, self.weight, self.bias, stride=self.stride,
-                          padding=self.padding)
+        return T.deconv2d(x, self.weight, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
         self.gain = Tensor(np.ones(channels), requires_grad=True)
         self.bias = Tensor(np.zeros(channels), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(channels))
@@ -179,29 +174,26 @@ class BatchNorm2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return T.batch_norm(x, self.gain, self.bias, self.running_mean,
-                            self.running_var, training=self.training,
-                            momentum=self.momentum, eps=self.eps)
+                            self.running_var, training=self.training)
 
 
 class LayerNorm(Module):
-    def __init__(self, features: int, eps: float = 1e-6):
+    def __init__(self, features: int):
         super().__init__()
-        self.eps = eps
         self.gain = Tensor(np.ones(features), requires_grad=True)
         self.bias = Tensor(np.zeros(features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, eps=self.eps)
+        return T.layer_norm(x, self.gain, self.bias)
 
 
 class ConvBNReLU(Module):
     """Conv -> BatchNorm -> ReLU, the decoder's standard smoothing unit."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, padding: int = 0):
+                 rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(in_channels, out_channels, kernel_size, rng,
-                           padding=padding, bias=False)
+        self.conv = Conv2d(in_channels, out_channels, kernel_size, rng, bias=False)
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -212,8 +204,7 @@ class DeconvBNReLU(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int, rng: np.random.Generator):
         super().__init__()
-        self.deconv = Deconv2d(in_channels, out_channels, kernel_size, rng,
-                               stride=stride, bias=False)
+        self.deconv = Deconv2d(in_channels, out_channels, kernel_size, stride, rng)
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:

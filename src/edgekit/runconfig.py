@@ -6,11 +6,9 @@ loudly. `#` starts a comment, blank lines are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .decoder import DecoderConfig
-from .encoder import EncoderConfig
 from .errors import ConfigError
 from .model import ModelConfig
 from .train import TrainConfig
@@ -101,22 +99,12 @@ class RunConfig:
         return RunConfig.parse(Path(path).read_text())
 
     def model_config(self) -> ModelConfig:
+        """The model keys, each named like its field but ``input_size``
+        (a square ``input_hw``) and ``ffm`` (``ffm_enabled``)."""
         v = self.values
-        size = v["input_size"]
-        enc = dict(embed_dim=v["embed_dim"], heads=v["heads"],
-                   head_dim=v["head_dim"], mlp_ratio=v["mlp_ratio"])
-        dec = dict(in_channels=v["embed_dim"], path_channels=v["path_channels"],
-                   smooth_channels=v["smooth_channels"], arch=v["decoder_arch"])
-        return ModelConfig(
-            input_hw=(size, size),
-            global_encoder=EncoderConfig(patch_size=16, depth=v["global_depth"],
-                                         tap_indices=tuple(v["global_taps"]), **enc),
-            local_encoder=EncoderConfig(patch_size=8, depth=v["local_depth"],
-                                        tap_indices=tuple(v["local_taps"]), **enc),
-            global_decoder=DecoderConfig(variant="global", **dec),
-            local_decoder=DecoderConfig(variant="local", **dec),
-            window_divisor=v["window_divisor"], ffm_enabled=v["ffm"],
-            stage_mode=v["stage_mode"], side_channels=v["side_channels"])
+        same = {f.name: v[f.name] for f in fields(ModelConfig) if f.name in v}
+        return ModelConfig(input_hw=(v["input_size"], v["input_size"]),
+                           ffm_enabled=v["ffm"], **same)
 
     def train_config(self) -> TrainConfig:
         v = self.values

@@ -111,7 +111,7 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
                    _module_check(ffm, lambda: ffm(Tensor(fg), Tensor(fr)), rng,
                                  probes=2)))
 
-    side = SideHead(3, 2, ((4, 2), (8, 4)), rng)
+    side = SideHead(3, 2, 8, rng)
     pmap = rng.normal(size=(1, 3, 3, 3))
     checks.append(("side_head",
                    _module_check(side, lambda: side(Tensor(pmap)), rng, probes=2)))

@@ -438,12 +438,14 @@ def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
     the full map minus ph rows and pw columns on each side.
 
     The kernel is zero-padded to (qh*sh, qw*sw), so tap (a*sh + r, c*sw + t)
-    of input pixel (n, m) lands at full-map row (n + a)*sh + r. One
-    transposing copy lays the product out as an (h*sh, w*sw) image per tap
-    block (a, c), added in one go to the part of the kept map it covers; the
-    dropped border is never computed. Every output pixel still sums its terms
-    in (i, j) order and the padded taps add exact zeros, so the result equals
-    the per-tap scatter, sliced, bit for bit.
+    of input pixel (n, m) lands at full-map row (n + a)*sh + r. Each tap
+    block (a, c) is one matmul, laid out by one transposing copy as an
+    (h*sh, w*sw) image and added in one go to the part of the kept map it
+    covers; a block that reaches no kept pixel and the dropped border are
+    never computed, and only one block's product is alive at a time. Every
+    output pixel still sums its terms in (i, j) order and the padded taps add
+    exact zeros, so the result equals the per-tap scatter, sliced, bit for
+    bit.
     """
     b, co, h, wdt = y.shape
     _, ci, kh, kw = w.shape
@@ -451,10 +453,7 @@ def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
     qh, qw = -(-kh // sh), -(-kw // sw)
     if (qh * sh, qw * sw) != (kh, kw):
         w = np.pad(w, ((0, 0), (0, 0), (0, qh * sh - kh), (0, qw * sw - kw)))
-    spread = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, co) @ w.reshape(co, -1)
-    spread = (spread.reshape(b, h, wdt, ci, qh, sh, qw, sw)
-              .transpose(0, 3, 4, 6, 1, 5, 2, 7)
-              .reshape(b, ci, qh, qw, h * sh, wdt * sw))
+    rows = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, co)
     out = np.zeros((b, ci, ho, wo))
     for a in range(qh):
         # full-map rows [r0, r1) of block a's image that the kept map holds
@@ -462,8 +461,13 @@ def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
         for c in range(qw):
             c0, c1 = max(c * sw, pw), min((c + wdt) * sw, pw + wo)
             if r0 < r1 and c0 < c1:
+                tap = w[:, :, a * sh:(a + 1) * sh, c * sw:(c + 1) * sw]
+                block = ((rows @ tap.reshape(co, -1))
+                         .reshape(b, h, wdt, ci, sh, sw)
+                         .transpose(0, 3, 1, 4, 2, 5)
+                         .reshape(b, ci, h * sh, wdt * sw))
                 out[:, :, r0 - ph:r1 - ph, c0 - pw:c1 - pw] += \
-                    spread[:, :, a, c, r0 - a * sh:r1 - a * sh, c0 - c * sw:c1 - c * sw]
+                    block[:, :, r0 - a * sh:r1 - a * sh, c0 - c * sw:c1 - c * sw]
     return out
 
 

@@ -27,10 +27,6 @@ class AnnotationStack:
     annotator_maps: list[np.ndarray]
     consensus: np.ndarray
 
-    @property
-    def probability(self) -> np.ndarray:
-        return np.mean([m.astype(np.float64) for m in self.annotator_maps], axis=0)
-
 
 def consensus_labels(annotator_maps: list[np.ndarray], eta: float) -> np.ndarray:
     """Positive where the mean annotator vote reaches ``eta``, else negative."""

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from edgekit import tensor as T
-from edgekit.encoder import Encoder, EncoderConfig
+from edgekit.encoder import Encoder
 from edgekit.evalbench import evaluate_predictions, match_correspondence, nms_thin
 from edgekit.model import (EdgeDetector, ModelConfig, partition_windows,
                            reassemble_windows)
@@ -57,7 +57,7 @@ def test_gradient_suite():
 def test_shape_and_normalization_suite():
     rng = np.random.default_rng(1)
     # attention rows sum to 1 for every block and head
-    enc = Encoder(EncoderConfig.coarse_toy(), (4, 4), rng)
+    enc = Encoder(ModelConfig().encoder("global"), (4, 4), rng)
     seq = enc.embed(rng.random((1, 3, 64, 64)))
     z = seq.tokens
     max_row_err = 0.0

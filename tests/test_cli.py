@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from edgekit.checkpoint import load_checkpoint, save_checkpoint
-from edgekit.cli import main
+from edgekit.cli import build_parser, main
 from edgekit.errors import ShapeError, VersionMismatch
 from edgekit.evalbench import DEFAULT_TOLERANCE
 from edgekit.model import EdgeDetector, ModelConfig
@@ -153,7 +153,7 @@ def test_infer_epfm_output(trained, tmp_path):
 
 def test_version1_checkpoint_exit_code(trained, tmp_path):
     _, data, out, _ = trained
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         old = tmp_path / f"v{version}.ckpt"
         blob = bytearray((out / "model.ckpt").read_bytes())
         blob[4:8] = struct.pack("<I", version)
@@ -216,6 +216,8 @@ def test_eval_rerun_byte_identical_with_matching(tmp_path, capsys):
     # at 128x128 the default tolerance is a 1.36 px radius, so the matcher
     # chooses among candidates instead of counting coincident pixels
     assert DEFAULT_TOLERANCE * np.hypot(128, 128) > 1.0
+    assert build_parser().parse_args(["eval", "--pred", "p", "--gt", "g"]).tol \
+        == DEFAULT_TOLERANCE
     data = tmp_path / "data"
     assert main(["synth", "--n", "2", "--seed", "4", "--size", "128",
                  "--out", str(data)]) == 0

@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 
 from edgekit import tensor as T
-from edgekit.decoder import (BiMLADecoder, DecoderConfig, MLADecoder,
-                             UpsampleBlock, build_decoder, flatten_map,
-                             reshape_tokens)
+from edgekit.decoder import (BiMLADecoder, MLADecoder, UpsampleBlock,
+                             build_decoder, flatten_map, reshape_tokens)
 from edgekit.errors import ConfigError, ShapeError
 from edgekit.gradcheck import check_gradients
+from edgekit.model import ModelConfig
 from edgekit.tensor import Tensor
 
 rng = np.random.default_rng(21)
+# (patch, path/smoothing kernel) each stage fixes
+STAGE = {"global": (16, 3), "local": (8, 1)}
 
 
-def small_cfg(variant="global", pc=4, arch="bimla", c=4):
-    return DecoderConfig(variant=variant, in_channels=c, path_channels=pc,
-                         smooth_channels=4, arch=arch)
+def small_decoder(stage="global", pc=4, arch="bimla", seed=0):
+    cfg = ModelConfig(embed_dim=4, path_channels=pc, smooth_channels=4,
+                      decoder_arch=arch)
+    return build_decoder(cfg, *STAGE[stage], np.random.default_rng(seed))
 
 
 def test_reshape_tokens_round_trip():
@@ -40,8 +43,8 @@ def test_reshape_tokens_grid_mismatch():
 
 def _identity_paths(dec: BiMLADecoder):
     """Set every path conv to the identity map (requires pc == C)."""
-    c = dec.cfg.in_channels
-    k = dec.cfg.conv_kernel
+    c = dec.td_proj[0].weight.shape[1]
+    k = dec.td_conv[0].weight.shape[-1]
     eye1 = np.eye(c).reshape(c, c, 1, 1)
     eyek = np.zeros((c, c, k, k))
     eyek[np.arange(c), np.arange(c), k // 2, k // 2] = 1.0
@@ -54,7 +57,7 @@ def _identity_paths(dec: BiMLADecoder):
 
 
 def test_top_down_identity_closed_form():
-    dec = BiMLADecoder(small_cfg(), np.random.default_rng(0))
+    dec = small_decoder()
     _identity_paths(dec)
     taps = [Tensor(rng.normal(size=(1, 4, 4))) for _ in range(4)]
     paths = dec.paths(taps, (2, 2))
@@ -65,7 +68,7 @@ def test_top_down_identity_closed_form():
 
 
 def test_bottom_up_identity_closed_form():
-    dec = BiMLADecoder(small_cfg(), np.random.default_rng(0))
+    dec = small_decoder()
     _identity_paths(dec)
     taps = [Tensor(rng.normal(size=(1, 4, 4))) for _ in range(4)]
     paths = dec.paths(taps, (2, 2))
@@ -75,7 +78,7 @@ def test_bottom_up_identity_closed_form():
 
 
 def test_path_symmetry_identity_weights():
-    dec = BiMLADecoder(small_cfg(), np.random.default_rng(0))
+    dec = small_decoder()
     _identity_paths(dec)
     taps = [Tensor(rng.normal(size=(1, 4, 4))) for _ in range(4)]
     paths = dec.paths(taps, (2, 2))
@@ -83,7 +86,7 @@ def test_path_symmetry_identity_weights():
 
 
 def test_single_top_level_reaches_every_top_down_output():
-    dec = BiMLADecoder(small_cfg(), np.random.default_rng(0))
+    dec = small_decoder()
     _identity_paths(dec)
     taps = [Tensor(np.zeros((1, 4, 4))) for _ in range(3)]
     taps.append(Tensor(rng.normal(size=(1, 4, 4))))
@@ -94,7 +97,7 @@ def test_single_top_level_reaches_every_top_down_output():
 
 
 def test_zero_taps_zero_paths():
-    dec = BiMLADecoder(small_cfg(), np.random.default_rng(0))
+    dec = small_decoder()
     for mods in (dec.td_proj, dec.td_conv, dec.bu_proj, dec.bu_conv):
         for m in mods:
             m.bias.data[:] = 0.0
@@ -104,7 +107,7 @@ def test_zero_taps_zero_paths():
 
 
 def test_upsample_extents():
-    up = UpsampleBlock(3, 2, ((4, 2), (16, 8)), np.random.default_rng(0))
+    up = UpsampleBlock(3, 2, 16, np.random.default_rng(0))
     up.eval()
     out = up(Tensor(rng.normal(size=(1, 3, 4, 4))))
     assert out.shape == (1, 2, 64, 64)
@@ -113,9 +116,9 @@ def test_upsample_extents():
 
 
 def test_decode_output_extent_and_paths():
-    for variant, patch in (("global", 16), ("local", 8)):
-        cfg = small_cfg(variant)
-        dec = BiMLADecoder(cfg, np.random.default_rng(0))
+    for stage, (patch, _) in STAGE.items():
+        dec = small_decoder(stage)
+        assert isinstance(dec, BiMLADecoder)
         dec.eval()
         grid = (2, 3)
         out_hw = (grid[0] * patch, grid[1] * patch)
@@ -123,11 +126,10 @@ def test_decode_output_extent_and_paths():
         feats, paths = dec(taps, grid)
         assert feats.shape == (1, 4, *out_hw)
         assert len(paths) == 8
-        assert cfg.total_upsample == patch
 
 
 def test_zero_taps_constant_output():
-    dec = BiMLADecoder(small_cfg(), np.random.default_rng(0))
+    dec = small_decoder()
     dec.eval()
     taps = [Tensor(np.zeros((1, 4, 4))) for _ in range(4)]
     feats, _ = dec(taps, (2, 2))
@@ -136,8 +138,7 @@ def test_zero_taps_constant_output():
 
 
 def test_local_variant_receptive_field_confined():
-    cfg = small_cfg("local")
-    dec = BiMLADecoder(cfg, np.random.default_rng(3))
+    dec = small_decoder("local", seed=3)
     dec.eval()
     base = [rng.normal(size=(1, 9, 4)) for _ in range(4)]
     feats0, _ = dec([Tensor(t) for t in base], (3, 3))
@@ -157,8 +158,7 @@ def test_local_variant_receptive_field_confined():
 
 
 def test_mla_arm_top_down_only():
-    cfg = small_cfg(arch="mla")
-    dec = build_decoder(cfg, np.random.default_rng(0))
+    dec = small_decoder(arch="mla")
     assert isinstance(dec, MLADecoder)
     dec.eval()
     taps = [Tensor(rng.normal(size=(1, 4, 4))) for _ in range(4)]
@@ -169,16 +169,11 @@ def test_mla_arm_top_down_only():
 
 def test_decoder_config_validation():
     with pytest.raises(ConfigError):
-        DecoderConfig(variant="mid", in_channels=4, path_channels=4,
-                      smooth_channels=4)
-    with pytest.raises(ConfigError):
-        DecoderConfig(variant="global", in_channels=4, path_channels=4,
-                      smooth_channels=4, arch="other")
+        ModelConfig(decoder_arch="other")
 
 
 def test_decoder_gradcheck_small():
-    cfg = small_cfg("local", pc=2)
-    dec = BiMLADecoder(cfg, np.random.default_rng(1))
+    dec = small_decoder("local", pc=2, seed=1)
     dec.train()
     taps_data = [rng.normal(size=(1, 4, 4)) for _ in range(4)]
     weights = rng.normal(size=(1, 4, 16, 16))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from edgekit.checkpoint import load_checkpoint, save_checkpoint
 from edgekit.errors import (ConfigError, DigestMismatch, MagicMismatch,
                             NumericError, ParseError, TruncatedFile,
                             VersionMismatch)
-from edgekit.runconfig import RunConfig, default_config_text
+from edgekit.model import ModelConfig
+from edgekit.runconfig import SCHEMA, RunConfig, default_config_text
+from edgekit.train import TrainConfig
 
 rng = np.random.default_rng(41)
 
@@ -191,8 +195,46 @@ def test_checkpoint_truncation(tmp_path):
 def test_runconfig_defaults_parse():
     run = RunConfig.parse(default_config_text())
     assert run.values == RunConfig.defaults().values
-    run.model_config()
-    run.train_config()
+    assert run.model_config() == ModelConfig()
+    assert run.train_config() == TrainConfig()
+
+
+# run-file lines -> the ModelConfig fields they set; a depth key needs its taps
+MODEL_KEY_OVERRIDES = [
+    ("input_size=32", {"input_hw": (32, 32)}),
+    ("embed_dim=32", {"embed_dim": 32}),
+    ("heads=2", {"heads": 2}),
+    ("head_dim=4", {"head_dim": 4}),
+    ("mlp_ratio=2", {"mlp_ratio": 2}),
+    ("global_depth=9\nglobal_taps=2,4,6,9",
+     {"global_depth": 9, "global_taps": (2, 4, 6, 9)}),
+    ("global_taps=1,3,5,8", {"global_taps": (1, 3, 5, 8)}),
+    ("local_depth=5\nlocal_taps=1,2,3,5",
+     {"local_depth": 5, "local_taps": (1, 2, 3, 5)}),
+    ("path_channels=8", {"path_channels": 8}),
+    ("smooth_channels=12", {"smooth_channels": 12}),
+    ("side_channels=2", {"side_channels": 2}),
+    ("decoder_arch=mla", {"decoder_arch": "mla"}),
+    ("ffm=false", {"ffm_enabled": False}),
+    ("stage_mode=stage1_only", {"stage_mode": "stage1_only"}),
+    ("window_divisor=4", {"window_divisor": 4}),
+]
+NON_MODEL_KEYS = ("eta=0.5", "lambda=0.1", "lr=0.01", "lr_power=1.0",
+                  "momentum=0.5", "weight_decay=0", "iterations=3",
+                  "batch_size=1", "seed=7", "flip=false", "ignore_band=true",
+                  "data_dir=d", "out_dir=o")
+
+
+def test_runconfig_each_model_key_sets_exactly_its_fields():
+    for text, fields in MODEL_KEY_OVERRIDES:
+        got = RunConfig.parse(text).model_config()
+        assert got == replace(ModelConfig(), **fields), text
+    for text in NON_MODEL_KEYS:
+        assert RunConfig.parse(text).model_config() == ModelConfig(), text
+    covered = {line.split("=")[0] for text, _ in MODEL_KEY_OVERRIDES
+               for line in text.splitlines()}
+    covered |= {text.split("=")[0] for text in NON_MODEL_KEYS}
+    assert covered == set(SCHEMA)
 
 
 def test_runconfig_unknown_key_rejected():

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from edgekit import tensor as T
-from edgekit.decoder import DecoderConfig
-from edgekit.encoder import EncoderConfig
 from edgekit.errors import ConfigError, PartitionError, ShapeError, UsageError
 from edgekit.model import (EdgeDetector, ModelConfig, partition_windows,
                            reassemble_windows)
@@ -56,6 +54,9 @@ def test_stage1_shapes_and_range(net, image):
     assert 0.0 < e_g.data.min() and e_g.data.max() < 1.0
     assert f_g.shape[2:] == (32, 32)
     assert len(paths) == 8
+    # the coarse stage fixes 16 px patches and 3x3 decoder convolutions
+    assert paths[0].shape[2:] == (2, 2)
+    assert net.global_stage.decoder.td_conv[0].weight.shape[2:] == (3, 3)
 
 
 def test_stage2_shapes_and_fusion_requirement(net, image):
@@ -65,6 +66,9 @@ def test_stage2_shapes_and_fusion_requirement(net, image):
     assert e_r.shape == (1, 1, 32, 32)
     assert fused.shape[2:] == (32, 32)
     assert len(paths) == 8
+    # the fine stage fixes 8 px patches and 1x1 decoder convolutions
+    assert paths[0].shape[2:] == (4, 4)
+    assert net.local_stage.decoder.td_conv[0].weight.shape[2:] == (1, 1)
     with pytest.raises(UsageError):
         net.run_stage2(image, None)
 
@@ -255,18 +259,18 @@ def test_state_round_trip(net):
 
 
 def test_canonical_text_round_trip():
-    fine = EncoderConfig(patch_size=8, depth=4, embed_dim=32, heads=2,
-                         head_dim=16, mlp_ratio=2, tap_indices=(1, 2, 3, 4))
-    fine_dec = DecoderConfig(variant="local", in_channels=32, path_channels=8,
-                             smooth_channels=12, arch="mla")
     cfgs = [ModelConfig.toy(input_hw=(64, 64)),
-            ModelConfig.toy(input_hw=(32, 96), local_encoder=fine,
-                            local_decoder=fine_dec, ffm_enabled=False,
-                            stage_mode="stage1_only", side_channels=2)]
+            ModelConfig.toy(input_hw=(32, 96), embed_dim=32, heads=2,
+                            head_dim=16, mlp_ratio=2, local_depth=5,
+                            local_taps=(2, 3, 4, 5), path_channels=8,
+                            smooth_channels=12, decoder_arch="mla",
+                            ffm_enabled=False, stage_mode="stage1_only",
+                            side_channels=2)]
     for cfg in cfgs:
         assert ModelConfig.from_canonical_text(cfg.canonical_text()) == cfg
     text = cfgs[0].canonical_text()
-    assert "global_encoder.heads=8\n" in text
+    assert "heads=8\n" in text and "global_taps=2,4,6,8\n" in text
+    assert len(text.splitlines()) == 16
     assert text.splitlines() == sorted(text.splitlines())
 
 
@@ -275,13 +279,16 @@ def test_canonical_text_rejects_missing_unknown_and_malformed_keys():
     lines = text.splitlines(keepends=True)
     bad = [
         "".join(lines[1:]),                                 # missing key
-        text + "global_encoder.colour=red\n",               # unknown key
+        text + "colour=red\n",                              # unknown key
+        text.replace("heads=8", "global_encoder.heads=8"),  # version-4 key
         text + "window_divisor\n",                          # no "="
         text + lines[0],                                    # repeated key
-        text.replace("global_encoder.heads=8", "global_encoder.heads=eight"),
+        text.replace("heads=8", "heads=eight"),
         text.replace("ffm_enabled=True", "ffm_enabled=1"),
         text.replace("input_hw=64,64", "input_hw=64,,64"),
-        text.replace("global_encoder.heads=8", "global_encoder.heads=0"),
+        text.replace("heads=8", "heads=0"),
+        text.replace("local_taps=1,2,3,4", "local_taps=2,3,4"),
+        text.replace("decoder_arch=bimla", "decoder_arch=other"),
     ]
     for case in bad:
         assert case != text
