@@ -28,7 +28,9 @@ MAGIC = b"EDTR"
 #    tensors, so it would load and silently compute a different function
 # 5: flat model-config keys; a version-4 file's nested keys would fail to
 #    parse as a confusing config-line error instead of a version mismatch
-VERSION = 5
+# 6: no depth keys (the depth is the last tap); a version-5 file's
+#    global_depth/local_depth lines would fail as unknown config keys
+VERSION = 6
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:

@@ -2,53 +2,28 @@
 
 One Encoder instance serves both roles in the detector: the coarse-patch
 context encoder and the fine-patch window encoder (the latter shared across
-all windows of an image). Each encoder trains one position embedding for its
-native token grid and bilinearly resizes it to any other grid, as ViT and
-SETR do, so the same weights serve every input size.
+all windows of an image). Both read their width, heads, head width and MLP
+ratio from ``ModelConfig``; the stage passes its patch side and its four tap
+indices, and the deepest tap sets the number of blocks. Each encoder trains
+one position embedding for its native token grid and bilinearly resizes it
+to any other grid, as ViT and SETR do, so the same weights serve every input
+size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
-from .errors import ConfigError, PartitionError, ShapeError
+from .errors import PartitionError, ShapeError
 from .tensor import Tensor
 
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    patch_size: int
-    depth: int
-    embed_dim: int
-    heads: int
-    head_dim: int
-    mlp_ratio: int
-    tap_indices: tuple[int, ...]  # four taps when paired with a decoder
-
-    def __post_init__(self):
-        taps = self.tap_indices
-        if not taps or list(taps) != sorted(set(taps)) or taps[0] < 1:
-            raise ConfigError(f"tap_indices must be strictly increasing, got {taps}")
-        if taps[-1] != self.depth:
-            raise ConfigError(f"last tap {taps[-1]} must equal depth {self.depth}")
-        if self.depth < 1 or self.embed_dim < 2 or self.heads < 1 or self.head_dim < 1:
-            raise ConfigError("encoder dimensions must be positive")
-
-    @staticmethod
-    def coarse_paper() -> "EncoderConfig":
-        return EncoderConfig(patch_size=16, depth=24, embed_dim=1024, heads=16,
-                             head_dim=64, mlp_ratio=4, tap_indices=(6, 12, 18, 24))
-
-    @staticmethod
-    def fine_paper() -> "EncoderConfig":
-        return EncoderConfig(patch_size=8, depth=12, embed_dim=1024, heads=16,
-                             head_dim=64, mlp_ratio=4, tap_indices=(3, 6, 9, 12))
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 class TokenSequence(NamedTuple):
@@ -83,7 +58,7 @@ class MultiHeadSelfAttention(nn.Module):
     """Scaled dot-product attention, all heads in batched products; ``w_q``,
     ``w_k`` and ``w_v`` stack the per-head projections as (heads, C, head_dim)."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
         c, u, m = cfg.embed_dim, cfg.head_dim, cfg.heads
         self.scale = 1.0 / math.sqrt(u)
@@ -113,7 +88,7 @@ class MultiHeadSelfAttention(nn.Module):
 class TransformerBlock(nn.Module):
     """Pre-norm block: z + MSA(LN(z)) followed by z + MLP(LN(z))."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
         c = cfg.embed_dim
         hidden = cfg.mlp_ratio * c
@@ -131,45 +106,47 @@ class TransformerBlock(nn.Module):
 class Encoder(nn.Module):
     """Patch projection, position embeddings, and tapped transformer stack.
 
+    ``taps`` are the 1-based block indices whose outputs the decoder reads;
+    the deepest tap is the depth, so the stack holds ``taps[-1]`` blocks.
     ``grid`` is the native token grid: its position embedding ``pos`` is
     trained and added as is, while any other grid adds ``pos`` bilinearly
     resized to that grid.
     """
 
-    def __init__(self, cfg: EncoderConfig, grid: tuple[int, int],
-                 rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, patch: int, taps: tuple[int, ...],
+                 grid: tuple[int, int], rng: np.random.Generator):
         super().__init__()
-        self.cfg = cfg
+        self.patch = patch
+        self.taps = taps
         self.grid = grid
         c = cfg.embed_dim
-        self.proj = nn.Linear(cfg.patch_size * cfg.patch_size * 3, c, rng)
+        self.proj = nn.Linear(patch * patch * 3, c, rng)
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(grid[0] * grid[1], c)),
                           requires_grad=True)
         self.blocks = nn.ModuleList(TransformerBlock(cfg, rng)
-                                    for _ in range(cfg.depth))
+                                    for _ in range(self.taps[-1]))
 
     def position(self, grid: tuple[int, int]) -> Tensor:
         """Position embeddings (gh * gw, C) for a token grid, row-major."""
         if grid == self.grid:
             return self.pos
-        (h, w), c = self.grid, self.cfg.embed_dim
+        (h, w), c = self.grid, self.pos.shape[1]
         pos = T.transpose(T.reshape(self.pos, (1, h, w, c)), (0, 3, 1, 2))
         pos = T.transpose(T.bilinear_resize(pos, grid), (0, 2, 3, 1))
         return T.reshape(pos, (grid[0] * grid[1], c))
 
     def embed(self, image: np.ndarray) -> TokenSequence:
-        patches, grid = flatten_patches(image, self.cfg.patch_size)
+        patches, grid = flatten_patches(image, self.patch)
         seq = TokenSequence(self.proj(Tensor(patches)), grid)
         return add_position(seq, self.position(grid))
 
     def encode(self, seq: TokenSequence) -> list[Tensor]:
-        """Run all blocks, returning outputs at the configured tap indices."""
+        """Run all blocks, returning the outputs at the tap indices."""
         z = seq.tokens
         taps = []
-        want = set(self.cfg.tap_indices)
         for i, block in enumerate(self.blocks, start=1):
             z = block(z)
-            if i in want:
+            if i in self.taps:
                 taps.append(z)
         return taps
 

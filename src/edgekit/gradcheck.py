@@ -110,18 +110,19 @@ def check_gradients(
     return report
 
 
-def weighted_scalar(out: Tensor, rng: np.random.Generator) -> tuple[np.ndarray, Callable]:
+def weighted_scalar(out: Tensor, rng: np.random.Generator) -> Callable:
     """Fixed random projection turning an op output into a scalar loss.
 
-    Returns the weight array and a helper that contracts any output with it,
-    so the same projection can be reused across finite-difference probes.
+    Returns a helper that contracts any output of ``out``'s shape with the
+    same random weights, so the projection is reused across finite-difference
+    probes.
     """
     w = rng.normal(size=out.data.shape)
 
     def contract(t: Tensor) -> Tensor:
         return T.tensor_sum(T.mul(t, w))
 
-    return w, contract
+    return contract
 
 
 def check_op(
@@ -136,7 +137,7 @@ def check_op(
                for a in inputs]
     with T.no_grad():
         probe_out = op(*tensors)
-    _, contract = weighted_scalar(probe_out, rng)
+    contract = weighted_scalar(probe_out, rng)
 
     def loss_fn() -> Tensor:
         return contract(op(*tensors))

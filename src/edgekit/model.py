@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .decoder import UpsampleBlock, build_decoder
-from .encoder import Encoder, EncoderConfig
+from .encoder import Encoder
 from .errors import ConfigError, PartitionError, ShapeError, UsageError
 from .tensor import Tensor
 
@@ -32,7 +32,8 @@ class ModelConfig:
     """Every model setting, one field per model key of the run file.
 
     Both stages share the transformer and decoder widths; the patch sizes
-    and the decoder kernels are fixed by the stage, not configured.
+    and the decoder kernels are fixed by the stage, not configured. Each
+    stage's encoder depth is its deepest tap.
     """
 
     input_hw: tuple[int, int] = (64, 64)
@@ -43,9 +44,7 @@ class ModelConfig:
     path_channels: int = 16
     smooth_channels: int = 16
     decoder_arch: str = "bimla"  # "bimla" or "mla" (bilinear comparison arm)
-    global_depth: int = 8
     global_taps: tuple[int, ...] = (2, 4, 6, 8)
-    local_depth: int = 4
     local_taps: tuple[int, ...] = (1, 2, 3, 4)
     side_channels: int = 4
     window_divisor: int = 2
@@ -53,17 +52,24 @@ class ModelConfig:
     stage_mode: str = "two_stage"
 
     def __post_init__(self):
-        h, w = self.input_hw
-        d = self.window_divisor
+        if len(self.input_hw) != 2 or min(self.input_hw) < 1:
+            raise ConfigError(f"input_hw must be two sides >= 1, got {self.input_hw}")
+        if self.embed_dim < 2:
+            raise ConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
+        for name in ("heads", "head_dim", "mlp_ratio", "path_channels",
+                     "smooth_channels", "side_channels", "window_divisor"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("global_taps", "local_taps"):
+            taps = getattr(self, name)
+            if len(taps) != 4 or taps[0] < 1 or list(taps) != sorted(set(taps)):
+                raise ConfigError(
+                    f"{name} must be 4 strictly increasing indices >= 1, got {taps}")
         if self.stage_mode not in STAGE_MODES:
             raise ConfigError(f"stage_mode must be one of {STAGE_MODES}")
         if self.decoder_arch not in ("bimla", "mla"):
             raise ConfigError(f"unknown decoder arch {self.decoder_arch!r}")
-        for stage in ("global", "local"):
-            if len(self.encoder(stage).tap_indices) != 4:
-                raise ConfigError(f"{stage} encoder must expose exactly 4 taps")
-        if d < 1:
-            raise ConfigError(f"window_divisor must be positive, got {d}")
+        (h, w), d = self.input_hw, self.window_divisor
         if h % GLOBAL_PATCH or w % GLOBAL_PATCH:
             raise ConfigError(
                 f"input {h}x{w} not divisible by coarse patch {GLOBAL_PATCH}")
@@ -76,14 +82,13 @@ class ModelConfig:
     def toy(**overrides) -> "ModelConfig":
         return ModelConfig(**overrides)
 
-    def encoder(self, stage: str) -> EncoderConfig:
-        """Encoder settings of the "global" (coarse) or "local" (fine) stage."""
-        patch, depth, taps = {
-            "global": (GLOBAL_PATCH, self.global_depth, self.global_taps),
-            "local": (LOCAL_PATCH, self.local_depth, self.local_taps)}[stage]
-        return EncoderConfig(patch_size=patch, depth=depth, embed_dim=self.embed_dim,
-                             heads=self.heads, head_dim=self.head_dim,
-                             mlp_ratio=self.mlp_ratio, tap_indices=taps)
+    @staticmethod
+    def paper() -> "ModelConfig":
+        """The paper's encoder scale: 1024 wide, 16 heads of 64, MLP ratio 4,
+        24 coarse blocks tapped at (6, 12, 18, 24) and 12 fine blocks tapped
+        at (3, 6, 9, 12)."""
+        return ModelConfig(embed_dim=1024, heads=16, head_dim=64, mlp_ratio=4,
+                           global_taps=(6, 12, 18, 24), local_taps=(3, 6, 9, 12))
 
     def canonical_text(self) -> str:
         """Stable rendering used for checkpoint digests: one sorted
@@ -173,17 +178,16 @@ class FeatureFusion(nn.Module):
     """Spatial feature transform: scale/shift the fine features by maps
     generated from the coarse features, then smooth with two 3x3 convs."""
 
-    def __init__(self, global_channels: int, local_channels: int,
-                 rng: np.random.Generator):
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        self.scale_gen = nn.Conv2d(global_channels, local_channels, 1, rng)
-        self.shift_gen = nn.Conv2d(global_channels, local_channels, 1, rng)
+        self.scale_gen = nn.Conv2d(channels, channels, 1, rng)
+        self.shift_gen = nn.Conv2d(channels, channels, 1, rng)
         # start near the identity modulation: scale about 1, shift about 0
         self.scale_gen.weight.data *= 0.1
         self.scale_gen.bias.data[:] = 1.0
         self.shift_gen.weight.data *= 0.1
-        self.smooth1 = nn.ConvBNReLU(local_channels, local_channels, 3, rng)
-        self.smooth2 = nn.ConvBNReLU(local_channels, local_channels, 3, rng)
+        self.smooth1 = nn.ConvBNReLU(channels, channels, 3, rng)
+        self.smooth2 = nn.ConvBNReLU(channels, channels, 3, rng)
 
     def modulate(self, f_g: Tensor, f_r: Tensor) -> Tensor:
         if f_g.shape[2:] != f_r.shape[2:]:
@@ -203,7 +207,7 @@ class GlobalStage(nn.Module):
         super().__init__()
         self.cfg = cfg
         grid = _native_grid(cfg, GLOBAL_PATCH)
-        self.encoder = Encoder(cfg.encoder("global"), grid, rng)
+        self.encoder = Encoder(cfg, GLOBAL_PATCH, cfg.global_taps, grid, rng)
         self.decoder = build_decoder(cfg, GLOBAL_PATCH, 3, rng)
         self.head = nn.Conv2d(cfg.smooth_channels, 1, 1, rng)
         self.sides = _side_heads(cfg, GLOBAL_PATCH, rng)
@@ -223,10 +227,10 @@ class LocalStage(nn.Module):
         self.cfg = cfg
         # a window is 1/divisor of the image, so a token covers divisor*patch
         grid = _native_grid(cfg, cfg.window_divisor * LOCAL_PATCH)
-        self.encoder = Encoder(cfg.encoder("local"), grid, rng)
+        self.encoder = Encoder(cfg, LOCAL_PATCH, cfg.local_taps, grid, rng)
         self.decoder = build_decoder(cfg, LOCAL_PATCH, 1, rng)
         ch = cfg.smooth_channels
-        self.fusion = FeatureFusion(ch, ch, rng)
+        self.fusion = FeatureFusion(ch, rng)
         self.concat_fuse = nn.Conv2d(2 * ch, ch, 1, rng)
         self.head = nn.Conv2d(ch, 1, 1, rng)
         self.sides = _side_heads(cfg, LOCAL_PATCH, rng)
@@ -248,14 +252,12 @@ class LocalStage(nn.Module):
             merged.append(T.reshape(t, (b, d * gh * d * gw, c)))
         return merged, (d * gh, d * gw)
 
-    def forward(self, image: np.ndarray, f_g: Tensor | None,
-                ffm_enabled: bool | None = None):
+    def forward(self, image: np.ndarray, f_g: Tensor | None):
         if f_g is None:
             raise UsageError("stage two requires the stage-one feature map")
-        use_ffm = self.cfg.ffm_enabled if ffm_enabled is None else ffm_enabled
         taps, grid = self.window_taps(image)
         f_r, paths = self.decoder(taps, grid)
-        if use_ffm:
+        if self.cfg.ffm_enabled:
             fused = self.fusion(f_g, f_r)
         else:
             fused = self.concat_fuse(T.concat([f_g, f_r], axis=1))
@@ -280,9 +282,8 @@ class EdgeDetector(nn.Module):
             raise ShapeError(f"expected (B, 3, H, W) input, got {image.shape}")
         return self.global_stage(image)
 
-    def run_stage2(self, image: np.ndarray, f_g: Tensor | None,
-                   ffm_enabled: bool | None = None):
-        return self.local_stage(image, f_g, ffm_enabled)
+    def run_stage2(self, image: np.ndarray, f_g: Tensor | None):
+        return self.local_stage(image, f_g)
 
     def side_outputs(self, paths: list[Tensor], stage: str,
                      out_hw: tuple[int, int]) -> list[Tensor]:

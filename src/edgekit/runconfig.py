@@ -34,10 +34,10 @@ SCHEMA: dict[str, tuple] = {
     "heads": (int, 8, "attention heads per block"),
     "head_dim": (int, 8, "per-head query/key/value width"),
     "mlp_ratio": (int, 4, "transformer MLP hidden width / embed_dim"),
-    "global_depth": (int, 8, "blocks in the coarse-stage encoder"),
-    "global_taps": (_parse_ints, (2, 4, 6, 8), "tapped block indices, coarse stage"),
-    "local_depth": (int, 4, "blocks in the fine-stage encoder"),
-    "local_taps": (_parse_ints, (1, 2, 3, 4), "tapped block indices, fine stage"),
+    "global_taps": (_parse_ints, (2, 4, 6, 8),
+                    "tapped block indices, coarse stage; the last is its depth"),
+    "local_taps": (_parse_ints, (1, 2, 3, 4),
+                   "tapped block indices, fine stage; the last is its depth"),
     "path_channels": (int, 16, "decoder aggregation-path width"),
     "smooth_channels": (int, 16, "decoder output feature width"),
     "side_channels": (int, 4, "width inside auxiliary side heads"),

@@ -17,13 +17,15 @@ from .train import stage_loss, weighted_bce
 
 LAYER_TOL = 1e-4
 MODEL_TOL = 1e-4
+# transformer widths of the block and encoder checks
+_SMALL_BLOCKS = ModelConfig(embed_dim=8, heads=2, head_dim=4, mlp_ratio=2)
 
 
 def _module_check(module: nn.Module, forward, rng,
                   probes: int = 4) -> GradcheckReport:
     with T.no_grad():
         out = forward()
-    _, contract = weighted_scalar(out, rng)
+    contract = weighted_scalar(out, rng)
     named = list(module.named_parameters())
     return check_gradients(lambda: contract(forward()), named, rng,
                            probes_per_tensor=probes)
@@ -92,11 +94,9 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
     checks.append(("weighted_bce", check_gradients(
         lambda: weighted_bce(e, y), [("edge", e)], rng, probes_per_tensor=8)))
 
-    from .encoder import EncoderConfig, TransformerBlock
+    from .encoder import TransformerBlock
 
-    cfg = EncoderConfig(patch_size=8, depth=2, embed_dim=8, heads=2, head_dim=4,
-                        mlp_ratio=2, tap_indices=(1, 2))
-    block = TransformerBlock(cfg, rng)
+    block = TransformerBlock(_SMALL_BLOCKS, rng)
     zdata = rng.normal(size=(1, 5, 8))
     checks.append(("transformer_block",
                    _module_check(block, lambda: block(Tensor(zdata)), rng,
@@ -104,8 +104,8 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
 
     from .model import FeatureFusion, SideHead
 
-    ffm = FeatureFusion(3, 4, rng)
-    fg = rng.normal(size=(1, 3, 6, 6))
+    ffm = FeatureFusion(4, rng)
+    fg = rng.normal(size=(1, 4, 6, 6))
     fr = rng.normal(size=(1, 4, 6, 6))
     checks.append(("feature_fusion",
                    _module_check(ffm, lambda: ffm(Tensor(fg), Tensor(fr)), rng,
@@ -125,11 +125,9 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
 
 def _two_block_encoder_check(rng: np.random.Generator) -> tuple[str, GradcheckReport]:
     """Toy two-block encoder, every parameter probed."""
-    from .encoder import Encoder, EncoderConfig
+    from .encoder import Encoder
 
-    cfg = EncoderConfig(patch_size=8, depth=2, embed_dim=8, heads=2, head_dim=4,
-                        mlp_ratio=2, tap_indices=(1, 2))
-    enc = Encoder(cfg, (2, 2), rng)
+    enc = Encoder(_SMALL_BLOCKS, 8, (1, 2), (2, 2), rng)
     img = rng.random((1, 3, 16, 16))
 
     def loss_fn():
@@ -158,7 +156,7 @@ def full_model_check(seed: int = 0, probes_per_tensor: int = 1,
 
     def loss_fn():
         f_g, e_g, gpaths = model.run_stage1(img)
-        f_r, e_r, rpaths, _ = model.run_stage2(img, f_g, ffm_enabled=True)
+        f_r, e_r, rpaths, _ = model.run_stage2(img, f_g)
         sides_g = model.side_outputs(gpaths, "global", input_hw)
         sides_r = model.side_outputs(rpaths, "local", input_hw)
         e_off = T.sigmoid(model.local_stage.head(

@@ -148,6 +148,13 @@ class TrainConfig:
     weight_decay: float = 2e-4
     lr_power: float = 0.9
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if min(self.iterations_stage1, self.iterations_stage2) < 0:
+            raise ConfigError("iteration counts must be >= 0, got "
+                              f"{self.iterations_stage1}, {self.iterations_stage2}")
+
 
 @dataclass
 class Scene:

@@ -15,8 +15,8 @@ import pytest
 from edgekit import tensor as T
 from edgekit.encoder import Encoder
 from edgekit.evalbench import evaluate_predictions, match_correspondence, nms_thin
-from edgekit.model import (EdgeDetector, ModelConfig, partition_windows,
-                           reassemble_windows)
+from edgekit.model import (GLOBAL_PATCH, EdgeDetector, ModelConfig,
+                           partition_windows, reassemble_windows)
 from edgekit.suite import full_model_check, layer_checks
 from edgekit.synth import generate_scene
 from edgekit.tensor import Tensor
@@ -57,7 +57,8 @@ def test_gradient_suite():
 def test_shape_and_normalization_suite():
     rng = np.random.default_rng(1)
     # attention rows sum to 1 for every block and head
-    enc = Encoder(ModelConfig().encoder("global"), (4, 4), rng)
+    cfg = ModelConfig()
+    enc = Encoder(cfg, GLOBAL_PATCH, cfg.global_taps, (4, 4), rng)
     seq = enc.embed(rng.random((1, 3, 64, 64)))
     z = seq.tokens
     max_row_err = 0.0

@@ -126,6 +126,29 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("line", [
+    "input_size=0", "input_size=-16", "path_channels=0", "side_channels=-1",
+    "mlp_ratio=0", "batch_size=0", "iterations=-1"])
+def test_train_size_below_minimum_exit_code(trained, tmp_path, line):
+    """Each of these once trained silently or failed with a traceback."""
+    _, data, _, _ = trained
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_CONFIG.format(data=data, out=tmp_path / "run")
+                   .replace("iterations=3", "iterations=1") + line + "\n")
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_checkpoint_one_sided_input_hw_exit_code(trained, tmp_path):
+    _, data, out, _ = trained
+    arrays, text = load_checkpoint(out / "model.ckpt")
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, arrays, text.replace("input_hw=32,32", "input_hw=32"))
+    assert main(["infer", "--ckpt", str(bad), "--in",
+                 str(data / "images" / "000.ppm"),
+                 "--out", str(tmp_path / "e.pgm")]) == 3
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["nonexistent-command"])
@@ -153,7 +176,7 @@ def test_infer_epfm_output(trained, tmp_path):
 
 def test_version1_checkpoint_exit_code(trained, tmp_path):
     _, data, out, _ = trained
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         old = tmp_path / f"v{version}.ckpt"
         blob = bytearray((out / "model.ckpt").read_bytes())
         blob[4:8] = struct.pack("<I", version)

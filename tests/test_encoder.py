@@ -3,17 +3,22 @@ import pytest
 
 from edgekit import nn
 from edgekit import tensor as T
-from edgekit.encoder import (Encoder, EncoderConfig, MultiHeadSelfAttention,
-                             TokenSequence, TransformerBlock, add_position,
-                             flatten_patches)
+from edgekit.encoder import (Encoder, MultiHeadSelfAttention, TokenSequence,
+                             TransformerBlock, add_position, flatten_patches)
 from edgekit.errors import ConfigError, PartitionError, ShapeError
 from edgekit.gradcheck import check_gradients
+from edgekit.model import ModelConfig
 from edgekit.tensor import Tensor
 
 rng = np.random.default_rng(7)
 
-TOY = EncoderConfig(patch_size=8, depth=2, embed_dim=8, heads=2, head_dim=4,
-                    mlp_ratio=2, tap_indices=(1, 2))
+TOY = ModelConfig(embed_dim=8, heads=2, head_dim=4, mlp_ratio=2)
+
+
+def toy_encoder(grid, seed, taps=(1, 2)):
+    """An 8-wide encoder on 8 px patches; the default taps build two blocks
+    and tap both."""
+    return Encoder(TOY, 8, taps, grid, np.random.default_rng(seed))
 
 
 def test_flatten_patches_grid():
@@ -43,7 +48,7 @@ def test_flatten_patches_indivisible():
 
 
 def test_zero_image_zero_bias_gives_zero_tokens():
-    enc = Encoder(TOY, (2, 2), np.random.default_rng(0))
+    enc = toy_encoder((2, 2), 0)
     enc.proj.bias.data[:] = 0.0
     patches, grid = flatten_patches(np.zeros((1, 3, 16, 16)), 8)
     tokens = enc.proj(Tensor(patches))
@@ -66,7 +71,7 @@ def test_add_position_shape_error_no_interpolation():
 
 
 def test_position_embedding_receives_gradient():
-    enc = Encoder(TOY, (2, 2), np.random.default_rng(0))
+    enc = toy_encoder((2, 2), 0)
     img = rng.random((1, 3, 16, 16))
     with T.fresh_tape():
         taps, _ = enc(img)
@@ -99,8 +104,7 @@ def test_zero_weights_block_is_identity():
 
 def test_single_head_equals_direct_computation():
     # two heads, so the per-head weight slices and the concat order are checked
-    cfg = EncoderConfig(patch_size=8, depth=1, embed_dim=4, heads=2, head_dim=2,
-                        mlp_ratio=2, tap_indices=(1,))
+    cfg = ModelConfig(embed_dim=4, heads=2, head_dim=2, mlp_ratio=2)
     attn = MultiHeadSelfAttention(cfg, np.random.default_rng(3))
     attn.w_o.weight.data = np.eye(4)
     z = Tensor(rng.normal(size=(2, 6, 4)))
@@ -117,7 +121,7 @@ def test_single_head_equals_direct_computation():
 
 
 def test_attention_rows_sum_to_one_every_head():
-    enc = Encoder(TOY, (2, 2), np.random.default_rng(1))
+    enc = toy_encoder((2, 2), 1)
     z = Tensor(rng.normal(size=(2, 4, 8)))
     for block in enc.blocks:
         w = block.attn.weights(block.norm1(z))
@@ -137,8 +141,7 @@ def test_stacked_head_weights_keep_per_head_draw_order():
 def test_attention_tape_records_independent_of_heads():
     counts = []
     for heads in (1, 2, 8):
-        cfg = EncoderConfig(patch_size=8, depth=1, embed_dim=8, heads=heads,
-                            head_dim=4, mlp_ratio=2, tap_indices=(1,))
+        cfg = ModelConfig(embed_dim=8, heads=heads, head_dim=4, mlp_ratio=2)
         attn = MultiHeadSelfAttention(cfg, np.random.default_rng(0))
         with T.fresh_tape() as tape:
             attn(Tensor(rng.normal(size=(2, 5, 8))))
@@ -147,35 +150,45 @@ def test_attention_tape_records_independent_of_heads():
 
 
 def test_encode_all_taps_when_every_block_tapped():
-    cfg = EncoderConfig(patch_size=8, depth=4, embed_dim=8, heads=2, head_dim=4,
-                        mlp_ratio=2, tap_indices=(1, 2, 3, 4))
-    enc = Encoder(cfg, (2, 2), np.random.default_rng(0))
+    enc = toy_encoder((2, 2), 0, taps=(1, 2, 3, 4))
     taps, _ = enc(rng.random((1, 3, 16, 16)))
     assert len(taps) == 4
 
 
+def test_depth_is_the_last_tap():
+    """The stack holds taps[-1] blocks and returns the tapped outputs only."""
+    enc = toy_encoder((2, 2), 0, taps=(2, 5))
+    assert len(enc.blocks) == 5
+    seq = enc.embed(rng.random((1, 3, 16, 16)))
+    taps = enc.encode(seq)
+    z, outs = seq.tokens, []
+    for block in enc.blocks:
+        z = block(z)
+        outs.append(z)
+    assert len(taps) == 2
+    assert np.array_equal(taps[0].data, outs[1].data)
+    assert np.array_equal(taps[1].data, outs[4].data)
+
+
 def test_paper_scale_tap_defaults():
-    cfg = EncoderConfig.coarse_paper()
-    assert cfg.depth == 24 and cfg.tap_indices == (6, 12, 18, 24)
-    assert cfg.heads == 16
-    local = EncoderConfig.fine_paper()
-    assert local.depth == 12 and local.tap_indices == (3, 6, 9, 12)
+    cfg = ModelConfig.paper()
+    assert cfg.global_taps == (6, 12, 18, 24) and cfg.local_taps == (3, 6, 9, 12)
+    assert (cfg.embed_dim, cfg.heads, cfg.head_dim, cfg.mlp_ratio) == (1024, 16, 64, 4)
 
 
 def test_tap_validation():
-    with pytest.raises(ConfigError):
-        EncoderConfig(patch_size=8, depth=4, embed_dim=8, heads=2, head_dim=4,
-                      mlp_ratio=2, tap_indices=(2, 1, 3, 4))
-    with pytest.raises(ConfigError):
-        EncoderConfig(patch_size=8, depth=4, embed_dim=8, heads=2, head_dim=4,
-                      mlp_ratio=2, tap_indices=(1, 2, 3))
+    for taps in ((2, 1, 3, 4), (1, 2, 3), (1, 2, 3, 4, 5), (0, 1, 2, 3),
+                 (1, 2, 2, 3)):
+        for key in ("global_taps", "local_taps"):
+            with pytest.raises(ConfigError):
+                ModelConfig(**{key: taps})
 
 
 def test_encoder_deterministic_replay():
     img = rng.random((1, 3, 16, 16))
 
     def run():
-        enc = Encoder(TOY, (2, 2), np.random.default_rng(5))
+        enc = toy_encoder((2, 2), 5)
         taps, _ = enc(img)
         return [t.data.copy() for t in taps]
 
@@ -185,7 +198,7 @@ def test_encoder_deterministic_replay():
 
 
 def test_permutation_equivariance_without_positions():
-    enc = Encoder(TOY, (2, 2), np.random.default_rng(2))
+    enc = toy_encoder((2, 2), 2)
     tokens = rng.normal(size=(1, 4, 8))
     perm = np.array([2, 0, 3, 1])
     base = enc.encode(TokenSequence(Tensor(tokens), (2, 2)))
@@ -195,7 +208,7 @@ def test_permutation_equivariance_without_positions():
 
 
 def test_tapped_output_shape():
-    enc = Encoder(TOY, (3, 2), np.random.default_rng(2))
+    enc = toy_encoder((3, 2), 2)
     taps, grid = enc(rng.random((2, 3, 24, 16)))
     assert grid == (3, 2)
     for t in taps:
@@ -205,7 +218,7 @@ def test_tapped_output_shape():
 def test_other_grids_resize_the_trained_embedding():
     """The native grid adds ``pos`` itself; any other grid adds its bilinear
     resize, and the gradient reaches ``pos`` through the resize."""
-    enc = Encoder(TOY, (2, 2), np.random.default_rng(2))
+    enc = toy_encoder((2, 2), 2)
     assert enc.position((2, 2)) is enc.pos
     native = np.transpose(enc.pos.data.reshape(1, 2, 2, 8), (0, 3, 1, 2))
     for grid in ((3, 2), (4, 4)):
@@ -221,7 +234,7 @@ def test_other_grids_resize_the_trained_embedding():
 
 
 def test_two_block_encoder_gradcheck():
-    enc = Encoder(TOY, (2, 2), np.random.default_rng(4))
+    enc = toy_encoder((2, 2), 4)
     img = rng.random((1, 3, 16, 16))
 
     def loss_fn():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -199,18 +199,15 @@ def test_runconfig_defaults_parse():
     assert run.train_config() == TrainConfig()
 
 
-# run-file lines -> the ModelConfig fields they set; a depth key needs its taps
+# run-file lines -> the ModelConfig fields they set
 MODEL_KEY_OVERRIDES = [
     ("input_size=32", {"input_hw": (32, 32)}),
     ("embed_dim=32", {"embed_dim": 32}),
     ("heads=2", {"heads": 2}),
     ("head_dim=4", {"head_dim": 4}),
     ("mlp_ratio=2", {"mlp_ratio": 2}),
-    ("global_depth=9\nglobal_taps=2,4,6,9",
-     {"global_depth": 9, "global_taps": (2, 4, 6, 9)}),
-    ("global_taps=1,3,5,8", {"global_taps": (1, 3, 5, 8)}),
-    ("local_depth=5\nlocal_taps=1,2,3,5",
-     {"local_depth": 5, "local_taps": (1, 2, 3, 5)}),
+    ("global_taps=1,3,5,9", {"global_taps": (1, 3, 5, 9)}),
+    ("local_taps=1,2,3,5", {"local_taps": (1, 2, 3, 5)}),
     ("path_channels=8", {"path_channels": 8}),
     ("smooth_channels=12", {"smooth_channels": 12}),
     ("side_channels=2", {"side_channels": 2}),
@@ -226,15 +223,29 @@ NON_MODEL_KEYS = ("eta=0.5", "lambda=0.1", "lr=0.01", "lr_power=1.0",
 
 
 def test_runconfig_each_model_key_sets_exactly_its_fields():
-    for text, fields in MODEL_KEY_OVERRIDES:
+    for text, changed in MODEL_KEY_OVERRIDES:
         got = RunConfig.parse(text).model_config()
-        assert got == replace(ModelConfig(), **fields), text
+        assert got == replace(ModelConfig(), **changed), text
     for text in NON_MODEL_KEYS:
         assert RunConfig.parse(text).model_config() == ModelConfig(), text
     covered = {line.split("=")[0] for text, _ in MODEL_KEY_OVERRIDES
                for line in text.splitlines()}
     covered |= {text.split("=")[0] for text in NON_MODEL_KEYS}
     assert covered == set(SCHEMA)
+    reached = {name for _, changed in MODEL_KEY_OVERRIDES for name in changed}
+    assert reached == {f.name for f in fields(ModelConfig)}
+
+
+@pytest.mark.parametrize("text,field", [
+    ("input_size=0", "input_hw"), ("input_size=-16", "input_hw"),
+    ("path_channels=0", "path_channels"), ("side_channels=-1", "side_channels"),
+    ("mlp_ratio=0", "mlp_ratio"), ("batch_size=0", "batch_size"),
+    ("iterations=-1", "iteration")])
+def test_runconfig_rejects_sizes_below_their_minimum(text, field):
+    run = RunConfig.parse(text)
+    with pytest.raises(ConfigError, match=field):
+        run.model_config()
+        run.train_config()
 
 
 def test_runconfig_unknown_key_rejected():

@@ -120,11 +120,18 @@ def test_window_locality_of_taps(net, image):
         assert outside.max() == 0.0
 
 
-def test_ffm_switch_is_live(net, image):
+def test_ffm_switch_is_live(image):
+    """Two models of one seed that differ only in ``ffm_enabled`` hold the
+    same weights and give different maps."""
+    on = EdgeDetector(tiny_cfg(ffm_enabled=True), seed=3)
+    off = EdgeDetector(tiny_cfg(ffm_enabled=False), seed=3)
+    a, b = on.state_arrays(), off.state_arrays()
+    assert list(a) == list(b)
+    assert all(np.array_equal(a[k], b[k]) for k in a)
     with T.no_grad():
-        f_g, _, _ = net.run_stage1(image)
-        _, e_on, _, _ = net.run_stage2(image, f_g, ffm_enabled=True)
-        _, e_off, _, _ = net.run_stage2(image, f_g, ffm_enabled=False)
+        f_g, _, _ = on.run_stage1(image)
+        _, e_on, _, _ = on.run_stage2(image, f_g)
+        _, e_off, _, _ = off.run_stage2(image, f_g)
     assert e_on.shape == e_off.shape == (1, 1, 32, 32)
     assert not np.allclose(e_on.data, e_off.data)
     for e in (e_on, e_off):
@@ -245,6 +252,25 @@ def test_config_validation():
         ModelConfig.toy(stage_mode="three_stage")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("input_hw", (0, 64)), ("input_hw", (-16, -16)), ("input_hw", (64,)),
+    ("input_hw", (64, 64, 64)), ("embed_dim", 1), ("heads", 0),
+    ("head_dim", 0), ("mlp_ratio", 0), ("path_channels", 0),
+    ("smooth_channels", -1), ("side_channels", -1), ("window_divisor", 0)])
+def test_config_rejects_sizes_below_their_minimum(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{field: value})
+
+
+def test_each_stage_encoder_depth_is_its_last_tap():
+    m = EdgeDetector(tiny_cfg(global_taps=(1, 2, 3, 5), local_taps=(2, 4, 5, 6)),
+                     seed=0)
+    assert len(m.global_stage.encoder.blocks) == 5
+    assert len(m.local_stage.encoder.blocks) == 6
+    assert m.global_stage.encoder.taps == (1, 2, 3, 5)
+    assert m.local_stage.encoder.taps == (2, 4, 5, 6)
+
+
 def test_state_round_trip(net):
     state = net.state_arrays()
     other = EdgeDetector(tiny_cfg(), seed=99)
@@ -261,8 +287,7 @@ def test_state_round_trip(net):
 def test_canonical_text_round_trip():
     cfgs = [ModelConfig.toy(input_hw=(64, 64)),
             ModelConfig.toy(input_hw=(32, 96), embed_dim=32, heads=2,
-                            head_dim=16, mlp_ratio=2, local_depth=5,
-                            local_taps=(2, 3, 4, 5), path_channels=8,
+                            head_dim=16, mlp_ratio=2, local_taps=(2, 3, 4, 5), path_channels=8,
                             smooth_channels=12, decoder_arch="mla",
                             ffm_enabled=False, stage_mode="stage1_only",
                             side_channels=2)]
@@ -270,7 +295,7 @@ def test_canonical_text_round_trip():
         assert ModelConfig.from_canonical_text(cfg.canonical_text()) == cfg
     text = cfgs[0].canonical_text()
     assert "heads=8\n" in text and "global_taps=2,4,6,8\n" in text
-    assert len(text.splitlines()) == 16
+    assert len(text.splitlines()) == 14
     assert text.splitlines() == sorted(text.splitlines())
 
 
@@ -281,11 +306,14 @@ def test_canonical_text_rejects_missing_unknown_and_malformed_keys():
         "".join(lines[1:]),                                 # missing key
         text + "colour=red\n",                              # unknown key
         text.replace("heads=8", "global_encoder.heads=8"),  # version-4 key
+        text + "global_depth=8\n",                          # version-5 key
         text + "window_divisor\n",                          # no "="
         text + lines[0],                                    # repeated key
         text.replace("heads=8", "heads=eight"),
         text.replace("ffm_enabled=True", "ffm_enabled=1"),
         text.replace("input_hw=64,64", "input_hw=64,,64"),
+        text.replace("input_hw=64,64", "input_hw=64"),
+        text.replace("input_hw=64,64", "input_hw=0,64"),
         text.replace("heads=8", "heads=0"),
         text.replace("local_taps=1,2,3,4", "local_taps=2,3,4"),
         text.replace("decoder_arch=bimla", "decoder_arch=other"),
