@@ -4,6 +4,8 @@ Every check runs the same recipe: compute a scalar loss once under the tape,
 then probe coordinates of the checked tensors with central differences
 (step 1e-5 by default) and compare against the recorded gradients. The
 probing forward passes run with the tape disabled so they cost no memory.
+Every check computes in float64, whatever compute dtype its caller set: a
+float32 difference quotient at these steps is mostly rounding noise.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ class GradcheckReport:
         return [p for p in self.probes if p.rel_err >= tol]
 
 
+@T.compute_dtype(np.float64)
 def check_gradients(
     loss_fn: Callable[[], Tensor],
     checked: Sequence[tuple[str, Tensor]],
@@ -125,6 +128,7 @@ def weighted_scalar(out: Tensor, rng: np.random.Generator) -> Callable:
     return contract
 
 
+@T.compute_dtype(np.float64)
 def check_op(
     op: Callable[..., Tensor],
     inputs: Sequence[np.ndarray],

@@ -52,19 +52,23 @@ class ModelConfig:
     stage_mode: str = "two_stage"
 
     def __post_init__(self):
-        if len(self.input_hw) != 2 or min(self.input_hw) < 1:
-            raise ConfigError(f"input_hw must be two sides >= 1, got {self.input_hw}")
-        if self.embed_dim < 2:
-            raise ConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
+        hw = self.input_hw
+        if not (_int_tuple(hw) and len(hw) == 2 and min(hw) >= 1):
+            raise ConfigError(f"input_hw must be a tuple of two integer sides "
+                              f">= 1, got {hw!r}")
+        if not _is_int(self.embed_dim) or self.embed_dim < 2:
+            raise ConfigError(f"embed_dim must be an integer >= 2, got {self.embed_dim!r}")
         for name in ("heads", "head_dim", "mlp_ratio", "path_channels",
                      "smooth_channels", "side_channels", "window_divisor"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("global_taps", "local_taps"):
             taps = getattr(self, name)
-            if len(taps) != 4 or taps[0] < 1 or list(taps) != sorted(set(taps)):
-                raise ConfigError(
-                    f"{name} must be 4 strictly increasing indices >= 1, got {taps}")
+            if not (_int_tuple(taps) and len(taps) == 4 and taps[0] >= 1
+                    and list(taps) == sorted(set(taps))):
+                raise ConfigError(f"{name} must be a tuple of 4 strictly "
+                                  f"increasing integers >= 1, got {taps!r}")
         if self.stage_mode not in STAGE_MODES:
             raise ConfigError(f"stage_mode must be one of {STAGE_MODES}")
         if self.decoder_arch not in ("bimla", "mla"):
@@ -115,6 +119,15 @@ class ModelConfig:
         if missing:
             raise ConfigError(f"model config misses keys {missing}")
         return ModelConfig(**values)
+
+
+def _is_int(value) -> bool:
+    """A Python int; ``bool`` is not one here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_tuple(value) -> bool:
+    return isinstance(value, tuple) and all(_is_int(v) for v in value)
 
 
 def _render(value) -> str:

@@ -1,6 +1,6 @@
 """The finite-difference gradient suite: per-layer checks plus a sweep over
-every parameter of the full toy model. Exposed through both the CLI and the
-acceptance tests."""
+every parameter of the full toy model, all in float64. Exposed through both
+the CLI and the acceptance tests."""
 
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ def _module_check(module: nn.Module, forward, rng,
                            probes_per_tensor=probes)
 
 
+@T.compute_dtype(np.float64)
 def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
     r = rng.normal
     checks: list[tuple[str, GradcheckReport]] = [
@@ -138,6 +139,7 @@ def _two_block_encoder_check(rng: np.random.Generator) -> tuple[str, GradcheckRe
         loss_fn, list(enc.named_parameters()), rng, probes_per_tensor=2))
 
 
+@T.compute_dtype(np.float64)
 def full_model_check(seed: int = 0, probes_per_tensor: int = 1,
                      input_hw: tuple[int, int] = (64, 64)
                      ) -> GradcheckReport:
@@ -174,6 +176,7 @@ def full_model_check(seed: int = 0, probes_per_tensor: int = 1,
             buf[...] = saved
 
 
+@T.compute_dtype(np.float64)
 def run_gradient_suite(seed: int = 0, full_model: bool = True,
                        verbose: bool = False) -> bool:
     """Run everything; returns True when all checks stay under tolerance."""

@@ -1,6 +1,11 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense floating-point tensors with reverse-mode automatic differentiation.
 
 Values live in numpy arrays; differentiation is handled by a dynamic tape.
+The engine computes in one floating dtype, float64 unless a
+:func:`compute_dtype` scope selects another: tensors, constants, gradients
+and every temporary follow it, so no op upcasts a float32 operand behind
+the caller's back. Training runs in float32; inference, evaluation and the
+gradient checks run in float64.
 Every primitive appends one record (output, inputs, adjoint function) to the
 active tape during the forward pass, and ``backward`` replays the records in
 reverse to populate ``.grad`` on every tracked tensor. The graph is rebuilt
@@ -20,6 +25,7 @@ from .errors import ConfigError, NumericError, ShapeError, UsageError
 
 __all__ = [
     "Tensor", "Tape", "active_tape", "fresh_tape", "no_grad", "backward",
+    "compute_dtype", "current_dtype",
     "add", "sub", "mul", "div", "matmul", "concat", "reshape", "transpose",
     "crop2d", "relu", "sigmoid", "gelu", "exp", "log", "sqrt", "clip",
     "softmax", "tensor_sum", "tensor_mean", "conv2d", "deconv2d",
@@ -31,12 +37,13 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
-    """A dense float64 array plus optional gradient buffer."""
+    """A dense array plus optional gradient buffer; the data is converted
+    to the compute dtype in force when the tensor is made."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_state.dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -133,7 +140,7 @@ class Tape:
         def _add(t: Tensor, g: np.ndarray) -> None:
             entry = flows.get(id(t))
             if entry is None:
-                flows[id(t)] = [t, np.array(g, dtype=np.float64)]
+                flows[id(t)] = [t, np.array(g, dtype=_state.dtype)]
             else:
                 entry[1] = entry[1] + g
 
@@ -152,12 +159,13 @@ class Tape:
 
 
 class _State:
-    __slots__ = ("tape", "enabled")
+    __slots__ = ("tape", "enabled", "dtype")
 
 
 _state = _State()
 _state.tape = Tape()
 _state.enabled = True
+_state.dtype = np.dtype(np.float64)
 
 
 def active_tape() -> Tape:
@@ -185,13 +193,33 @@ def no_grad():
         _state.enabled = prev
 
 
+@contextmanager
+def compute_dtype(dtype):
+    """Compute in ``dtype`` (float32 or float64) inside the block; also
+    usable as a function decorator."""
+    dtype = np.dtype(dtype)
+    if dtype not in (np.float32, np.float64):
+        raise ConfigError(f"compute dtype must be float32 or float64, got {dtype}")
+    prev = _state.dtype
+    _state.dtype = dtype
+    try:
+        yield
+    finally:
+        _state.dtype = prev
+
+
+def current_dtype() -> np.dtype:
+    """The dtype tensors, gradients and temporaries are made in."""
+    return _state.dtype
+
+
 def backward(loss: Tensor) -> None:
     """Populate gradients of everything the active tape links to ``loss``."""
     _state.tape.backward(loss)
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _apply(out_data, inputs, adjoint) -> Tensor:
@@ -454,7 +482,7 @@ def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
     if (qh * sh, qw * sw) != (kh, kw):
         w = np.pad(w, ((0, 0), (0, 0), (0, qh * sh - kh), (0, qw * sw - kw)))
     rows = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, co)
-    out = np.zeros((b, ci, ho, wo))
+    out = np.zeros((b, ci, ho, wo), dtype=_state.dtype)
     for a in range(qh):
         # full-map rows [r0, r1) of block a's image that the kept map holds
         r0, r1 = max(a * sh, ph), min((a + h) * sh, ph + ho)
@@ -509,7 +537,7 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, sh: int, sw: int,
     _, _, hp, wp = xp.shape
     rows, m, taps = _tap_rows(xp, kh, kw)
     wt = w.transpose(2, 3, 1, 0).copy()
-    acc = np.zeros((rows.shape[0], co))
+    acc = np.zeros((rows.shape[0], co), dtype=_state.dtype)
     for i, j, o in taps:
         acc[:m] += rows[o:o + m] @ wt[i, j]
     out = acc.reshape(b, hp, wp, co)[:, :hp - kh + 1, :wp - kw + 1]
@@ -527,10 +555,10 @@ def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, co)
         return (cols.T @ gmat).T.reshape(co, c, kh, kw)
     rows, m, taps = _tap_rows(xp, kh, kw)
-    gfull = np.zeros((b, hp, wp, co))
+    gfull = np.zeros((b, hp, wp, co), dtype=_state.dtype)
     gfull[:, :ho, :wo] = g.transpose(0, 2, 3, 1)
     gm = gfull.reshape(-1, co)[:m]
-    gw = np.empty((co, c, kh, kw))
+    gw = np.empty((co, c, kh, kw), dtype=_state.dtype)
     for i, j, o in taps:
         gw[:, :, i, j] = gm.T @ rows[o:o + m]
     return gw
@@ -587,7 +615,7 @@ def conv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
                 gp, _ = _conv_forward(g, wf, 1, 1, kh - 1, kw - 1)
             else:
                 raw = _deconv_raw(g, w.data, sh, sw)
-                gp = np.zeros(padded_shape)
+                gp = np.zeros(padded_shape, dtype=_state.dtype)
                 gp[:, :, :raw.shape[2], :raw.shape[3]] = raw
             gx = gp[:, :, ph:ph + x.data.shape[2], pw:pw + x.data.shape[3]]
         if b is None:
@@ -636,7 +664,8 @@ def deconv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
         # x-adjoint (conv2d of g with this stride and padding) and w-adjoint
         gp = g
         if ph or pw:
-            gp = np.zeros((bsz, co, g.shape[2] + 2 * ph, g.shape[3] + 2 * pw))
+            gp = np.zeros((bsz, co, g.shape[2] + 2 * ph, g.shape[3] + 2 * pw),
+                          dtype=_state.dtype)
             gp[:, :, ph:ph + g.shape[2], pw:pw + g.shape[3]] = g
         cols, _, _ = _im2col(gp, kh, kw, sh, sw)
         gx = gw = None
@@ -719,6 +748,9 @@ def batch_norm(x, gain, bias, running_mean, running_var, training: bool,
 
         return _apply(out, (x, gain, bias), adjoint)
 
+    # the buffers stay float64; a float32 input gets float32 copies of them
+    running_mean = running_mean.astype(x.data.dtype, copy=False)
+    running_var = running_var.astype(x.data.dtype, copy=False)
     inv = 1.0 / np.sqrt(running_var + eps)
     scale = gain.data * inv
     y = (x.data - running_mean[None, :, None, None]) * inv[None, :, None, None]
@@ -754,10 +786,9 @@ def bilinear_resize(x, out_hw: tuple[int, int]) -> Tensor:
 
     wy_ = wy[:, None]
     wx_ = wx[None, :]
-    w00 = (1 - wy_) * (1 - wx_)
-    w01 = (1 - wy_) * wx_
-    w10 = wy_ * (1 - wx_)
-    w11 = wy_ * wx_
+    # float64 weights would upcast a float32 input, so they take its dtype
+    w00, w01, w10, w11 = (w.astype(x.data.dtype, copy=False) for w in (
+        (1 - wy_) * (1 - wx_), (1 - wy_) * wx_, wy_ * (1 - wx_), wy_ * wx_))
 
     d = x.data
     out = (d[:, :, y0[:, None], x0[None, :]] * w00

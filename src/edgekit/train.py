@@ -4,20 +4,28 @@ Phase one optimizes the coarse context stage against the consensus labels
 (main head plus weighted side outputs). Phase two freezes every stage-one
 parameter, including batch-norm running statistics, and optimizes the
 windowed refinement stage the same way.
+
+Training computes in float32 while the optimizer steps float64 master
+copies of the parameters; every parameter is its float64 master again when
+training returns or fails. A loss, gradient or batch-norm statistic that
+turns NaN or Inf stops training with a :class:`NumericError`.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, InputError, ShapeError, UsageError
+from .errors import ConfigError, InputError, NumericError, ShapeError, UsageError
 from .model import EdgeDetector
 from .tensor import Tensor
 
 CLAMP_EPS = 1e-7
+TRAIN_DTYPE = np.float32  # compute dtype of training; masters stay float64
 
 
 @dataclass
@@ -64,13 +72,13 @@ def weighted_bce(edge: Tensor, labels: np.ndarray,
     computed per item. ``ignore`` marks pixels excluded from both the loss
     and the balance weight.
     """
-    y = np.asarray(labels, dtype=np.float64)
+    y = np.asarray(labels, dtype=T.current_dtype())
     if tuple(edge.shape) != y.shape:
         raise ShapeError(f"prediction {tuple(edge.shape)} vs labels {y.shape}")
 
     batched = y.ndim > 2
     items = y.shape[0] if batched else 1
-    valid = np.ones_like(y) if ignore is None else (~np.asarray(ignore, bool)).astype(np.float64)
+    valid = np.ones_like(y) if ignore is None else (~np.asarray(ignore, bool)).astype(y.dtype)
 
     axes = tuple(range(1, y.ndim)) if batched else tuple(range(y.ndim))
     pos = (y * valid).sum(axis=axes, keepdims=True)
@@ -96,11 +104,19 @@ def stage_loss(edge: Tensor, sides: list[Tensor], labels: np.ndarray,
 
 class SGD:
     """Momentum SGD with decoupled-from-nothing weight decay folded into the
-    velocity, under a polynomial learning-rate schedule."""
+    velocity, under a polynomial learning-rate schedule.
+
+    Each parameter has a float64 master that the step updates, and a
+    float64 velocity. ``masters`` maps parameter names to their masters; a
+    parameter without one is its own master when it is float64 and gets a
+    float64 copy otherwise. A parameter whose data is not its master
+    receives the master's cast after every step.
+    """
 
     def __init__(self, params: list[tuple[str, Tensor]], base_lr: float,
                  max_iterations: int, momentum: float = 0.9,
-                 weight_decay: float = 2e-4, power: float = 0.9):
+                 weight_decay: float = 2e-4, power: float = 0.9,
+                 masters: dict[str, np.ndarray] | None = None):
         self.params = list(params)
         self.base_lr = base_lr
         self.max_iterations = max_iterations
@@ -108,7 +124,11 @@ class SGD:
         self.weight_decay = weight_decay
         self.power = power
         self.iteration = 0
-        self.velocity = {name: np.zeros_like(p.data) for name, p in self.params}
+        masters = masters or {}
+        self.masters = {name: masters[name] if name in masters
+                        else p.data.astype(np.float64, copy=False)
+                        for name, p in self.params}
+        self.velocity = {name: np.zeros_like(m) for name, m in self.masters.items()}
 
     def lr(self, iteration: int | None = None) -> float:
         it = self.iteration if iteration is None else iteration
@@ -121,10 +141,12 @@ class SGD:
             if p.grad is None:
                 raise UsageError(f"parameter {name} has no gradient; "
                                  "run backward before stepping")
-            v = self.velocity[name]
+            master, v = self.masters[name], self.velocity[name]
             v *= self.momentum
-            v += p.grad + self.weight_decay * p.data
-            p.data -= rate * v
+            v += p.grad + self.weight_decay * master
+            master -= rate * v
+            if master is not p.data:
+                p.data[...] = master
         self.iteration += 1
 
     def zero_grad(self) -> None:
@@ -179,14 +201,20 @@ class TrainResult:
         return [l for _, s, l in self.history if s == stage]
 
 
-def stage1_digest(model: EdgeDetector) -> str:
-    """SHA-256 over stage-one parameters and buffers, in name order."""
+def stage1_digest(model: EdgeDetector,
+                  masters: dict[str, np.ndarray] | None = None) -> str:
+    """SHA-256 over stage-one parameters and buffers, in name order.
+
+    ``masters`` maps model parameter names to the arrays hashed in place of
+    the parameters' data (their float64 masters during training).
+    """
     import hashlib
 
     h = hashlib.sha256()
     for name, p in sorted(model.global_stage.named_parameters()):
+        data = p.data if masters is None else masters["global_stage." + name]
         h.update(name.encode())
-        h.update(np.ascontiguousarray(p.data).tobytes())
+        h.update(np.ascontiguousarray(data).tobytes())
     for name, b in sorted(model.global_stage.named_buffers()):
         h.update(name.encode())
         h.update(np.ascontiguousarray(b).tobytes())
@@ -214,8 +242,8 @@ def _sample_batch(scenes: list[Scene], cfg: TrainConfig,
         images.append(img)
         labels.append(lab)
         ignores.append(ign)
-    x = np.ascontiguousarray(np.stack(images))
-    y = np.stack(labels)[:, None]
+    x = np.ascontiguousarray(np.stack(images), dtype=TRAIN_DTYPE)
+    y = np.stack(labels)[:, None].astype(TRAIN_DTYPE)
     if any_ignore and all(i is not None for i in ignores):
         return x, y, np.stack(ignores)[:, None]
     return x, y, None
@@ -239,37 +267,79 @@ def train_two_phase(model: EdgeDetector, scenes: list[Scene],
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult()
     model.train()
-    _train_phase(model, scenes, cfg, rng, 1, result)
-    model.freeze_stage1()
-    result.stage1_digest_after_phase1 = stage1_digest(model)
-    if model.cfg.stage_mode == "two_stage":
-        _train_phase(model, scenes, cfg, rng, 2, result)
+    with _float32_working_copies(model) as masters:
+        _train_phase(model, scenes, cfg, rng, 1, result, masters)
+        model.freeze_stage1()
+        result.stage1_digest_after_phase1 = stage1_digest(model, masters)
+        if model.cfg.stage_mode == "two_stage":
+            _train_phase(model, scenes, cfg, rng, 2, result, masters)
     result.stage1_digest_final = stage1_digest(model)
     return result
 
 
+@contextmanager
+def _float32_working_copies(model: EdgeDetector):
+    """Compute in float32 on float32 copies of every parameter, yielding
+    the float64 masters by name; each parameter gets its master back on
+    exit, also after an error."""
+    masters = {name: p.data for name, p in model.named_parameters()}
+    try:
+        for name, p in model.named_parameters():
+            p.data = masters[name].astype(TRAIN_DTYPE)
+        with T.compute_dtype(TRAIN_DTYPE):
+            yield masters
+    finally:
+        for name, p in model.named_parameters():
+            p.data = masters[name]
+            p.grad = None
+
+
 def _train_phase(model: EdgeDetector, scenes: list[Scene], cfg: TrainConfig,
-                 rng: np.random.Generator, stage: int, result: TrainResult) -> None:
+                 rng: np.random.Generator, stage: int, result: TrainResult,
+                 masters: dict[str, np.ndarray]) -> None:
     """Optimize one stage; stage two runs on top of the frozen stage one."""
     if stage == 1:
         iterations, params = cfg.iterations_stage1, model.stage1_parameters()
     else:
         iterations, params = cfg.iterations_stage2, model.stage2_parameters()
     opt = SGD(params, cfg.base_lr, iterations, momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay, power=cfg.lr_power)
+              weight_decay=cfg.weight_decay, power=cfg.lr_power, masters=masters)
     out_hw = (cfg.crop, cfg.crop)
     for it in range(iterations):
         x, y, ign = _sample_batch(scenes, cfg, rng)
-        with T.fresh_tape():
-            f_g, edge, paths = model.run_stage1(x)
-            if stage == 2:
-                _, edge, paths, _ = model.run_stage2(x, f_g)
-            sides = model.side_outputs(paths, "global" if stage == 1 else "local", out_hw)
-            loss = stage_loss(edge, sides, y, cfg.lam, ign)
-            T.backward(loss)
+        try:
+            with T.fresh_tape():
+                f_g, edge, paths = model.run_stage1(x)
+                if stage == 2:
+                    _, edge, paths, _ = model.run_stage2(x, f_g)
+                sides = model.side_outputs(paths, "global" if stage == 1 else "local", out_hw)
+                loss = stage_loss(edge, sides, y, cfg.lam, ign)
+                T.backward(loss)
+            value = loss.item()
+            _check_finite(model, params, value)
+        except NumericError as exc:
+            raise NumericError(f"stage {stage} iteration {it}: {exc}") from exc
         opt.step()
         opt.zero_grad()
-        result.history.append((it, stage, loss.item()))
+        result.history.append((it, stage, value))
+
+
+def _check_finite(model: EdgeDetector, params: list[tuple[str, Tensor]],
+                  loss: float) -> None:
+    """Raise NumericError naming the first NaN or Inf among the loss, the
+    global gradient norm and the batch-norm running statistics."""
+    if not math.isfinite(loss):
+        raise NumericError(f"loss is {loss}")
+    norm = math.sqrt(sum(float(np.square(p.grad, dtype=np.float64).sum())
+                         for _, p in params if p.grad is not None))
+    if not math.isfinite(norm):
+        name = next(n for n, p in params
+                    if p.grad is not None and not np.isfinite(p.grad).all())
+        raise NumericError(f"gradient norm is {norm}; first non-finite "
+                           f"gradient: {name}")
+    for name, b in model.named_buffers():
+        if not np.isfinite(b).all():
+            raise NumericError(f"batch-norm statistic {name} is not finite")
 
 
 def write_loss_csv(result: TrainResult, path) -> None:

@@ -139,6 +139,19 @@ def test_train_size_below_minimum_exit_code(trained, tmp_path, line):
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_diverging_train_exit_code(trained, tmp_path, capsys):
+    _, data, _, _ = trained
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(SMALL_CONFIG.format(data=data, out=tmp_path / "run")
+                   .replace("iterations=3", "iterations=6")
+                   .replace("batch_size=1", "batch_size=2") + "lr=1e8\n")
+    assert main(["train", "--config", str(cfg)]) == 4
+    assert "numeric failure: stage 1 iteration" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
 def test_checkpoint_one_sided_input_hw_exit_code(trained, tmp_path):
     _, data, out, _ = trained
     arrays, text = load_checkpoint(out / "model.ckpt")

@@ -262,6 +262,17 @@ def test_config_rejects_sizes_below_their_minimum(field, value):
         ModelConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("input_hw", 64), ("input_hw", [64, 64]), ("input_hw", (64.0, 64)),
+    ("input_hw", (True, 64)), ("embed_dim", 8.0), ("heads", 1.5),
+    ("heads", True), ("head_dim", "8"), ("window_divisor", True),
+    ("global_taps", (1, 2, 3, 4.5)), ("local_taps", [1, 2, 3, 4]),
+    ("local_taps", (False, 1, 2, 3))])
+def test_config_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{field: value})
+
+
 def test_each_stage_encoder_depth_is_its_last_tap():
     m = EdgeDetector(tiny_cfg(global_taps=(1, 2, 3, 5), local_taps=(2, 4, 5, 6)),
                      seed=0)

@@ -413,3 +413,133 @@ def test_bilinear_resize_constant_preserved():
 def test_bilinear_resize_same_size_is_identity():
     x = rng.normal(size=(2, 3, 5, 4))
     assert np.array_equal(T.bilinear_resize(Tensor(x), (5, 4)).data, x)
+
+
+# -- compute dtype ---------------------------------------------------------------
+
+# Engine plumbing in T.__all__; every other name there is a primitive op.
+_NOT_PRIMITIVES = {"Tensor", "Tape", "active_tape", "fresh_tape", "no_grad",
+                   "backward", "compute_dtype", "current_dtype"}
+
+
+def _dtype_cases():
+    r = np.random.default_rng(8).normal
+    return {
+        "add": (T.add, [r(size=(2, 3, 4)), r(size=(4,))]),
+        "sub": (T.sub, [r(size=(3, 4)), r(size=(3, 1))]),
+        "mul": (T.mul, [r(size=(2, 1, 4)), r(size=(2, 3, 1))]),
+        "div": (T.div, [r(size=(3, 4)), np.abs(r(size=(3, 4))) + 1.0]),
+        "matmul": (T.matmul, [r(size=(2, 3, 4)), r(size=(4, 5))]),
+        "concat": (lambda a, b: T.concat([a, b], axis=1),
+                   [r(size=(2, 3)), r(size=(2, 2))]),
+        "reshape": (lambda x: T.reshape(x, (6, 4)), [r(size=(2, 3, 4))]),
+        "transpose": (lambda x: T.transpose(x, (2, 0, 1)), [r(size=(2, 3, 4))]),
+        "crop2d": (lambda x: T.crop2d(x, 1, 2, 3, 3), [r(size=(1, 2, 6, 6))]),
+        "relu": (T.relu, [r(size=(4, 4))]),
+        "sigmoid": (T.sigmoid, [3.0 * r(size=(4, 4))]),
+        "gelu": (T.gelu, [r(size=(4, 4))]),
+        "exp": (T.exp, [r(size=(3, 3))]),
+        "log": (T.log, [np.abs(r(size=(3, 3))) + 0.5]),
+        "sqrt": (T.sqrt, [np.abs(r(size=(3, 3))) + 0.5]),
+        "clip": (lambda x: T.clip(x, -0.5, 0.5), [r(size=(4, 4))]),
+        "softmax": (lambda x: T.softmax(x, axis=-1), [r(size=(5, 5))]),
+        "tensor_sum": (lambda x: T.tensor_sum(x, axis=1), [r(size=(3, 4, 2))]),
+        "tensor_mean": (lambda x: T.tensor_mean(x, axis=(0, 2)), [r(size=(3, 4, 2))]),
+        # stride 1 with c_in >= c_out takes the per-tap path, the others im2col
+        "conv2d": (lambda x, w1, w2, w3, b: T.add(
+            T.conv2d(T.conv2d(x, w1, b, 1, 1), w2, None, 2, 1),
+            T.tensor_sum(T.conv2d(x, w3, None, 1, 0))),
+            [r(size=(2, 4, 7, 7)), r(size=(3, 4, 3, 3)), r(size=(3, 3, 3, 3)),
+             r(size=(5, 4, 1, 1)), r(size=3)]),
+        "deconv2d": (lambda x, w1, w2, b: T.add(
+            T.deconv2d(x, w1, b, 2, 1), T.crop2d(T.deconv2d(x, w2, None, 4), 0, 0, 10, 10)),
+            [r(size=(2, 3, 5, 5)), r(size=(3, 2, 4, 4)), r(size=(3, 2, 8, 8)),
+             r(size=2)]),
+        "layer_norm": (T.layer_norm, [r(size=(4, 6)), r(size=6), r(size=6)]),
+        "batch_norm": (lambda x, g, b: T.add(
+            T.batch_norm(x, g, b, np.zeros(3), np.ones(3), training=True),
+            T.batch_norm(x, g, b, np.full(3, 0.2), np.full(3, 1.7), training=False)),
+            [r(size=(2, 3, 4, 4)), r(size=3), r(size=3)]),
+        "bilinear_resize": (lambda x: T.bilinear_resize(x, (7, 5)),
+                            [r(size=(1, 2, 4, 4))]),
+    }
+
+
+def _run_case(fn, arrays, dtype):
+    """Output and input gradients of ``fn`` under a ``dtype`` scope, with
+    the dtype of every raw forward result and adjoint output recorded."""
+    seen = []
+    apply = T._apply
+
+    def spy(out, inputs, adjoint):
+        seen.append(np.asarray(out).dtype)
+
+        def recorded(g):
+            grads = adjoint(g)
+            seen.extend(gi.dtype for gi in grads if gi is not None)
+            return grads
+
+        return apply(out, inputs, recorded)
+
+    T._apply = spy
+    try:
+        with T.compute_dtype(dtype):
+            ts = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            with T.fresh_tape():
+                out = fn(*ts)
+                w = np.random.default_rng(9).normal(size=out.shape)
+                T.backward(T.tensor_sum(T.mul(out, w)))
+    finally:
+        T._apply = apply
+    return out.data, [t.grad for t in ts], set(seen)
+
+
+def test_dtype_cases_cover_every_primitive():
+    assert set(_dtype_cases()) == set(T.__all__) - _NOT_PRIMITIVES
+
+
+@pytest.mark.parametrize("name", sorted(_dtype_cases()))
+def test_primitive_stays_float32_in_float32_scope(name):
+    fn, arrays = _dtype_cases()[name]
+    out32, grads32, seen = _run_case(fn, arrays, np.float32)
+    assert seen == {np.dtype(np.float32)}, f"{name} upcasts: {seen}"
+    assert out32.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in grads32)
+    out64, grads64, seen64 = _run_case(fn, arrays, np.float64)
+    assert seen64 == {np.dtype(np.float64)}
+    for a, b in zip([out32] + grads32, [out64] + grads64):
+        assert np.allclose(a, b, rtol=1e-4, atol=1e-5 * max(1.0, np.abs(b).max()))
+
+
+def test_compute_dtype_scope_restores_and_rejects_other_dtypes():
+    assert T.current_dtype() == np.float64
+    with T.compute_dtype(np.float32):
+        assert Tensor([1.0]).data.dtype == np.float32
+        assert T.current_dtype() == np.float32
+    assert Tensor([1.0]).data.dtype == np.float64
+    with pytest.raises(ConfigError):
+        with T.compute_dtype(np.float16):
+            pass
+
+
+def test_batch_norm_eval_keeps_float64_buffers():
+    mean, var = np.full(3, 0.5), np.full(3, 2.0)
+    with T.compute_dtype(np.float32):
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)))
+        out = T.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), mean, var,
+                           training=False)
+    assert out.data.dtype == np.float32
+    assert mean.dtype == var.dtype == np.float64
+
+
+def test_gradcheck_runs_in_float64_inside_a_float32_scope():
+    from edgekit.suite import layer_checks
+
+    with T.compute_dtype(np.float32):
+        conv = check_op(lambda x, w, b: T.conv2d(x, w, b, 1, 1),
+                        [rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(2, 3, 3, 3)),
+                         rng.normal(size=2)], rng)
+        layers = layer_checks(np.random.default_rng(0))
+        assert T.current_dtype() == np.float32
+    assert conv.passed(1e-4)
+    assert all(report.passed(1e-4) for _, report in layers)

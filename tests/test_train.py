@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgekit import tensor as T
-from edgekit.errors import ConfigError, InputError, ShapeError, UsageError
+from edgekit.errors import (ConfigError, InputError, NumericError, ShapeError,
+                            UsageError)
 from edgekit.model import EdgeDetector, ModelConfig
 from edgekit.synth import generate_scene
 from edgekit.tensor import Tensor
@@ -189,6 +190,32 @@ def test_sgd_momentum_and_decay_formula():
     assert np.allclose(p.data, [x1 - lr2 * v2])
 
 
+def test_sgd_float32_parameter_steps_a_float64_master():
+    start = np.array([1.0, -2.0, 0.1 + 1e-9])
+    p = Tensor(np.zeros(3), requires_grad=True)
+    p.data = start.astype(np.float32)
+    opt = SGD([("p", p)], base_lr=1.0, max_iterations=4, momentum=0.9,
+              weight_decay=2e-4, power=1.0, masters={"p": start.copy()})
+    p.grad = np.array([0.5, 0.25, 1e-3], dtype=np.float32)
+    opt.step()
+    master = opt.masters["p"]
+    expect = start - (p.grad.astype(np.float64) + 2e-4 * start)
+    assert master.dtype == opt.velocity["p"].dtype == np.float64
+    assert np.array_equal(master, expect)
+    assert p.data.dtype == np.float32
+    assert np.array_equal(p.data, master.astype(np.float32))
+    # without a given master, a float32 parameter gets a float64 copy
+    own = SGD([("p", p)], base_lr=0.1, max_iterations=4)
+    assert own.masters["p"].dtype == np.float64
+    assert own.masters["p"] is not p.data
+
+
+def test_sgd_float64_parameter_is_its_own_master():
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    opt = SGD([("p", p)], base_lr=0.1, max_iterations=10)
+    assert opt.masters["p"] is p.data
+
+
 def test_sgd_missing_grad_rejected():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = SGD([("p", p)], base_lr=0.1, max_iterations=10)
@@ -307,3 +334,78 @@ def test_side_outputs_count_range_and_gradient_reach():
             list(model.global_stage.decoder.bu_conv):
         assert conv.weight.grad is not None
         assert np.abs(conv.weight.grad).max() > 0
+
+
+def _dtypes(model):
+    return ({p.data.dtype for p in model.parameters()}
+            | {b.dtype for _, b in model.named_buffers()})
+
+
+def test_training_leaves_float64_masters():
+    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
+    before = {n: p.data for n, p in model.named_parameters()}
+    train_two_phase(model, _tiny_scenes(),
+                    TrainConfig(iterations_stage1=1, iterations_stage2=1,
+                                batch_size=1, crop=32, seed=0))
+    assert _dtypes(model) == {np.dtype(np.float64)}
+    # the masters were stepped in place and handed back
+    assert all(p.data is before[n] for n, p in model.named_parameters())
+    assert T.current_dtype() == np.float64
+
+
+def test_error_mid_training_still_leaves_float64_masters(monkeypatch):
+    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
+    before = {n: p.data for n, p in model.named_parameters()}
+
+    def broken(*args):
+        assert T.current_dtype() == np.float32
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        raise RuntimeError("stage two failed")
+
+    monkeypatch.setattr(model, "run_stage2", broken)
+    with pytest.raises(RuntimeError, match="stage two failed"):
+        train_two_phase(model, _tiny_scenes(),
+                        TrainConfig(iterations_stage1=1, iterations_stage2=1,
+                                    batch_size=1, crop=32, seed=0))
+    assert _dtypes(model) == {np.dtype(np.float64)}
+    assert all(p.data is before[n] for n, p in model.named_parameters())
+    assert all(p.grad is None for p in model.parameters())
+    assert T.current_dtype() == np.float64
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_diverging_run_raises_numeric_error():
+    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
+    tcfg = TrainConfig(base_lr=1e8, iterations_stage1=6, iterations_stage2=0,
+                       batch_size=2, crop=32, seed=0)
+    with pytest.raises(NumericError, match=r"stage 1 iteration \d+: "):
+        train_two_phase(model, _tiny_scenes(), tcfg)
+    assert _dtypes(model) == {np.dtype(np.float64)}
+
+
+def test_non_finite_running_statistic_named():
+    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
+    bn = model.local_stage.decoder.smooth.c2.bn
+    bn.running_var[1] = np.inf
+    tcfg = TrainConfig(iterations_stage1=1, iterations_stage2=1, batch_size=1,
+                       crop=32, seed=0)
+    with pytest.raises(NumericError, match=r"stage 1 iteration 0: .*"
+                       r"local_stage\.decoder\.smooth\.c2\.bn\.running_var"):
+        train_two_phase(model, _tiny_scenes(), tcfg)
+
+
+def test_non_finite_gradient_named(monkeypatch):
+    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
+    backward = T.backward
+
+    def poisoned(loss):
+        backward(loss)
+        model.global_stage.head.weight.grad[0, 0, 0, 0] = np.nan
+
+    monkeypatch.setattr(T, "backward", poisoned)
+    tcfg = TrainConfig(iterations_stage1=2, iterations_stage2=0, batch_size=1,
+                       crop=32, seed=0)
+    with pytest.raises(NumericError, match=r"stage 1 iteration 0: gradient norm "
+                       r"is nan; .*global_stage\.head\.weight"):
+        train_two_phase(model, _tiny_scenes(), tcfg)
