@@ -36,12 +36,6 @@ def reshape_tokens(tokens: Tensor, grid: tuple[int, int]) -> Tensor:
     return T.transpose(T.reshape(tokens, (b, h, w, c)), (0, 3, 1, 2))
 
 
-def flatten_map(m: Tensor) -> Tensor:
-    """Inverse of :func:`reshape_tokens` (exact round trip)."""
-    b, c, h, w = m.shape
-    return T.reshape(T.transpose(m, (0, 2, 3, 1)), (b, h * w, c))
-
-
 def top_down_path(maps: list[Tensor], proj: nn.ModuleList,
                   conv: nn.ModuleList) -> list[Tensor]:
     """1x1-project each level, accumulate from the deepest tap down, smooth."""

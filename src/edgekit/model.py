@@ -18,7 +18,7 @@ from . import nn
 from . import tensor as T
 from .decoder import UpsampleBlock, build_decoder
 from .encoder import Encoder
-from .errors import ConfigError, PartitionError, ShapeError, UsageError
+from .errors import ConfigError, NumericError, PartitionError, ShapeError, UsageError
 from .tensor import Tensor
 
 STAGE_MODES = ("two_stage", "stage1_only")
@@ -153,12 +153,6 @@ def partition_windows(image: np.ndarray, divisor: int = 2) -> list[np.ndarray]:
     wh, ww = h // divisor, w // divisor
     return [image[..., iy * wh:(iy + 1) * wh, ix * ww:(ix + 1) * ww]
             for iy in range(divisor) for ix in range(divisor)]
-
-
-def reassemble_windows(windows: list[np.ndarray], divisor: int = 2) -> np.ndarray:
-    rows = [np.concatenate(windows[iy * divisor:(iy + 1) * divisor], axis=-1)
-            for iy in range(divisor)]
-    return np.concatenate(rows, axis=-2)
 
 
 class SideHead(UpsampleBlock):
@@ -407,11 +401,16 @@ class EdgeDetector(nn.Module):
 
 def _as_batch(image: np.ndarray) -> tuple[np.ndarray, bool]:
     """A (3, H, W) or (B, 3, H, W) image as a batch, and whether it was one
-    image; H and W must be at least one pixel."""
+    image; H and W must be at least one pixel and every value finite."""
     squeeze = image.ndim == 3
     if squeeze:
         image = image[None]
     if image.ndim != 4 or 0 in image.shape[-2:]:
         raise ShapeError(f"expected a (B, 3, H, W) input with H, W >= 1, "
                          f"got {image.shape}")
+    if image.shape[1] != 3:
+        raise ShapeError(f"the image has {image.shape[1]} channels; the "
+                         f"detector needs 3 (RGB), got shape {image.shape}")
+    if not np.isfinite(image).all():
+        raise NumericError("the input image holds NaN or Inf")
     return image, squeeze

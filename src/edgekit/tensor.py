@@ -422,13 +422,15 @@ def matmul(a, b) -> Tensor:
 
 
 def softmax(x, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-subtraction)."""
+    """Numerically stable softmax along ``axis`` (max-subtraction), computed
+    in one buffer: the shift, the exponent and the division all write it."""
     x = _as_tensor(x)
-    if np.isnan(x.data).any():
+    top = x.data.max(axis=axis, keepdims=True)
+    if np.isnan(top).any():  # max propagates NaN, so this sees every row
         raise NumericError("softmax received NaN input")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = x.data - top
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def adjoint(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -465,15 +467,19 @@ def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
     """Adjoint of strided cross-correlation: scatter y through w, keeping
     the full map minus ph rows and pw columns on each side.
 
-    The kernel is zero-padded to (qh*sh, qw*sw), so tap (a*sh + r, c*sw + t)
-    of input pixel (n, m) lands at full-map row (n + a)*sh + r. Each tap
-    block (a, c) is one matmul, laid out by one transposing copy as an
-    (h*sh, w*sw) image and added in one go to the part of the kept map it
-    covers; a block that reaches no kept pixel and the dropped border are
-    never computed, and only one block's product is alive at a time. Every
-    output pixel still sums its terms in (i, j) order and the padded taps add
-    exact zeros, so the result equals the per-tap scatter, sliced, bit for
-    bit.
+    Sub-pixel layout (Shi et al., CVPR 2016): the full map is a grid of
+    cells of sh x sw pixels, and cell (m, n) holds the sh*sw output phases
+    of its pixels as one row of ci*sh*sw values. The kernel is zero-padded
+    to (qh*sh, qw*sw); tap (a, c), kernel rows [a*sh, (a+1)*sh) by columns
+    [c*sw, (c+1)*sw), carries input pixel (m - a, n - c) to cell (m, n).
+    Only the cells the kept map touches are accumulated: each tap is one
+    matmul of the NHWC input rows by its (co, ci*sh*sw) matrix, added into
+    the part of one (b, cells, ci*sh*sw) accumulator it reaches, and one
+    depth-to-space copy writes the kept map as a new array. A tap that
+    reaches no kept cell is never computed. Every output pixel sums the same
+    per-tap products as the per-tap scatter, in (a, c) order from zero, and
+    the padded taps add exact zeros, so the result equals that scatter,
+    sliced, bit for bit.
     """
     b, co, h, wdt = y.shape
     _, ci, kh, kw = w.shape
@@ -481,22 +487,43 @@ def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
     qh, qw = -(-kh // sh), -(-kw // sw)
     if (qh * sh, qw * sw) != (kh, kw):
         w = np.pad(w, ((0, 0), (0, 0), (0, qh * sh - kh), (0, qw * sw - kw)))
+    # the kept map covers cells m0 .. m0 + mh - 1 by n0 .. n0 + nw - 1
+    m0, n0 = ph // sh, pw // sw
+    mh, nw = (ph + ho - 1) // sh + 1 - m0, (pw + wo - 1) // sw + 1 - n0
     rows = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, co)
-    out = np.zeros((b, ci, ho, wo), dtype=_state.dtype)
+    acc = np.zeros((b, mh, nw, ci * sh * sw), dtype=_state.dtype)
     for a in range(qh):
-        # full-map rows [r0, r1) of block a's image that the kept map holds
-        r0, r1 = max(a * sh, ph), min((a + h) * sh, ph + ho)
+        # input rows [i0, i1) reach kept cells through tap row a
+        i0, i1 = max(m0 - a, 0), min(m0 + mh - a, h)
         for c in range(qw):
-            c0, c1 = max(c * sw, pw), min((c + wdt) * sw, pw + wo)
-            if r0 < r1 and c0 < c1:
+            j0, j1 = max(n0 - c, 0), min(n0 + nw - c, wdt)
+            if i0 < i1 and j0 < j1:
                 tap = w[:, :, a * sh:(a + 1) * sh, c * sw:(c + 1) * sw]
-                block = ((rows @ tap.reshape(co, -1))
-                         .reshape(b, h, wdt, ci, sh, sw)
-                         .transpose(0, 3, 1, 4, 2, 5)
-                         .reshape(b, ci, h * sh, wdt * sw))
-                out[:, :, r0 - ph:r1 - ph, c0 - pw:c1 - pw] += \
-                    block[:, :, r0 - a * sh:r1 - a * sh, c0 - c * sw:c1 - c * sw]
+                # all b*h*w rows, as the per-tap scatter multiplies them: a
+                # product of fewer rows (one row goes to gemv) can round
+                # differently
+                part = (rows @ tap.reshape(co, -1)).reshape(b, h, wdt, -1)
+                acc[:, i0 + a - m0:i1 + a - m0, j0 + c - n0:j1 + c - n0] += \
+                    part[:, i0:i1, j0:j1]
+    cells = acc.reshape(b, mh, nw, ci, sh, sw).transpose(0, 3, 1, 4, 2, 5)
+    out = np.empty((b, ci, ho, wo), dtype=_state.dtype)
+    for oy, my, ry in _phase_runs(ph - m0 * sh, ho, sh):
+        for ox, mx, rx in _phase_runs(pw - n0 * sw, wo, sw):
+            src = cells[:, :, my, ry, mx, rx]
+            np.reshape(out[:, :, oy, ox], src.shape, copy=False)[...] = src
     return out
+
+
+def _phase_runs(t0: int, n: int, s: int):
+    """Split n map rows, the first at phase t0 of its s-row cell, into at
+    most three runs that each span whole cells or one cell's phase range:
+    (map rows, cells, phases) slices."""
+    a = min(-t0 % s, n)
+    cuts = sorted({0, a, a + (n - a) // s * s, n})
+    for y0, y1 in zip(cuts, cuts[1:]):
+        r = (t0 + y0) % s
+        yield (slice(y0, y1), slice((t0 + y0) // s, (t0 + y1 - 1) // s + 1),
+               slice(r, r + min(y1 - y0, s)))
 
 
 # A stride-1 conv is k*k shifted matmuls of one NHWC copy of its padded

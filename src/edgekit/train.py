@@ -197,9 +197,6 @@ class TrainResult:
     stage1_digest_after_phase1: str = ""
     stage1_digest_final: str = ""
 
-    def stage_losses(self, stage: int) -> list[float]:
-        return [l for _, s, l in self.history if s == stage]
-
 
 def stage1_digest(model: EdgeDetector,
                   masters: dict[str, np.ndarray] | None = None) -> str:

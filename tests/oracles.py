@@ -8,7 +8,8 @@ one graph per annotator for the whole sweep) can be checked against them.
 The convolution references are the engine's earlier kernels: a transposed
 convolution scattered one kernel tap at a time (its padded form slices the
 full map), and a conv2d that multiplies one im2col matrix (every receptive
-field as a row) by the flattened kernel.
+field as a row) by the flattened kernel. The inverses of the model's token
+and window layouts are here too, because only tests need them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from edgekit import tensor as T
+from edgekit.tensor import Tensor
 
 THRESHOLDS = [k / 100.0 for k in range(1, 100)]
 
@@ -130,12 +134,15 @@ def brute_force_report(preds, gt_stacks, tol: float):
     return ods, ois, ap
 
 
-def deconv_loop(y: np.ndarray, w: np.ndarray, sh: int, sw: int) -> np.ndarray:
+def deconv_loop(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
+                dtype=np.float64) -> np.ndarray:
     """Transposed convolution of NCHW ``y`` with a (C_in, C_out, kh, kw)
-    kernel, scattering each of the kh*kw taps with one strided add."""
+    kernel, scattering each of the kh*kw taps with one strided add, in
+    ``dtype``."""
     b, co, h, wdt = y.shape
     _, ci, kh, kw = w.shape
-    out = np.zeros((b, ci, (h - 1) * sh + kh, (wdt - 1) * sw + kw))
+    y, w = y.astype(dtype, copy=False), w.astype(dtype, copy=False)
+    out = np.zeros((b, ci, (h - 1) * sh + kh, (wdt - 1) * sw + kw), dtype=dtype)
     spread = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, co) @ w.reshape(co, -1)
     spread = spread.reshape(b, h, wdt, ci, kh, kw)
     for i in range(kh):
@@ -146,9 +153,9 @@ def deconv_loop(y: np.ndarray, w: np.ndarray, sh: int, sw: int) -> np.ndarray:
 
 
 def deconv_padded(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
-                  ph: int, pw: int) -> np.ndarray:
+                  ph: int, pw: int, dtype=np.float64) -> np.ndarray:
     """:func:`deconv_loop` with ph rows and pw columns sliced off each side."""
-    out = deconv_loop(y, w, sh, sw)
+    out = deconv_loop(y, w, sh, sw, dtype)
     return out[:, :, ph:out.shape[2] - ph, pw:out.shape[3] - pw]
 
 
@@ -188,3 +195,18 @@ def conv_im2col_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, sh: int,
     gp[:, :, :raw.shape[2], :raw.shape[3]] = raw
     gx = gp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]]
     return gx, gw
+
+
+def flatten_map(m: Tensor) -> Tensor:
+    """Inverse of ``decoder.reshape_tokens``: a (B, C, h, w) map to (B, h*w, C)
+    token rows (exact round trip)."""
+    b, c, h, w = m.shape
+    return T.reshape(T.transpose(m, (0, 2, 3, 1)), (b, h * w, c))
+
+
+def reassemble_windows(windows: list[np.ndarray], divisor: int = 2) -> np.ndarray:
+    """Inverse of ``model.partition_windows``: row-major windows back to one
+    image."""
+    rows = [np.concatenate(windows[iy * divisor:(iy + 1) * divisor], axis=-1)
+            for iy in range(divisor)]
+    return np.concatenate(rows, axis=-2)

@@ -15,8 +15,7 @@ import pytest
 from edgekit import tensor as T
 from edgekit.encoder import Encoder
 from edgekit.evalbench import evaluate_predictions, match_correspondence, nms_thin
-from edgekit.model import (GLOBAL_PATCH, EdgeDetector, ModelConfig,
-                           partition_windows, reassemble_windows)
+from edgekit.model import GLOBAL_PATCH, EdgeDetector, ModelConfig, partition_windows
 from edgekit.suite import full_model_check, layer_checks
 from edgekit.synth import generate_scene
 from edgekit.tensor import Tensor
@@ -24,7 +23,7 @@ from edgekit.train import (AnnotationStack, Scene, TrainConfig, class_balance,
                            consensus_labels, stage_loss, train_two_phase,
                            weighted_bce)
 
-from oracles import brute_force_report, optimal_match_count
+from oracles import brute_force_report, optimal_match_count, reassemble_windows
 
 EVAL_TOL = 0.0075
 
@@ -166,8 +165,9 @@ def test_two_phase_freezing(overfit_run):
 def test_overfit_experiment(overfit_run):
     rep = overfit_run["rep_two"]
     seconds = overfit_run["train_seconds"]
-    losses1 = overfit_run["result"].stage_losses(1)
-    losses2 = overfit_run["result"].stage_losses(2)
+    history = overfit_run["result"].history
+    losses1 = [loss for _, stage, loss in history if stage == 1]
+    losses2 = [loss for _, stage, loss in history if stage == 2]
     tenth = max(1, len(losses1) // 10)
     decreasing = (np.median(losses1[-tenth:]) < np.median(losses1[:tenth])
                   and np.median(losses2[-tenth:]) < np.median(losses2[:tenth]))

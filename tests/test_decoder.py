@@ -3,11 +3,12 @@ import pytest
 
 from edgekit import tensor as T
 from edgekit.decoder import (BiMLADecoder, MLADecoder, UpsampleBlock,
-                             build_decoder, flatten_map, reshape_tokens)
+                             build_decoder, reshape_tokens)
 from edgekit.errors import ConfigError, ShapeError
 from edgekit.gradcheck import check_gradients
 from edgekit.model import ModelConfig
 from edgekit.tensor import Tensor
+from oracles import flatten_map
 
 rng = np.random.default_rng(21)
 # (patch, path/smoothing kernel) each stage fixes

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from edgekit import tensor as T
-from edgekit.errors import ConfigError, PartitionError, ShapeError, UsageError
-from edgekit.model import (EdgeDetector, ModelConfig, partition_windows,
-                           reassemble_windows)
+from edgekit.errors import (ConfigError, NumericError, PartitionError, ShapeError,
+                            UsageError)
+from edgekit.model import EdgeDetector, ModelConfig, partition_windows
 from edgekit.tensor import Tensor
+from oracles import reassemble_windows
 
 rng = np.random.default_rng(5)
 
@@ -243,6 +246,27 @@ def test_infer_any_size(mode):
     assert np.array_equal(m.infer(img), m.infer(padded)[..., :70, :50])
     with pytest.raises(ShapeError):
         m.infer(np.zeros((1, 3, 0, 16)))
+
+
+@pytest.mark.parametrize("shape", [(4, 32, 32), (1, 32, 32), (2, 1, 32, 32)])
+def test_infer_names_a_wrong_channel_count(net, shape):
+    img = np.zeros(shape)
+    for run in (net.infer, net.infer_multiscale):
+        with pytest.raises(ShapeError, match=rf"{shape[-3]} channels.*needs 3"):
+            run(img)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_infer_rejects_non_finite_image_before_running(net, value):
+    full = np.full((3, 32, 32), value)
+    one = np.random.default_rng(3).random((1, 3, 32, 32))
+    one[0, 1, 5, 7] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the model must not run into it
+        for img in (full, one):
+            for run in (net.infer, net.infer_multiscale):
+                with pytest.raises(NumericError, match="input image"):
+                    run(img)
 
 
 def test_config_validation():

@@ -58,6 +58,37 @@ def test_softmax_nan_rejected():
         T.softmax(Tensor(bad))
 
 
+@pytest.mark.parametrize("axis", [-1, 0])
+def test_softmax_nan_below_row_max_rejected(axis):
+    bad = rng.normal(size=(3, 5))
+    bad[1, 2] = 50.0          # the row and column maximum
+    bad[1, 4] = np.nan        # elsewhere in that row and in another column
+    bad[2, 2] = np.nan        # same column as the maximum, below it
+    for x in (bad, bad[:, [0, 1, 3, 4, 2]]):
+        with pytest.raises(NumericError):
+            T.softmax(Tensor(x), axis=axis)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape, axis", [((4, 7), -1), ((2, 3, 5, 5), -1),
+                                         ((6, 4), 0), ((2, 5, 3), 1)])
+def test_softmax_equals_three_buffer_formula(shape, axis, dtype):
+    """Output and adjoint equal the shift / exp / divide formula bit for bit."""
+    x = (3.0 * rng.normal(size=shape)).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    want = e / e.sum(axis=axis, keepdims=True)
+    want_gx = (g - (g * want).sum(axis=axis, keepdims=True)) * want
+    with T.compute_dtype(dtype):
+        xt = Tensor(x, requires_grad=True)
+        with T.fresh_tape():
+            out = T.softmax(xt, axis=axis)
+            T.backward(T.tensor_sum(T.mul(out, g)))
+    assert out.data.dtype == dtype
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(xt.grad, want_gx)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8),
        st.floats(-100, 100))
@@ -191,6 +222,46 @@ def test_deconv2d_padded_equals_central_slice_of_reference(kernel, stride, paddi
     for got, ref in ((y.grad, ref_gy), (w.grad, ref_gw)):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("hw", [(3, 5), (6, 2), (1, 4)])
+@pytest.mark.parametrize("kernel, stride, padding", [
+    (4, 2, 1), (16, 8, 4), (8, 4, 2),   # the decoders' and side heads' upsamplers
+    (8, 4, 3), (6, 2, 2),               # kept map starts mid-cell, or on a cell edge
+])
+def test_deconv2d_model_triples_equal_tap_loop(kernel, stride, padding, hw):
+    """The model's (kernel, stride, padding) upsamplers at batch 2 on
+    non-square grids equal the per-tap scatter, sliced, bit for bit."""
+    y = rng.normal(size=(2, 5) + hw)
+    w = rng.normal(size=(5, 3, kernel, kernel))
+    out = T.deconv2d(Tensor(y), Tensor(w), stride=stride, padding=padding).data
+    assert np.array_equal(out, deconv_padded(y, w, stride, stride, padding, padding))
+
+
+@pytest.mark.parametrize("kernel, stride, padding", [(4, 2, 1), (16, 8, 4), (5, 3, 2)])
+def test_deconv2d_output_owns_a_contiguous_map(kernel, stride, padding):
+    """The output is a new C-contiguous array, not a view that keeps the
+    cropped border of a larger buffer alive."""
+    out = T.deconv2d(Tensor(rng.normal(size=(2, 3, 3, 4))),
+                     Tensor(rng.normal(size=(3, 2, kernel, kernel))),
+                     stride=stride, padding=padding).data
+    assert out.flags.c_contiguous
+    assert out.base is None or out.base.nbytes <= out.nbytes
+
+
+@pytest.mark.parametrize("kernel, stride, padding, hw", [
+    ((4, 4), (2, 2), (1, 1), (3, 5)), ((16, 16), (8, 8), (4, 4), (2, 3)),
+    ((8, 8), (4, 4), (2, 2), (4, 2)), ((5, 3), (3, 2), (2, 1), (3, 4)),
+    ((3, 3), (2, 2), (0, 0), (4, 4)),
+])
+def test_deconv2d_float32_equals_float32_tap_loop(kernel, stride, padding, hw):
+    y = rng.normal(size=(2, 3) + hw).astype(np.float32)
+    w = rng.normal(size=(3, 2) + kernel).astype(np.float32)
+    with T.compute_dtype(np.float32):
+        out = T.deconv2d(Tensor(y), Tensor(w), stride=stride, padding=padding).data
+    want = deconv_padded(y, w, *stride, *padding, dtype=np.float32)
+    assert out.dtype == want.dtype == np.float32
+    assert np.array_equal(out, want)
 
 
 def test_deconv2d_padded_adjoint_inner_product():
