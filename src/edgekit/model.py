@@ -349,11 +349,14 @@ class EdgeDetector(nn.Module):
     # -- inference -----------------------------------------------------------
 
     def infer(self, image: np.ndarray) -> np.ndarray:
-        """Edge probabilities (B, 1, H, W) in eval mode, gradient-free.
+        """Float64 edge probabilities (B, 1, H, W) in eval mode,
+        gradient-free, computed in float32 on float32 working copies of the
+        parameters with batch norm folded into the convolutions.
 
         Any H x W runs: the image is edge-padded up to the next multiple of
         both the coarse patch and the fine window cell, and the map is
-        cropped back. Every submodule's train/eval flag is restored afterwards.
+        cropped back. Every submodule's train/eval flag and every parameter
+        is restored afterwards.
         """
         image, squeeze = _as_batch(image)
         h, w = image.shape[-2:]
@@ -364,7 +367,7 @@ class EdgeDetector(nn.Module):
         modes = [(m, m.training) for m in self.modules()]
         self.eval()
         try:
-            with T.no_grad():
+            with T.no_grad(), nn.float32_working_copies(self):
                 f_g, e_g, _ = self.run_stage1(image)
                 if cfg.stage_mode == "stage1_only":
                     out = e_g.data
@@ -374,20 +377,21 @@ class EdgeDetector(nn.Module):
         finally:
             for m, training in modes:
                 m.training = training
-        out = out[..., :h, :w]
+        out = out[..., :h, :w].astype(np.float64)
         return out[0] if squeeze else out
 
     def infer_multiscale(self, image: np.ndarray,
                          scales: tuple[float, ...] = DEFAULT_SCALES) -> np.ndarray:
         """Mean of the edge maps of the image resized to round(s * H) x
-        round(s * W) for every scale s, each map resized back to H x W."""
+        round(s * W) for every scale s, each map resized back to H x W;
+        float64, computed in float32 like :meth:`infer`."""
         scales = tuple(scales)
         if not scales or not all(math.isfinite(s) and s > 0 for s in scales):
             raise ConfigError(f"scales must be finite and positive, got {scales}")
         image, squeeze = _as_batch(image)
         h, w = image.shape[-2:]
         acc = np.zeros((image.shape[0], 1, h, w))
-        with T.no_grad():
+        with T.no_grad(), nn.float32_working_copies(self):
             for s in scales:
                 size = (max(1, round(s * h)), max(1, round(s * w)))
                 if size == (h, w):

@@ -3,11 +3,15 @@
 Modules track their parameters (trainable tensors) and buffers (persistent
 numpy arrays such as batch-norm running moments) in insertion order, which
 keeps checkpoint files and optimizer traversal deterministic.
+
+In eval mode a convolution or transposed convolution followed by batch norm
+runs as one convolution whose weight and bias absorb the normalization.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
@@ -87,6 +91,26 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
+@contextmanager
+def float32_working_copies(model: Module):
+    """Compute in float32 on float32 copies of every parameter, yielding
+    the masters by name; on exit, also after an error, each parameter gets
+    back its master and the gradient it had on entry. A float32 parameter
+    is its own working copy, so a nested scope copies nothing."""
+    params = list(model.named_parameters())
+    masters = {name: p.data for name, p in params}
+    grads = [p.grad for _, p in params]
+    try:
+        for _, p in params:
+            p.data = p.data.astype(np.float32, copy=False)
+        with T.compute_dtype(np.float32):
+            yield masters
+    finally:
+        for (name, p), grad in zip(params, grads):
+            p.data = masters[name]
+            p.grad = grad
+
+
 class ModuleList(Module):
     def __init__(self, modules=()):
         super().__init__()
@@ -139,9 +163,10 @@ class Conv2d(Module):
             requires_grad=True,
         )
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
+        self.padding = k // 2
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, padding=self.weight.shape[-1] // 2)
+        return T.conv2d(x, self.weight, self.bias, padding=self.padding)
 
 
 class Deconv2d(Module):
@@ -165,6 +190,8 @@ class Deconv2d(Module):
 
 
 class BatchNorm2d(Module):
+    eps = 1e-5
+
     def __init__(self, channels: int):
         super().__init__()
         self.gain = Tensor(np.ones(channels), requires_grad=True)
@@ -174,7 +201,13 @@ class BatchNorm2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return T.batch_norm(x, self.gain, self.bias, self.running_mean,
-                            self.running_var, training=self.training)
+                            self.running_var, training=self.training, eps=self.eps)
+
+    def fold(self) -> tuple[Tensor, Tensor]:
+        """Eval-mode normalization as a per-channel ``scale * x + shift``,
+        built from tensor ops, so gradients reach the gain and the bias."""
+        scale = T.div(self.gain, np.sqrt(self.running_var + self.eps))
+        return scale, T.sub(self.bias, T.mul(scale, self.running_mean))
 
 
 class LayerNorm(Module):
@@ -188,7 +221,8 @@ class LayerNorm(Module):
 
 
 class ConvBNReLU(Module):
-    """Conv -> BatchNorm -> ReLU, the decoder's standard smoothing unit."""
+    """Conv -> BatchNorm -> ReLU, the decoder's standard smoothing unit; in
+    eval mode one convolution with the normalization folded into it."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator):
@@ -197,10 +231,17 @@ class ConvBNReLU(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.relu(self.bn(self.conv(x)))
+        if self.bn.training:
+            return T.relu(self.bn(self.conv(x)))
+        scale, shift = self.bn.fold()
+        w = T.mul(self.conv.weight, T.reshape(scale, (-1, 1, 1, 1)))
+        return T.relu(T.conv2d(x, w, shift, padding=self.conv.padding))
 
 
 class DeconvBNReLU(Module):
+    """Transposed conv -> BatchNorm -> ReLU; in eval mode one transposed
+    convolution with the normalization folded into it."""
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int, rng: np.random.Generator):
         super().__init__()
@@ -208,4 +249,9 @@ class DeconvBNReLU(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.relu(self.bn(self.deconv(x)))
+        if self.bn.training:
+            return T.relu(self.bn(self.deconv(x)))
+        scale, shift = self.bn.fold()
+        w = T.mul(self.deconv.weight, T.reshape(scale, (1, -1, 1, 1)))
+        return T.relu(T.deconv2d(x, w, shift, stride=self.deconv.stride,
+                                 padding=self.deconv.padding))

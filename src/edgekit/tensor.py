@@ -4,8 +4,9 @@ Values live in numpy arrays; differentiation is handled by a dynamic tape.
 The engine computes in one floating dtype, float64 unless a
 :func:`compute_dtype` scope selects another: tensors, constants, gradients
 and every temporary follow it, so no op upcasts a float32 operand behind
-the caller's back. Training runs in float32; inference, evaluation and the
-gradient checks run in float64.
+the caller's back. Training and inference run in float32 (inference with
+eval-mode batch norm folded into the convolution weights); evaluation and
+the gradient checks run in float64.
 Every primitive appends one record (output, inputs, adjoint function) to the
 active tape during the forward pass, and ``backward`` replays the records in
 reverse to populate ``.grad`` on every tracked tensor. The graph is rebuilt

@@ -14,18 +14,17 @@ turns NaN or Inf stops training with a :class:`NumericError`.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
 from . import tensor as T
 from .errors import ConfigError, InputError, NumericError, ShapeError, UsageError
 from .model import EdgeDetector
 from .tensor import Tensor
 
 CLAMP_EPS = 1e-7
-TRAIN_DTYPE = np.float32  # compute dtype of training; masters stay float64
 
 
 @dataclass
@@ -239,8 +238,8 @@ def _sample_batch(scenes: list[Scene], cfg: TrainConfig,
         images.append(img)
         labels.append(lab)
         ignores.append(ign)
-    x = np.ascontiguousarray(np.stack(images), dtype=TRAIN_DTYPE)
-    y = np.stack(labels)[:, None].astype(TRAIN_DTYPE)
+    x = np.ascontiguousarray(np.stack(images), dtype=T.current_dtype())
+    y = np.stack(labels)[:, None].astype(T.current_dtype())
     if any_ignore and all(i is not None for i in ignores):
         return x, y, np.stack(ignores)[:, None]
     return x, y, None
@@ -264,7 +263,7 @@ def train_two_phase(model: EdgeDetector, scenes: list[Scene],
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult()
     model.train()
-    with _float32_working_copies(model) as masters:
+    with nn.float32_working_copies(model) as masters:
         _train_phase(model, scenes, cfg, rng, 1, result, masters)
         model.freeze_stage1()
         result.stage1_digest_after_phase1 = stage1_digest(model, masters)
@@ -272,23 +271,6 @@ def train_two_phase(model: EdgeDetector, scenes: list[Scene],
             _train_phase(model, scenes, cfg, rng, 2, result, masters)
     result.stage1_digest_final = stage1_digest(model)
     return result
-
-
-@contextmanager
-def _float32_working_copies(model: EdgeDetector):
-    """Compute in float32 on float32 copies of every parameter, yielding
-    the float64 masters by name; each parameter gets its master back on
-    exit, also after an error."""
-    masters = {name: p.data for name, p in model.named_parameters()}
-    try:
-        for name, p in model.named_parameters():
-            p.data = masters[name].astype(TRAIN_DTYPE)
-        with T.compute_dtype(TRAIN_DTYPE):
-            yield masters
-    finally:
-        for name, p in model.named_parameters():
-            p.data = masters[name]
-            p.grad = None
 
 
 def _train_phase(model: EdgeDetector, scenes: list[Scene], cfg: TrainConfig,

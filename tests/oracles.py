@@ -9,15 +9,19 @@ The convolution references are the engine's earlier kernels: a transposed
 convolution scattered one kernel tap at a time (its padded form slices the
 full map), and a conv2d that multiplies one im2col matrix (every receptive
 field as a row) by the flattened kernel. The inverses of the model's token
-and window layouts are here too, because only tests need them.
+and window layouts are here too, because only tests need them, and so is
+the model's earlier inference path: float64 throughout, with eval-mode batch
+norm run by ``T.batch_norm`` after each convolution instead of folded in.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
+from edgekit import nn
 from edgekit import tensor as T
 from edgekit.tensor import Tensor
 
@@ -210,3 +214,14 @@ def reassemble_windows(windows: list[np.ndarray], divisor: int = 2) -> np.ndarra
     rows = [np.concatenate(windows[iy * divisor:(iy + 1) * divisor], axis=-1)
             for iy in range(divisor)]
     return np.concatenate(rows, axis=-2)
+
+
+def unfold_batch_norm_in_float64(monkeypatch) -> None:
+    """Make ``infer`` and ``infer_multiscale`` compute in float64 on the
+    float64 parameters, with every eval-mode batch norm a ``T.batch_norm``
+    call after its convolution, for the rest of the test."""
+    monkeypatch.setattr(nn, "float32_working_copies", lambda model: nullcontext({}))
+    monkeypatch.setattr(nn.ConvBNReLU, "forward",
+                        lambda self, x: T.relu(self.bn(self.conv(x))))
+    monkeypatch.setattr(nn.DeconvBNReLU, "forward",
+                        lambda self, x: T.relu(self.bn(self.deconv(x))))

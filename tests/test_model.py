@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from edgekit import nn
 from edgekit import tensor as T
 from edgekit.errors import (ConfigError, NumericError, PartitionError, ShapeError,
                             UsageError)
 from edgekit.model import EdgeDetector, ModelConfig, partition_windows
 from edgekit.tensor import Tensor
-from oracles import reassemble_windows
+from oracles import reassemble_windows, unfold_batch_norm_in_float64
 
 rng = np.random.default_rng(5)
 
@@ -181,7 +182,7 @@ def test_infer_stage_modes(image):
     out_two = two.infer(image)
     out_one = one.infer(image)
     one.eval()  # infer restores the training mode the model was built in
-    with T.no_grad():
+    with T.no_grad(), nn.float32_working_copies(one):
         _, e_g, _ = one.run_stage1(image)
     assert np.array_equal(out_one, e_g.data)
     assert not np.array_equal(out_one, out_two)
@@ -202,7 +203,9 @@ def test_multiscale_single_scale_equals_infer():
     # scale 1.0 keeps the image's own size, native or not
     for hw in ((32, 32), (64, 64), (80, 48)):
         img = rng.random((1, 3, *hw))
-        assert np.array_equal(net2.infer_multiscale(img, (1.0,)), net2.infer(img))
+        single, multi = net2.infer(img), net2.infer_multiscale(img, (1.0,))
+        assert single.dtype == multi.dtype == np.float64
+        assert np.array_equal(multi, single)
 
 
 def test_multiscale_range_and_commutativity():
@@ -367,3 +370,78 @@ def test_infer_restores_every_module_mode(image):
     assert net2.training
     assert not any(m.training for m in net2.global_stage.modules())
     assert all(m.training for m in net2.local_stage.modules())
+
+
+def _conv_calls(monkeypatch, run) -> dict[str, int]:
+    """How often ``run()`` calls each convolution and batch-norm primitive."""
+    counts = dict.fromkeys(("conv2d", "deconv2d", "batch_norm"), 0)
+    for op in counts:
+        def counted(*args, _op=op, _f=getattr(T, op), **kwargs):
+            counts[_op] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(T, op, counted)
+    run()
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("mode", ["two_stage", "stage1_only"])
+def test_infer_folds_every_batch_norm(monkeypatch, image, mode):
+    """Folded inference runs no batch norm and the same convolutions as the
+    float64 unfolded path."""
+    net2 = EdgeDetector(tiny_cfg(stage_mode=mode), seed=6)
+    for run in (lambda: net2.infer(image),
+                lambda: net2.infer_multiscale(image, (0.5, 1.0))):
+        folded = _conv_calls(monkeypatch, run)
+        unfold_batch_norm_in_float64(monkeypatch)
+        unfolded = _conv_calls(monkeypatch, run)
+        assert folded["batch_norm"] == 0 and unfolded["batch_norm"] > 0
+        assert folded["conv2d"] == unfolded["conv2d"]
+        assert folded["deconv2d"] == unfolded["deconv2d"]
+
+
+def test_float32_infer_batched_equals_per_image():
+    """What the benchmark's batch check needs: a batch and its images one
+    at a time give the same map, bit for bit."""
+    for seed in range(5):
+        net2 = EdgeDetector(ModelConfig.toy(), seed=seed)
+        imgs = np.random.default_rng(100 + seed).random((2, 3, 64, 64))
+        singles = np.stack([net2.infer(img) for img in imgs])
+        assert np.array_equal(net2.infer(imgs), singles)
+
+
+@pytest.mark.parametrize("run", ["infer", "infer_multiscale"])
+def test_infer_hands_back_float64_parameters(image, run):
+    net2 = EdgeDetector(tiny_cfg(), seed=8)
+    before = {n: p.data for n, p in net2.named_parameters()}
+    head = net2.global_stage.head.weight
+    head.grad = grad = np.ones_like(head.data)  # a caller's pending gradient
+    out = getattr(net2, run)(image)
+    assert out.dtype == np.float64
+    assert all(p.data is before[n] for n, p in net2.named_parameters())
+    assert head.grad is grad
+    assert T.current_dtype() == np.float64
+    net2.local_stage.encoder.blocks[0].attn.w_q.data[0, 0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericError):
+            getattr(net2, run)(image)
+    assert all(p.data is before[n] for n, p in net2.named_parameters())
+    assert {p.data.dtype for p in net2.parameters()} == {np.dtype(np.float64)}
+    assert T.current_dtype() == np.float64
+
+
+def test_float32_infer_close_to_float64_unfolded(monkeypatch):
+    """At 161 x 241 (edge-padded to 176 x 256) the float32 folded map stays
+    within 2e-6 of the float64 map with batch norm unfolded."""
+    net2 = EdgeDetector(ModelConfig.toy(), seed=1)
+    r = np.random.default_rng(4)
+    for name, b in net2.named_buffers():  # statistics that make folding matter
+        b[...] = (r.normal(0.0, 0.3, b.shape) if name.endswith("mean")
+                  else r.uniform(0.5, 2.0, b.shape))
+    img = r.random((1, 3, 161, 241))
+    fast = net2.infer(img)
+    unfold_batch_norm_in_float64(monkeypatch)
+    ref = net2.infer(img)
+    assert np.abs(fast - ref).max() < 2e-6
+    assert 0 < np.abs(fast - ref).max()
