@@ -3,10 +3,13 @@
 The protocol: thin each probability map by non-maximum suppression along the
 gradient normal, binarize at 99 thresholds, match predicted pixels against
 every annotator map by an exact maximum one-to-one matching within a
-tolerance radius (a fraction of the image diagonal; Hopcroft-Karp, as the
-BSDS benchmark solves it as an assignment problem), then aggregate
+tolerance radius (a fraction of the image diagonal), then aggregate
 dataset-level ODS, per-image OIS, and the area under the precision-recall
 curve.
+
+The matching is maximum per annotator, with predicted pixels taken strongest
+first, so the matched pixels are nested across thresholds: one incremental
+matching per annotator and image serves all 99 thresholds.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
 
@@ -41,14 +42,10 @@ def _gaussian_smooth5(x: np.ndarray) -> np.ndarray:
 
 
 def _central_gradients(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gy = np.empty_like(s)
-    gx = np.empty_like(s)
-    gy[1:-1, :] = (s[2:, :] - s[:-2, :]) * 0.5
-    gy[0, :] = s[1, :] - s[0, :]
-    gy[-1, :] = s[-1, :] - s[-2, :]
-    gx[:, 1:-1] = (s[:, 2:] - s[:, :-2]) * 0.5
-    gx[:, 0] = s[:, 1] - s[:, 0]
-    gx[:, -1] = s[:, -1] - s[:, -2]
+    """Central differences inside, one-sided at the borders, and zero along
+    an axis of length one, which has no neighbour to difference."""
+    gy, gx = (np.gradient(s, axis=a) if s.shape[a] > 1 else np.zeros_like(s)
+              for a in (0, 1))
     return gy, gx
 
 
@@ -101,10 +98,12 @@ def nms_thin(edge: np.ndarray) -> np.ndarray:
 
 
 class _Graph(NamedTuple):
-    """Candidate pairs of ranked predicted pixels (rows) and ground-truth
-    pixels (columns, in raster order) within the tolerance radius, as CSR
-    arrays. ``own_matching`` holds each row's column (or -1) when no pixel on
-    either side has two candidates, so the graph is its own maximum matching."""
+    """Candidate pairs of ranked predicted pixels (rows, strongest first) and
+    ground-truth pixels (columns, in raster order) within the tolerance
+    radius, as CSR arrays with each row's candidates nearest first.
+    ``own_matching`` holds each row's column (or -1) when no pixel on either
+    side has two candidates: the graph is then its own maximum matching, and
+    the strongest-first one, since no two rows compete for a column."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -148,7 +147,8 @@ def _ranked_pixels(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _candidate_graph(pts: np.ndarray, gt: np.ndarray, radius: float) -> _Graph:
     """Pairs each row of ``pts`` with the ground-truth pixels within
     ``radius``, nearest first: every pixel looks up the integer offsets of
-    the disk in an index grid of the ground truth, with no loop over pixels."""
+    the disk in a flat index grid of the ground truth, padded by the radius,
+    with no loop over pixels."""
     h, w = gt.shape
     ry = min(int(radius), h - 1)
     rx = min(int(radius), w - 1)
@@ -160,12 +160,13 @@ def _candidate_graph(pts: np.ndarray, gt: np.ndarray, radius: float) -> _Graph:
     dy, dx = dy[nearest], dx[nearest]
 
     gt_pts = np.argwhere(gt)
-    index = np.full((h + 2 * ry, w + 2 * rx), -1, dtype=np.int32)
-    index[gt_pts[:, 0] + ry, gt_pts[:, 1] + rx] = np.arange(len(gt_pts))
-    cand = index[pts[:, :1] + ry + dy, pts[:, 1:] + rx + dx]
+    wp = w + 2 * rx
+    index = np.full((h + 2 * ry) * wp, -1, dtype=np.int32)
+    index[(gt_pts[:, 0] + ry) * wp + gt_pts[:, 1] + rx] = np.arange(len(gt_pts))
+    cand = index[((pts[:, 0] + ry) * wp + pts[:, 1] + rx)[:, None] + (dy * wp + dx)]
     hit = cand >= 0
     indptr = np.zeros(len(pts) + 1, dtype=np.int32)
-    np.cumsum(hit.sum(axis=1), out=indptr[1:])
+    np.cumsum(np.count_nonzero(hit, axis=1), out=indptr[1:])
     indices = cand[hit]
 
     own = None
@@ -177,16 +178,58 @@ def _candidate_graph(pts: np.ndarray, gt: np.ndarray, radius: float) -> _Graph:
     return _Graph(indptr, indices, gt_pts, own)
 
 
-def _maximum_matching(graph: _Graph, n: int) -> np.ndarray:
-    """Column matched to each of the first ``n`` rows (-1 if none) in a
-    maximum one-to-one matching (Hopcroft-Karp), deterministic for a given
-    graph."""
+def _maximum_matching(graph: _Graph) -> np.ndarray:
+    """Column matched to each row (-1 if none), rows taken strongest first.
+
+    A row is matched iff the matching of the rows before it has an augmenting
+    path from it, so for every n the matched rows among the first n form a
+    maximum matching of those n rows: the greedy basis of the transversal
+    matroid, nested across prefixes and independent of which path is taken.
+    A row takes its nearest free candidate if it has one; otherwise a
+    breadth-first search over alternating paths looks for a free column and
+    flips the path to it, which never unmatches a row. The columns a failed
+    search reaches are matched to rows whose candidates all lie among them,
+    so no later path can leave them, and they are closed for good.
+    """
     if graph.own_matching is not None:
-        return graph.own_matching[:n]
-    nnz = graph.indptr[n]
-    rows = csr_matrix((np.ones(nnz, dtype=np.int8), graph.indices[:nnz],
-                       graph.indptr[:n + 1]), shape=(n, len(graph.gt_pts)))
-    return maximum_bipartite_matching(rows, perm_type="column")
+        return graph.own_matching
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    col_of = [-1] * (len(indptr) - 1)
+    row_of = [-1] * len(graph.gt_pts)
+    closed: set[int] = set()
+    for r in np.flatnonzero(np.diff(graph.indptr)).tolist():
+        for c in indices[indptr[r]:indptr[r + 1]]:
+            if row_of[c] < 0:
+                row_of[c] = r
+                col_of[r] = c
+                break
+        else:
+            via: dict[int, int] = {}  # reached column -> row it was reached from
+            queue = [r]
+            free = -1
+            for u in queue:
+                for c in indices[indptr[u]:indptr[u + 1]]:
+                    if c in via or c in closed:
+                        continue
+                    via[c] = u
+                    if row_of[c] < 0:
+                        free = c
+                        break
+                    queue.append(row_of[c])
+                if free >= 0:
+                    break
+            if free < 0:
+                closed.update(via)
+                continue
+            c = free
+            while c >= 0:
+                u = via[c]
+                c_next = col_of[u]
+                row_of[c] = u
+                col_of[u] = c
+                c = c_next
+    return np.array(col_of, dtype=np.int32)
 
 
 def match_correspondence(pred: np.ndarray, gt: np.ndarray,
@@ -195,18 +238,18 @@ def match_correspondence(pred: np.ndarray, gt: np.ndarray,
     """Maximum one-to-one matching of edge pixels within the tolerance radius.
 
     The radius is ``tol`` times the image diagonal. The nonzero pixels of
-    ``pred`` are the predicted edges; they are offered to the matcher
-    strongest first (raster order among equals), which fixes which of several
-    maximum matchings is returned, so a probability map zeroed below a
-    threshold is matched exactly as ``pr_sweep`` matches it at that
-    threshold. Returns boolean masks of matched predicted and matched
-    ground-truth pixels.
+    ``pred`` are the predicted edges, taken strongest first (raster order
+    among equals): a pixel is matched iff the matching of the stronger ones
+    can grow to include it. The matched predicted pixels are therefore nested
+    across thresholds, and a probability map zeroed below a threshold is
+    matched exactly as ``pr_sweep`` matches it at that threshold. Returns
+    boolean masks of matched predicted and matched ground-truth pixels.
     """
     pred = _finite_map(pred, "prediction")
     (gt,) = _annotator_maps([gt], pred.shape)
     pts, _ = _ranked_pixels(pred)
     graph = _candidate_graph(pts, gt, _radius(pred.shape, tol))
-    cols = _maximum_matching(graph, len(pts))
+    cols = _maximum_matching(graph)
     matched_pred = np.zeros(pred.shape, dtype=bool)
     matched_gt = np.zeros(pred.shape, dtype=bool)
     hit = cols >= 0
@@ -230,9 +273,9 @@ def pr_sweep(thinned: np.ndarray, gts: list[np.ndarray],
     over all annotators. Returns an array of rows
     (matched_pred, total_pred, matched_gt, total_gt), one per threshold.
 
-    Each annotator's candidate graph is built once, with one row per
-    predicted pixel strongest first, so every threshold matches a prefix of
-    its rows; a threshold that admits no new pixel repeats the previous row.
+    Each annotator is matched once, over the pixels of the lowest threshold
+    taken strongest first; the pixels matched at a higher threshold are the
+    ones of its prefix, so every row is read from cumulative sums.
     """
     if not gts:
         raise InputError("need at least one ground-truth map")
@@ -243,20 +286,18 @@ def pr_sweep(thinned: np.ndarray, gts: list[np.ndarray],
     # pixels at or above each threshold: a prefix of the ranked rows
     prefix = np.searchsorted(-values, -THRESHOLDS, side="right")
     pts = pts[:prefix[0]]
-    graphs = [_candidate_graph(pts, g, radius) for g in gts]
-    total_gt = sum(len(gr.gt_pts) for gr in graphs)
-    counts = np.zeros((len(THRESHOLDS), 4), dtype=np.int64)
-    for k, n in enumerate(prefix):
-        if k == 0 or n != prefix[k - 1]:
-            matched_any = np.zeros(n, dtype=bool)
-            matched_gt = 0
-            for gr in graphs:
-                hit = _maximum_matching(gr, n) >= 0
-                matched_any |= hit
-                matched_gt += int(hit.sum())
-            row = (int(matched_any.sum()), int(n), matched_gt, total_gt)
-        counts[k] = row
-    return counts
+    matched_any = np.zeros(len(pts), dtype=bool)
+    matched_gt = np.zeros(len(pts) + 1, dtype=np.int64)
+    total_gt = 0
+    for gt in gts:
+        graph = _candidate_graph(pts, gt, radius)
+        hit = _maximum_matching(graph) >= 0
+        matched_any |= hit
+        matched_gt[1:] += np.cumsum(hit)
+        total_gt += len(graph.gt_pts)
+    any_so_far = np.concatenate(([0], np.cumsum(matched_any)))
+    return np.stack([any_so_far[prefix], prefix, matched_gt[prefix],
+                     np.full(len(prefix), total_gt)], axis=1).astype(np.int64)
 
 
 def _prf(mp: float, tp: float, mg: float, tg: float) -> tuple[float, float, float]:

@@ -2,8 +2,12 @@
 
 These deliberately re-implement matching and score aggregation with plain
 loops and exact maximum-cardinality assignment (Kuhn's augmenting paths), so
-the production bench (Hopcroft-Karp matching on vectorized candidate graphs,
-one graph per annotator for the whole sweep) can be checked against them.
+the production bench can be checked against them. Its rule is the same: the
+matching is maximum per annotator, with predicted pixels taken strongest
+first, so the matched pixels are nested across thresholds. The bench finds it
+with one incremental breadth-first matching per annotator on vectorized
+candidate graphs; Kuhn's method, taking the rows in the order given, finds it
+by depth-first search.
 
 The convolution references are the engine's earlier kernels: a transposed
 convolution scattered one kernel tap at a time (its padded form slices the
@@ -28,8 +32,10 @@ from edgekit.tensor import Tensor
 THRESHOLDS = [k / 100.0 for k in range(1, 100)]
 
 
-def optimal_match_count(pred_pts, gt_pts, radius: float) -> int:
-    """Maximum one-to-one matching within ``radius`` (Kuhn's augmenting paths)."""
+def ordered_matched_rows(pred_pts, gt_pts, radius: float) -> list[int]:
+    """Indices of the predicted points matched by Kuhn's augmenting paths
+    within ``radius``, taking the points in the order given: a point is
+    matched iff the matching of the points before it can grow to include it."""
     pred_pts = [tuple(int(v) for v in p) for p in pred_pts]
     gt_pts = [tuple(int(v) for v in g) for g in gt_pts]
     r2 = radius * radius
@@ -51,11 +57,19 @@ def optimal_match_count(pred_pts, gt_pts, radius: float) -> int:
                 return True
         return False
 
-    count = 0
-    for pi in range(len(pred_pts)):
-        if augment(pi, set()):
-            count += 1
-    return count
+    return [pi for pi in range(len(pred_pts)) if augment(pi, set())]
+
+
+def optimal_match_count(pred_pts, gt_pts, radius: float) -> int:
+    """Maximum one-to-one matching within ``radius`` (Kuhn's augmenting paths)."""
+    return len(ordered_matched_rows(pred_pts, gt_pts, radius))
+
+
+def ranked_points(prob: np.ndarray) -> np.ndarray:
+    """Nonzero pixels of ``prob``, strongest first, raster order among equals."""
+    pts = np.argwhere(prob != 0)
+    order = sorted(range(len(pts)), key=lambda i: -prob[tuple(pts[i])])
+    return pts[order]
 
 
 def optimal_match_mask(pred: np.ndarray, gt: np.ndarray,
@@ -73,7 +87,8 @@ def brute_force_report(preds, gt_stacks, tol: float):
     """Re-derive the ODS/OIS/AP triple with loops and optimal matching.
 
     Semantics mirror the bench: 99 thresholds, per-annotator one-to-one
-    matching (true positive if matched in any map), pooled ground-truth
+    maximum matching with predicted pixels taken strongest first (true
+    positive if matched in any map), pooled ground-truth
     recall, dataset-summed ODS, per-image-best OIS, and the envelope
     trapezoid AP anchored at recall 0 / precision 1.
     """
@@ -84,23 +99,16 @@ def brute_force_report(preds, gt_stacks, tol: float):
         rows = []
         total_gt = sum(int(np.sum(g)) for g in gts)
         for t in THRESHOLDS:
-            pb = pred >= t
-            pred_pts = [tuple(p) for p in np.argwhere(pb)]
+            pred_pts = [tuple(p) for p in ranked_points(np.where(pred >= t, pred, 0.0))]
             matched_pred_pixels = set()
             matched_gt = 0
             for g in gts:
                 gt_pts = [tuple(q) for q in np.argwhere(np.asarray(g, bool))]
-                # independent exact matching: per-annotator assignment
-                count = optimal_match_count(pred_pts, gt_pts, radius)
-                matched_gt += count
-                # recover which pred pixels matched: rerun assignment greedily
-                # over an exact matching is unnecessary here because the
-                # handcrafted cases keep assignments unambiguous; mark any
-                # pred pixel with a gt pixel in radius, capped by the count.
-                in_range = [p for p in pred_pts
-                            if any((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-                                   <= radius * radius for q in gt_pts)]
-                matched_pred_pixels.update(in_range[:count])
+                # independent exact matching: per-annotator assignment,
+                # predicted pixels taken strongest first
+                hit = ordered_matched_rows(pred_pts, gt_pts, radius)
+                matched_gt += len(hit)
+                matched_pred_pixels.update(pred_pts[i] for i in hit)
             rows.append((len(matched_pred_pixels), len(pred_pts),
                          matched_gt, total_gt))
         per_image.append(rows)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from edgekit import evalbench
 from edgekit.errors import ConfigError, InputError, NumericError, ShapeError
 from edgekit.evalbench import (THRESHOLDS, aggregate_ods_ois_ap,
                                evaluate_predictions, match_correspondence,
                                nms_thin, pr_sweep)
 
-from oracles import brute_force_report, optimal_match_count
+from oracles import (brute_force_report, optimal_match_count,
+                     ordered_matched_rows, ranked_points)
 
 rng = np.random.default_rng(31)
 
@@ -35,6 +37,16 @@ def test_nms_three_column_band_keeps_maximum_column():
 def test_nms_constant_map_all_survive():
     edge = np.full((6, 6), 0.5)
     assert np.array_equal(nms_thin(edge), edge)
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)])
+def test_single_row_column_and_pixel_maps_evaluate(shape):
+    g = np.random.default_rng(sum(shape))
+    pred = g.random(shape)
+    gt = g.random(shape) < 0.5
+    assert nms_thin(pred).shape == shape
+    report = evaluate_predictions([pred], [[gt]])
+    assert all(0.0 <= s <= 1.0 for s in (report.ods, report.ois, report.ap))
 
 
 def test_nms_support_subset_and_values_preserved():
@@ -135,13 +147,6 @@ def test_pr_sweep_threshold_above_max_empty_and_precision_one():
     assert counts[k, 1] == 0
 
 
-def test_pr_sweep_monotone_pred_counts():
-    pred = rng.random((16, 16))
-    gt = (rng.random((16, 16)) < 0.2).astype(np.uint8)
-    counts = pr_sweep(pred, [gt], tol=0.05)
-    assert np.all(np.diff(counts[:, 1]) <= 0)
-
-
 # Radii in pixels on a 16x16 map: from the four direct neighbours at 1.0 px
 # to a disk of 57 offsets at 4.3 px.
 PROPERTY_RADII = (1.0, 2.26, 2.7, 4.3)
@@ -152,6 +157,60 @@ def _property_maps(g):
     prob = np.round(g.random((16, 16)), 2) * (g.random((16, 16)) < 0.5)
     gts = [g.random((16, 16)) < 0.2 for _ in range(3)]
     return prob, gts
+
+
+def test_pr_sweep_monotone_pred_counts():
+    # matched predicted, total predicted and matched ground-truth pixels
+    # never increase as the threshold rises
+    for radius in PROPERTY_RADII:
+        g = np.random.default_rng(int(radius * 100) + 2)
+        tol = radius / np.hypot(16, 16)
+        for prob, gts in [_property_maps(g), (g.random((16, 16)), [
+                (g.random((16, 16)) < 0.2).astype(np.uint8)])]:
+            counts = pr_sweep(prob, gts, tol=tol)
+            assert np.all(np.diff(counts[:, :3], axis=0) <= 0), radius
+
+
+@pytest.mark.parametrize("radius", PROPERTY_RADII)
+def test_match_correspondence_takes_pixels_strongest_first(radius):
+    g = np.random.default_rng(int(radius * 100) + 3)
+    tol = radius / np.hypot(16, 16)
+    for _ in range(3):
+        prob, gts = _property_maps(g)
+        pts = ranked_points(prob)
+        for gt in gts:
+            expect = np.zeros(prob.shape, bool)
+            hit = pts[ordered_matched_rows(pts, np.argwhere(gt), radius)]
+            expect[hit[:, 0], hit[:, 1]] = True
+            mp, mg = match_correspondence(prob, gt, tol=tol)
+            assert np.array_equal(mp, expect)
+            assert mg.sum() == mp.sum()
+
+
+def test_shortcut_and_search_agree_below_one_pixel():
+    g = np.random.default_rng(9)
+    for _ in range(5):
+        prob, gts = _property_maps(g)
+        pts = ranked_points(prob)
+        for gt in gts:
+            graph = evalbench._candidate_graph(pts, gt, 0.99)
+            assert graph.own_matching is not None
+            searched = evalbench._maximum_matching(graph._replace(own_matching=None))
+            assert np.array_equal(evalbench._maximum_matching(graph), searched)
+
+
+def test_pr_sweep_matches_once_per_annotator(monkeypatch):
+    calls = []
+    matching = evalbench._maximum_matching
+
+    def counted(graph):
+        calls.append(graph)
+        return matching(graph)
+
+    monkeypatch.setattr(evalbench, "_maximum_matching", counted)
+    prob, gts = _property_maps(np.random.default_rng(10))
+    pr_sweep(prob, gts, tol=2.7 / np.hypot(16, 16))
+    assert len(calls) == len(gts)
 
 
 @pytest.mark.parametrize("radius", PROPERTY_RADII)
