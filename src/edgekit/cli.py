@@ -116,17 +116,28 @@ def _scale_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:  # argparse reports "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="edgekit",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--out", required=True)
-    p.add_argument("--annotators", type=int, default=5)
+    p.add_argument("--annotators", type=_int_at_least(1), default=5)
     p.add_argument("--jitter", type=float, default=0.08)
     p.set_defaults(fn=_cmd_synth)
 
@@ -153,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--quick", action="store_true",
                    help="layer checks only, skip the full-model sweep")
     p.set_defaults(fn=_cmd_gradcheck)

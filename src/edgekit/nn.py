@@ -152,7 +152,7 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """Stride-1 convolution padded by k // 2, so an odd kernel keeps the size."""
+    """Stride-1 convolution with an odd k x k kernel; the map keeps its size."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, bias: bool = True):
@@ -163,10 +163,9 @@ class Conv2d(Module):
             requires_grad=True,
         )
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
-        self.padding = k // 2
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, padding=self.padding)
+        return T.conv2d(x, self.weight, self.bias)
 
 
 class Deconv2d(Module):
@@ -235,7 +234,7 @@ class ConvBNReLU(Module):
             return T.relu(self.bn(self.conv(x)))
         scale, shift = self.bn.fold()
         w = T.mul(self.conv.weight, T.reshape(scale, (-1, 1, 1, 1)))
-        return T.relu(T.conv2d(x, w, shift, padding=self.conv.padding))
+        return T.relu(T.conv2d(x, w, shift))
 
 
 class DeconvBNReLU(Module):

@@ -45,12 +45,14 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
                                    [r(size=(2, 3, 4)), r(size=(4,))], rng)),
         ("mul_broadcast", check_op(lambda a, b: T.mul(a, b),
                                    [r(size=(2, 1, 4)), r(size=(2, 3, 1))], rng)),
-        ("conv2d_s1", check_op(lambda x, w, b: T.conv2d(x, w, b, 1, 1),
-                               [r(size=(2, 3, 6, 6)), r(size=(4, 3, 3, 3)),
-                                r(size=4)], rng)),
-        ("conv2d_s2", check_op(lambda x, w, b: T.conv2d(x, w, b, 2, 1),
-                               [r(size=(1, 2, 6, 6)), r(size=(3, 2, 3, 3)),
-                                r(size=3)], rng)),
+        ("sub_broadcast", check_op(lambda a, b: T.sub(a, b),
+                                   [r(size=(3, 4)), r(size=(3, 1))], rng)),
+        ("div_broadcast", check_op(lambda a, b: T.div(a, b),
+                                   [r(size=(3, 4)), np.abs(r(size=(4,))) + 0.5],
+                                   rng)),
+        ("conv2d", check_op(lambda x, w, b: T.conv2d(x, w, b),
+                            [r(size=(2, 3, 6, 6)), r(size=(4, 3, 3, 3)),
+                             r(size=4)], rng)),
         ("deconv2d_s2", check_op(lambda x, w, b: T.deconv2d(x, w, b, 2),
                                  [r(size=(2, 2, 4, 4)), r(size=(2, 3, 4, 4)),
                                   r(size=3)], rng)),
@@ -72,10 +74,10 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
         ("sqrt", check_op(T.sqrt, [np.abs(r(size=(3, 3))) + 0.5], rng)),
         ("clip", check_op(lambda x: T.clip(x, -0.5, 0.5),
                           [r(size=(4, 4)) * 2], rng)),
-        ("sum_axis", check_op(lambda x: T.tensor_sum(x, axis=1),
-                              [r(size=(3, 4, 2))], rng)),
-        ("mean", check_op(lambda x: T.tensor_mean(x, axis=(0, 2)),
-                          [r(size=(3, 4, 2))], rng)),
+        ("tensor_sum_axis", check_op(lambda x: T.tensor_sum(x, axis=1),
+                                     [r(size=(3, 4, 2))], rng)),
+        ("tensor_mean", check_op(lambda x: T.tensor_mean(x, axis=(0, 2)),
+                                 [r(size=(3, 4, 2))], rng)),
         ("reshape", check_op(lambda x: T.reshape(x, (6, 4)),
                              [r(size=(2, 3, 4))], rng)),
         ("transpose", check_op(lambda x: T.transpose(x, (2, 0, 1)),
@@ -133,7 +135,7 @@ def _two_block_encoder_check(rng: np.random.Generator) -> tuple[str, GradcheckRe
 
     def loss_fn():
         taps, _ = enc(img)
-        return T.tensor_sum(T.mul(taps[0], 0.7)) + T.tensor_sum(taps[1])
+        return T.add(T.tensor_sum(T.mul(taps[0], 0.7)), T.tensor_sum(taps[1]))
 
     return ("encoder_2block", check_gradients(
         loss_fn, list(enc.named_parameters()), rng, probes_per_tensor=2))

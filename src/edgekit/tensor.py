@@ -7,6 +7,8 @@ and every temporary follow it, so no op upcasts a float32 operand behind
 the caller's back. Training and inference run in float32 (inference with
 eval-mode batch norm folded into the convolution weights); evaluation and
 the gradient checks run in float64.
+:func:`conv2d` is the stride-1, size-keeping convolution (odd kernels);
+:func:`deconv2d` takes the strides and paddings that change resolution.
 Every primitive appends one record (output, inputs, adjoint function) to the
 active tape during the forward pass, and ``backward`` replays the records in
 reverse to populate ``.grad`` on every tracked tensor. The graph is rebuilt
@@ -52,61 +54,12 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # operator sugar; the free functions do the real work
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
 class _Record:
@@ -126,9 +79,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def clear(self) -> None:
-        self.records.clear()
 
     def backward(self, loss: Tensor) -> None:
         """Replay adjoints in reverse, accumulating into ``.grad`` buffers."""
@@ -459,14 +409,13 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int):
         strides=(s0, s1, s2 * sh, s3 * sw, s2, s3),
         writeable=False,
     )
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * kh * kw)
-    return cols, ho, wo
+    return view.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * kh * kw)
 
 
 def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
-                ph: int = 0, pw: int = 0) -> np.ndarray:
-    """Adjoint of strided cross-correlation: scatter y through w, keeping
-    the full map minus ph rows and pw columns on each side.
+                ph: int, pw: int) -> np.ndarray:
+    """Transposed convolution: scatter y through w at stride (sh, sw),
+    keeping the full map minus ph rows and pw columns on each side.
 
     Sub-pixel layout (Shi et al., CVPR 2016): the full map is a grid of
     cells of sh x sw pixels, and cell (m, n) holds the sh*sw output phases
@@ -527,16 +476,12 @@ def _phase_runs(t0: int, n: int, s: int):
                slice(r, r + min(y1 - y0, s)))
 
 
-# A stride-1 conv is k*k shifted matmuls of one NHWC copy of its padded
-# input: row r + i*wp + j of that copy is tap (i, j) of output row r, so each
-# tap is a contiguous slice. Its temporaries are that copy (N x c_in) and the
+# A conv is k*k shifted matmuls of one NHWC copy of its padded input: row
+# r + i*wp + j of that copy is tap (i, j) of output row r, so each tap is a
+# contiguous slice. Its temporaries are that copy (N x c_in) and the
 # accumulator (N x c_out), where im2col copies an N x c_in*k*k matrix. When
 # c_in < c_out the k*k passes over the accumulator cost more than the im2col
-# copy saves, so those convs, and strided ones, keep im2col.
-def _per_tap(c_in: int, c_out: int, sh: int, sw: int) -> bool:
-    return sh == 1 and sw == 1 and c_in >= c_out
-
-
+# copy saves, so those convs keep im2col.
 def _tap_rows(xp: np.ndarray, kh: int, kw: int):
     """NHWC rows of a padded input, the rows every tap can shift over, and
     each tap's (i, j, row offset)."""
@@ -546,40 +491,48 @@ def _tap_rows(xp: np.ndarray, kh: int, kw: int):
     return rows, m, [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, sh: int, sw: int,
-                  ph: int, pw: int):
+def _pad_half(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """``x`` zero-padded by half an odd kernel on each side."""
+    ph, pw = kh // 2, kw // 2
+    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-1 cross-correlation of x, padded by half the odd kernel w, at
+    the size of x."""
     b, c, h, wdt = x.shape
     co, ci, kh, kw = w.shape
     if ci != c:
         raise ShapeError(f"conv2d channels mismatch: input {c}, kernel {ci}")
-    if h + 2 * ph < kh or wdt + 2 * pw < kw:
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"conv2d kernel sides must be odd, got {kh}x{kw}")
+    if h < 1 or wdt < 1:
         raise ShapeError(
-            f"kernel {kh}x{kw} larger than padded input "
-            f"{h + 2 * ph}x{wdt + 2 * pw}"
+            f"conv2d input {h}x{wdt} is empty: kernel {kh}x{kw} larger than "
+            f"padded input {h + kh - 1}x{wdt + kw - 1}"
         )
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    if not _per_tap(c, co, sh, sw):
-        cols, ho, wo = _im2col(xp, kh, kw, sh, sw)
+    xp = _pad_half(x, kh, kw)
+    if c < co:  # im2col; see the per-tap note above
+        cols = _im2col(xp, kh, kw, 1, 1)
         out = cols @ w.reshape(co, -1).T
-        return out.reshape(b, ho, wo, co).transpose(0, 3, 1, 2), xp.shape
+        return out.reshape(b, h, wdt, co).transpose(0, 3, 1, 2)
     _, _, hp, wp = xp.shape
     rows, m, taps = _tap_rows(xp, kh, kw)
     wt = w.transpose(2, 3, 1, 0).copy()
     acc = np.zeros((rows.shape[0], co), dtype=_state.dtype)
     for i, j, o in taps:
         acc[:m] += rows[o:o + m] @ wt[i, j]
-    out = acc.reshape(b, hp, wp, co)[:, :hp - kh + 1, :wp - kw + 1]
-    return out.transpose(0, 3, 1, 2), xp.shape
+    return acc.reshape(b, hp, wp, co)[:, :h, :wdt].transpose(0, 3, 1, 2)
 
 
-def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int, kw: int,
-                      sh: int, sw: int) -> np.ndarray:
+def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int,
+                      kw: int) -> np.ndarray:
     """Gradient of a conv's OIHW kernel, given its padded input and the
     gradient of its output."""
     b, c, hp, wp = xp.shape
     _, co, ho, wo = g.shape
-    if not _per_tap(c, co, sh, sw):
-        cols, _, _ = _im2col(xp, kh, kw, sh, sw)
+    if c < co:
+        cols = _im2col(xp, kh, kw, 1, 1)
         gmat = g.transpose(0, 2, 3, 1).reshape(-1, co)
         return (cols.T @ gmat).T.reshape(co, c, kh, kw)
     rows, m, taps = _tap_rows(xp, kh, kw)
@@ -612,40 +565,28 @@ def _check_4d(op: str, x: Tensor, w: Tensor) -> None:
         )
 
 
-def conv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
-    """Strided 2D cross-correlation of an NCHW tensor with an OIHW kernel."""
+def conv2d(x, w, bias=None) -> Tensor:
+    """Stride-1 2D cross-correlation of an NCHW tensor with an OIHW kernel
+    of odd sides, zero-padded by half the kernel so the output keeps the
+    input's size."""
     x, w = _as_tensor(x), _as_tensor(w)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    if sh < 1 or sw < 1:
-        raise ConfigError(f"conv2d stride must be positive, got {stride}")
-    if ph < 0 or pw < 0:
-        raise ConfigError(f"conv2d padding must be non-negative, got {padding}")
     _check_4d("conv2d", x, w)
     co, ci, kh, kw = w.data.shape
     b = _check_bias("conv2d", bias, co)
-    out, padded_shape = _conv_forward(x.data, w.data, sh, sw, ph, pw)
+    out = _conv_forward(x.data, w.data)
     if b is not None:
         out = out + b.data[None, :, None, None]
 
     def adjoint(g):
-        gw = None
-        gx = None
+        gx = gw = None
         if w.requires_grad:
-            xp = (np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-                  if (ph or pw) else x.data)
-            gw = _conv_weight_grad(xp, g, kh, kw, sh, sw)
+            gw = _conv_weight_grad(_pad_half(x.data, kh, kw), g, kh, kw)
         if x.requires_grad:
-            if sh == 1 and sw == 1:
-                # full correlation with the flipped kernel hits BLAS directly
-                wf = np.ascontiguousarray(
-                    w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-                gp, _ = _conv_forward(g, wf, 1, 1, kh - 1, kw - 1)
-            else:
-                raw = _deconv_raw(g, w.data, sh, sw)
-                gp = np.zeros(padded_shape, dtype=_state.dtype)
-                gp[:, :, :raw.shape[2], :raw.shape[3]] = raw
-            gx = gp[:, :, ph:ph + x.data.shape[2], pw:pw + x.data.shape[3]]
+            # the adjoint of a same-size conv is the same-size conv with the
+            # flipped, transposed kernel
+            wf = np.ascontiguousarray(
+                w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            gx = _conv_forward(g, wf)
         if b is None:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)))
@@ -655,13 +596,12 @@ def conv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
 
 
 def deconv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
-    """Transposed convolution; exact adjoint of :func:`conv2d` with the same
-    stride and padding.
+    """Strided transposed convolution: the exact adjoint of cross-correlation
+    by the same kernel at this stride, with this zero padding.
 
-    The kernel is indexed (C_in, C_out, kh, kw), so ``deconv2d(y, w)`` with a
-    conv kernel ``w`` of shape (C_out, C_in, kh, kw) computes the gradient of
-    ``conv2d(x, w)`` with respect to ``x``. ``padding`` drops rows and
-    columns on each side: kernel 2s, stride s, padding s/2 give s*h x s*w.
+    The kernel is indexed (C_in, C_out, kh, kw). ``padding`` drops rows and
+    columns on each side of the (h - 1)*s + k map: kernel 2s, stride s,
+    padding s/2 give s*h x s*w.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     sh, sw = _pair(stride)
@@ -689,13 +629,13 @@ def deconv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
 
     def adjoint(g):
         # one im2col of g, zero-padded back to the full map, serves both the
-        # x-adjoint (conv2d of g with this stride and padding) and w-adjoint
+        # x-adjoint (the strided correlation of g) and the w-adjoint
         gp = g
         if ph or pw:
             gp = np.zeros((bsz, co, g.shape[2] + 2 * ph, g.shape[3] + 2 * pw),
                           dtype=_state.dtype)
             gp[:, :, ph:ph + g.shape[2], pw:pw + g.shape[3]] = g
-        cols, _, _ = _im2col(gp, kh, kw, sh, sw)
+        cols = _im2col(gp, kh, kw, sh, sw)
         gx = gw = None
         if x.requires_grad:
             gx = (cols @ w.data.reshape(ci, -1).T).reshape(bsz, h, wdt, ci)

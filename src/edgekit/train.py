@@ -51,16 +51,6 @@ def ignore_band(annotator_maps: list[np.ndarray], eta: float) -> np.ndarray:
     return (prob > 0.0) & (prob < eta)
 
 
-def class_balance(labels: np.ndarray) -> tuple[float, float]:
-    """Negative-pixel weight alpha and the positive fraction, complementary
-    by construction (the pair sums to 1 exactly)."""
-    y = np.asarray(labels, dtype=np.float64)
-    pos = float(y.sum())
-    total = float(y.size)
-    alpha = (total - pos) / total if total else 0.0
-    return alpha, 1.0 - alpha
-
-
 def weighted_bce(edge: Tensor, labels: np.ndarray,
                  ignore: np.ndarray | None = None) -> Tensor:
     """Class-balanced binary cross entropy, summed over pixels.
@@ -175,6 +165,16 @@ class TrainConfig:
         if min(self.iterations_stage1, self.iterations_stage2) < 0:
             raise ConfigError("iteration counts must be >= 0, got "
                               f"{self.iterations_stage1}, {self.iterations_stage2}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, v in (("base_lr", self.base_lr), ("lr_power", self.lr_power)):
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {v}")
+        for name, v in (("weight_decay", self.weight_decay), ("lam", self.lam)):
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 @dataclass

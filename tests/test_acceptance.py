@@ -19,9 +19,8 @@ from edgekit.model import GLOBAL_PATCH, EdgeDetector, ModelConfig, partition_win
 from edgekit.suite import full_model_check, layer_checks
 from edgekit.synth import generate_scene
 from edgekit.tensor import Tensor
-from edgekit.train import (AnnotationStack, Scene, TrainConfig, class_balance,
-                           consensus_labels, stage_loss, train_two_phase,
-                           weighted_bce)
+from edgekit.train import (AnnotationStack, Scene, TrainConfig, consensus_labels,
+                           stage_loss, train_two_phase, weighted_bce)
 
 from oracles import brute_force_report, optimal_match_count, reassemble_windows
 
@@ -110,17 +109,22 @@ def test_loss_arithmetic():
         ref = ref + lam * weighted_bce(s, y).item()
     linear_ok = stage_loss(e, sides, y, lam).item() == ref
 
-    complement_ok = True
+    # at a constant 0.5 each class weighs the other's share of the pixels,
+    # so the loss is log 2 * 2 * pos * neg / total
+    balance_err = 0.0
     for pos in (0, 1, 7, 35):
         yy = np.zeros(36)
         yy[:pos] = 1.0
-        alpha, frac = class_balance(yy)
-        complement_ok &= (alpha + frac == 1.0)
+        got = weighted_bce(Tensor(np.full(36, 0.5)), yy).item()
+        want = math.log(2.0) * 2.0 * pos * (36 - pos) / 36
+        balance_err = max(balance_err, abs(got - want))
+    balance_ok = balance_err < 1e-12
 
     report("loss arithmetic",
-           log2_ok and linear_ok and complement_ok,
+           log2_ok and linear_ok and balance_ok,
            f"log2 case err {abs(hand - math.log(2.0)):.1e} (< 1e-12), "
-           f"lambda-linearity exact, alpha complement exact")
+           f"lambda-linearity exact, class-balance weights err "
+           f"{balance_err:.1e} (< 1e-12)")
 
 
 # -- criteria 4-6: two-phase training, overfit, ablation ------------------------

@@ -128,15 +128,34 @@ def test_bad_config_exit_code(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "input_size=0", "input_size=-16", "path_channels=0", "side_channels=-1",
-    "mlp_ratio=0", "batch_size=0", "iterations=-1"])
+    "mlp_ratio=0", "batch_size=0", "iterations=-1", "seed=-1", "lr=nan",
+    "momentum=-0.5", "lambda=-1"])
 def test_train_size_below_minimum_exit_code(trained, tmp_path, line):
-    """Each of these once trained silently or failed with a traceback."""
+    """Each of these once trained silently, failed with a traceback, or
+    stopped on NaN weights without naming the setting."""
     _, data, _, _ = trained
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SMALL_CONFIG.format(data=data, out=tmp_path / "run")
                    .replace("iterations=3", "iterations=1") + line + "\n")
     assert main(["train", "--config", str(cfg)]) == 3
     assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n", "1", "--seed", "-3"],
+    ["synth", "--n", "-2"],
+    ["synth", "--n", "0"],
+    ["synth", "--n", "1", "--annotators", "0"],
+    ["gradcheck", "--quick", "--seed", "-1"],
+])
+def test_negative_seed_or_count_is_a_usage_error(tmp_path, argv):
+    """Each of these once ended in a numpy traceback, or wrote a dataset
+    that training refuses."""
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(out)] if argv[0] == "synth" else []))
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

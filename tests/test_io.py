@@ -240,7 +240,13 @@ def test_runconfig_each_model_key_sets_exactly_its_fields():
     ("input_size=0", "input_hw"), ("input_size=-16", "input_hw"),
     ("path_channels=0", "path_channels"), ("side_channels=-1", "side_channels"),
     ("mlp_ratio=0", "mlp_ratio"), ("batch_size=0", "batch_size"),
-    ("iterations=-1", "iteration")])
+    ("iterations=-1", "iteration"), ("seed=-1", "seed"),
+    ("lr=0", "base_lr"), ("lr=nan", "base_lr"), ("lr=inf", "base_lr"),
+    ("momentum=-0.5", "momentum"), ("momentum=1", "momentum"),
+    ("momentum=nan", "momentum"), ("weight_decay=-1e-4", "weight_decay"),
+    ("weight_decay=inf", "weight_decay"), ("lambda=-1", "lam"),
+    ("lambda=nan", "lam"), ("lr_power=0", "lr_power"),
+    ("lr_power=inf", "lr_power")])
 def test_runconfig_rejects_sizes_below_their_minimum(text, field):
     run = RunConfig.parse(text)
     with pytest.raises(ConfigError, match=field):

@@ -21,7 +21,7 @@ def test_matmul_identity():
 def test_matmul_hand_case():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[1.0], [1.0]])
-    assert np.array_equal((a @ b).data, [[3.0], [7.0]])
+    assert np.array_equal(T.matmul(a, b).data, [[3.0], [7.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -111,25 +111,30 @@ def test_conv2d_one_hot_box():
     x = np.zeros((1, 1, 5, 5))
     x[0, 0, 2, 2] = 1.0
     w = np.ones((1, 1, 3, 3))
-    out = T.conv2d(Tensor(x), Tensor(w), padding=1).data[0, 0]
+    out = T.conv2d(Tensor(x), Tensor(w)).data[0, 0]
     expect = np.zeros((5, 5))
     expect[1:4, 1:4] = 1.0
     assert np.array_equal(out, expect)
 
 
 def test_conv2d_output_extent_formula():
-    out = T.conv2d(Tensor(np.zeros((1, 1, 10, 7))), Tensor(np.zeros((1, 1, 3, 3))),
-                   stride=2, padding=1)
-    assert out.shape == (1, 1, (10 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
+    """Stride 1, padded by half the kernel: the output keeps the input's
+    extent, also for kernels wider than the input."""
+    for kh, kw in ((1, 1), (3, 3), (5, 3), (1, 9)):
+        out = T.conv2d(Tensor(np.zeros((1, 2, 10, 7))),
+                       Tensor(np.zeros((3, 2, kh, kw))))
+        assert out.shape == (1, 3, 10, 7)
 
 
 def test_conv2d_kernel_too_large():
-    with pytest.raises(ShapeError, match="larger than padded input"):
-        T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+    """Only an empty input leaves a padded input smaller than the kernel."""
+    for hw in ((0, 4), (4, 0)):
+        with pytest.raises(ShapeError, match="larger than padded input"):
+            T.conv2d(Tensor(np.zeros((1, 1) + hw)), Tensor(np.zeros((1, 1, 5, 5))))
 
 
 def test_conv2d_gradcheck():
-    r = check_op(lambda x, w, b: T.conv2d(x, w, b, stride=1, padding=1),
+    r = check_op(lambda x, w, b: T.conv2d(x, w, b),
                  [rng.normal(size=(1, 2, 6, 6)), rng.normal(size=(3, 2, 3, 3)),
                   rng.normal(size=3)], rng)
     assert r.max_rel_err < 1e-5
@@ -142,13 +147,17 @@ def test_deconv2d_extent():
 
 
 def test_deconv2d_matches_conv_input_gradient():
+    """deconv2d is the input gradient of the stride-2 correlation, and, at
+    stride 1 padded by half the kernel, of conv2d."""
     x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2, 3, 3)))
     y = rng.normal(size=(1, 3, 2, 2))
+    gx, _ = conv_im2col_grads(x.data, w.data, y, 2, 2, 0, 0)
+    assert np.allclose(gx, T.deconv2d(Tensor(y), w, stride=2).data, atol=1e-12)
+    g = rng.normal(size=(1, 3, 5, 5))
     with T.fresh_tape():
-        out = T.conv2d(x, w, stride=2)
-        T.backward(T.tensor_sum(T.mul(out, y)))
-    via_deconv = T.deconv2d(Tensor(y), w, stride=2).data
+        T.backward(T.tensor_sum(T.mul(T.conv2d(x, w), g)))
+    via_deconv = T.deconv2d(Tensor(g), w, stride=1, padding=1).data
     assert np.allclose(x.grad, via_deconv, atol=1e-12)
 
 
@@ -156,7 +165,7 @@ def test_deconv2d_adjoint_inner_product():
     x = rng.normal(size=(1, 2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
     y = rng.normal(size=(1, 3, 2, 2))
-    lhs = (T.conv2d(Tensor(x), Tensor(w), stride=2).data * y).sum()
+    lhs = (conv_im2col(x, w, 2, 2, 0, 0) * y).sum()
     rhs = (x * T.deconv2d(Tensor(y), Tensor(w), stride=2).data).sum()
     assert abs(lhs - rhs) < 1e-9
 
@@ -175,11 +184,11 @@ def test_deconv2d_gradcheck():
 
 
 def test_conv2d_gradcheck_channels_not_increasing():
-    for k, pad in ((3, 1), (1, 0)):
-        r = check_op(lambda x, w, b: T.conv2d(x, w, b, stride=1, padding=pad),
+    for k in (3, 1):
+        r = check_op(lambda x, w, b: T.conv2d(x, w, b),
                      [rng.normal(size=(2, 4, 5, 7)), rng.normal(size=(3, 4, k, k)),
                       rng.normal(size=3)], rng)
-        assert r.max_rel_err < 1e-5, (k, pad)
+        assert r.max_rel_err < 1e-5, k
 
 
 def test_deconv2d_gradcheck_kernel_not_multiple_of_stride():
@@ -267,7 +276,7 @@ def test_deconv2d_float32_equals_float32_tap_loop(kernel, stride, padding, hw):
 def test_deconv2d_padded_adjoint_inner_product():
     x = rng.normal(size=(1, 2, 4, 6))
     w = rng.normal(size=(3, 2, 4, 4))
-    conv = T.conv2d(Tensor(x), Tensor(w), stride=2, padding=(1, 2)).data
+    conv = conv_im2col(x, w, 2, 2, 1, 2)
     y = rng.normal(size=conv.shape)
     back = T.deconv2d(Tensor(y), Tensor(w), stride=2, padding=(1, 2)).data
     assert back.shape == x.shape
@@ -287,34 +296,49 @@ def test_deconv2d_negative_padding_rejected():
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("c_in, c_out", [(6, 3), (4, 4), (2, 5)])
 def test_conv2d_matches_im2col_reference(c_in, c_out, k, pad, stride, batch):
-    x = Tensor(rng.normal(size=(batch, c_in, 7, 6)), requires_grad=True)
+    """Any strided, padded correlation is a window of the same-size one: pad
+    the input by what ``pad`` exceeds k // 2, run conv2d, and keep every
+    stride-th pixel from where ``pad`` falls short of k // 2. The window and
+    both adjoints equal the im2col reference; pad = k // 2 at stride 1 is
+    conv2d itself."""
+    x = rng.normal(size=(batch, c_in, 7, 6))
     w = Tensor(rng.normal(size=(c_out, c_in, k, k)), requires_grad=True)
-    ref = conv_im2col(x.data, w.data, stride, stride, pad, pad)
+    ref = conv_im2col(x, w.data, stride, stride, pad, pad)
     g = rng.normal(size=ref.shape)
+    extra, skip = max(pad - k // 2, 0), max(k // 2 - pad, 0)
+    xe = Tensor(np.pad(x, ((0, 0), (0, 0), (extra, extra), (extra, extra))),
+                requires_grad=True)
+    ho, wo = ref.shape[2:]
+    window = (slice(None), slice(None),
+              slice(skip, skip + (ho - 1) * stride + 1, stride),
+              slice(skip, skip + (wo - 1) * stride + 1, stride))
+    g_same = np.zeros((batch, c_out) + xe.shape[2:])
+    g_same[window] = g
     with T.fresh_tape():
-        out = T.conv2d(x, w, stride=stride, padding=pad)
-        T.backward(T.tensor_sum(T.mul(out, g)))
-    ref_gx, ref_gw = conv_im2col_grads(x.data, w.data, g, stride, stride, pad, pad)
-    for got, want in ((out.data, ref), (x.grad, ref_gx), (w.grad, ref_gw)):
+        out = T.conv2d(xe, w)
+        T.backward(T.tensor_sum(T.mul(out, g_same)))
+    gx = xe.grad[:, :, extra:extra + 7, extra:extra + 6]
+    ref_gx, ref_gw = conv_im2col_grads(x, w.data, g, stride, stride, pad, pad)
+    for got, want in ((out.data[window], ref), (gx, ref_gx), (w.grad, ref_gw)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kwargs, error", [
-    (dict(stride=0), ConfigError),
-    (dict(stride=(1, -1)), ConfigError),
-    (dict(padding=-1), ConfigError),
-    (dict(padding=(0, -2)), ConfigError),
+    (dict(w=np.zeros((2, 2, 2, 3))), ShapeError),   # even kernel sides
+    (dict(w=np.zeros((2, 2, 3, 4))), ShapeError),
+    (dict(x=np.zeros((1, 2, 0, 4))), ShapeError),   # empty inputs
+    (dict(x=np.zeros((1, 2, 4, 0))), ShapeError),
     (dict(x=np.zeros((2, 4, 4))), ShapeError),
     (dict(w=np.zeros((2, 2, 3))), ShapeError),
     (dict(bias=np.zeros(1)), ShapeError),
     (dict(bias=np.zeros((2, 1))), ShapeError),
 ])
 def test_conv2d_rejects_misuse(kwargs, error):
-    args = dict(x=np.zeros((1, 2, 4, 4)), w=np.zeros((2, 2, 3, 3)), bias=None,
-                stride=1, padding=0) | kwargs
+    args = dict(x=np.zeros((1, 2, 4, 4)), w=np.zeros((2, 2, 3, 3)),
+                bias=None) | kwargs
     with pytest.raises(error):
-        T.conv2d(Tensor(args.pop("x")), Tensor(args.pop("w")), **args)
+        T.conv2d(Tensor(args["x"]), Tensor(args["w"]), args["bias"])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -516,10 +540,9 @@ def _dtype_cases():
         "softmax": (lambda x: T.softmax(x, axis=-1), [r(size=(5, 5))]),
         "tensor_sum": (lambda x: T.tensor_sum(x, axis=1), [r(size=(3, 4, 2))]),
         "tensor_mean": (lambda x: T.tensor_mean(x, axis=(0, 2)), [r(size=(3, 4, 2))]),
-        # stride 1 with c_in >= c_out takes the per-tap path, the others im2col
+        # c_in >= c_out takes the per-tap path, c_in < c_out im2col
         "conv2d": (lambda x, w1, w2, w3, b: T.add(
-            T.conv2d(T.conv2d(x, w1, b, 1, 1), w2, None, 2, 1),
-            T.tensor_sum(T.conv2d(x, w3, None, 1, 0))),
+            T.conv2d(T.conv2d(x, w1, b), w2), T.tensor_sum(T.conv2d(x, w3))),
             [r(size=(2, 4, 7, 7)), r(size=(3, 4, 3, 3)), r(size=(3, 3, 3, 3)),
              r(size=(5, 4, 1, 1)), r(size=3)]),
         "deconv2d": (lambda x, w1, w2, b: T.add(
@@ -569,6 +592,17 @@ def test_dtype_cases_cover_every_primitive():
     assert set(_dtype_cases()) == set(T.__all__) - _NOT_PRIMITIVES
 
 
+def test_suite_checks_cover_every_primitive():
+    """Every primitive has a central-difference check in the gradient suite,
+    named after the op or starting with its name and an underscore."""
+    from edgekit.suite import layer_checks
+
+    names = [name for name, _ in layer_checks(np.random.default_rng(0))]
+    missing = {op for op in set(T.__all__) - _NOT_PRIMITIVES
+               if not any(n == op or n.startswith(op + "_") for n in names)}
+    assert not missing
+
+
 @pytest.mark.parametrize("name", sorted(_dtype_cases()))
 def test_primitive_stays_float32_in_float32_scope(name):
     fn, arrays = _dtype_cases()[name]
@@ -607,7 +641,7 @@ def test_gradcheck_runs_in_float64_inside_a_float32_scope():
     from edgekit.suite import layer_checks
 
     with T.compute_dtype(np.float32):
-        conv = check_op(lambda x, w, b: T.conv2d(x, w, b, 1, 1),
+        conv = check_op(lambda x, w, b: T.conv2d(x, w, b),
                         [rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(2, 3, 3, 3)),
                          rng.normal(size=2)], rng)
         layers = layer_checks(np.random.default_rng(0))

@@ -3,8 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from edgekit import tensor as T
 from edgekit.errors import (ConfigError, InputError, NumericError, ShapeError,
@@ -13,9 +11,8 @@ from edgekit.model import EdgeDetector, ModelConfig
 from edgekit.synth import generate_scene
 from edgekit.tensor import Tensor
 from edgekit.train import (SGD, AnnotationStack, Scene, TrainConfig,
-                           class_balance, consensus_labels, ignore_band,
-                           stage1_digest, stage_loss, train_two_phase,
-                           weighted_bce)
+                           consensus_labels, ignore_band, stage1_digest,
+                           stage_loss, train_two_phase, weighted_bce)
 
 rng = np.random.default_rng(17)
 
@@ -102,16 +99,6 @@ def test_weighted_bce_ignore_band_excluded():
     # ignored pixel contributes nothing: same as dropping it
     e2 = Tensor(np.array([[0.5, 0.5]]))
     assert abs(with_band - weighted_bce(e2, np.array([[1.0, 0.0]])).item()) < 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 48), st.integers(1, 48))
-def test_class_balance_complement_exact(pos, total_extra):
-    total = pos + total_extra
-    y = np.zeros(total)
-    y[:pos] = 1.0
-    alpha, pos_frac = class_balance(y)
-    assert alpha + pos_frac == 1.0
 
 
 def test_stage_loss_lambda_zero_reduces_to_head_loss():
