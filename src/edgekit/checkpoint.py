@@ -7,8 +7,7 @@ Layout (all integers little-endian uint32, floats little-endian float32):
 
 Tensors are written in sorted-name order so identical weights always produce
 byte-identical files. The canonical model-config text is embedded so a
-checkpoint is self-describing; its digest is checked on load, and an
-expected config (when supplied) must hash to the same digest. A NaN or Inf
+checkpoint is self-describing; its digest is checked on load. A NaN or Inf
 value (also one the float32 cast makes) is refused on save and on load.
 """
 
@@ -30,7 +29,9 @@ MAGIC = b"EDTR"
 #    parse as a confusing config-line error instead of a version mismatch
 # 6: no depth keys (the depth is the last tap); a version-5 file's
 #    global_depth/local_depth lines would fail as unknown config keys
-VERSION = 6
+# 7: no ffm_enabled/stage_mode keys and no concat_fuse tensors; a version-6
+#    file would fail as an unknown config key or a state mismatch
+VERSION = 7
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -84,9 +85,8 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load_checkpoint(path, expected_config: str | None = None
-                    ) -> tuple[dict[str, np.ndarray], str]:
-    """Read arrays and the embedded config; verify digests."""
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
+    """Read arrays and the embedded config; verify the config digest."""
     r = _Reader(Path(path).read_bytes())
     if r.take(4) != MAGIC:
         raise MagicMismatch(f"{path} does not start with {MAGIC!r}")
@@ -97,8 +97,6 @@ def load_checkpoint(path, expected_config: str | None = None
     config_text = r.take(r.u32()).decode("utf-8")
     if config_digest(config_text) != digest:
         raise DigestMismatch("embedded config does not match stored digest")
-    if expected_config is not None and config_digest(expected_config) != digest:
-        raise DigestMismatch("checkpoint was written for a different model config")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.take(r.u32()).decode("utf-8")

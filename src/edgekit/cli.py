@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--size", type=int, default=64)
+    p.add_argument("--size", type=_int_at_least(3), default=64)
     p.add_argument("--out", required=True)
     p.add_argument("--annotators", type=_int_at_least(1), default=5)
     p.add_argument("--jitter", type=float, default=0.08)

@@ -49,9 +49,6 @@ class GradcheckReport:
     def passed(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_rel_err < tol
 
-    def failures(self, tol: float = DEFAULT_TOL) -> list[ProbeResult]:
-        return [p for p in self.probes if p.rel_err >= tol]
-
 
 @T.compute_dtype(np.float64)
 def check_gradients(

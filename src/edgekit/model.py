@@ -21,7 +21,6 @@ from .encoder import Encoder
 from .errors import ConfigError, NumericError, PartitionError, ShapeError, UsageError
 from .tensor import Tensor
 
-STAGE_MODES = ("two_stage", "stage1_only")
 DEFAULT_SCALES = (0.5, 1.0, 1.5)  # multi-scale inference factors
 GLOBAL_PATCH = 16  # coarse-stage patch side, as in the paper
 LOCAL_PATCH = 8    # fine-stage patch side
@@ -48,8 +47,6 @@ class ModelConfig:
     local_taps: tuple[int, ...] = (1, 2, 3, 4)
     side_channels: int = 4
     window_divisor: int = 2
-    ffm_enabled: bool = True
-    stage_mode: str = "two_stage"
 
     def __post_init__(self):
         hw = self.input_hw
@@ -69,8 +66,6 @@ class ModelConfig:
                     and list(taps) == sorted(set(taps))):
                 raise ConfigError(f"{name} must be a tuple of 4 strictly "
                                   f"increasing integers >= 1, got {taps!r}")
-        if self.stage_mode not in STAGE_MODES:
-            raise ConfigError(f"stage_mode must be one of {STAGE_MODES}")
         if self.decoder_arch not in ("bimla", "mla"):
             raise ConfigError(f"unknown decoder arch {self.decoder_arch!r}")
         (h, w), d = self.input_hw, self.window_divisor
@@ -113,7 +108,7 @@ class ModelConfig:
                 raise ConfigError(f"bad model config line {line!r}")
             try:
                 values[key] = _parse(raw, defaults[key])
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         missing = sorted(set(defaults) - set(values))
         if missing:
@@ -135,11 +130,9 @@ def _render(value) -> str:
 
 
 def _parse(raw: str, default):
-    """Parse by the type of ``default``; bad text raises ValueError or KeyError."""
+    """Parse by the type of ``default``; bad text raises ValueError."""
     if isinstance(default, tuple):
         return tuple(_parse(v, default[0]) for v in raw.split(","))
-    if isinstance(default, bool):
-        return {"True": True, "False": False}[raw]
     return type(default)(raw)
 
 
@@ -238,7 +231,6 @@ class LocalStage(nn.Module):
         self.decoder = build_decoder(cfg, LOCAL_PATCH, 1, rng)
         ch = cfg.smooth_channels
         self.fusion = FeatureFusion(ch, rng)
-        self.concat_fuse = nn.Conv2d(2 * ch, ch, 1, rng)
         self.head = nn.Conv2d(ch, 1, 1, rng)
         self.sides = _side_heads(cfg, LOCAL_PATCH, rng)
 
@@ -264,10 +256,7 @@ class LocalStage(nn.Module):
             raise UsageError("stage two requires the stage-one feature map")
         taps, grid = self.window_taps(image)
         f_r, paths = self.decoder(taps, grid)
-        if self.cfg.ffm_enabled:
-            fused = self.fusion(f_g, f_r)
-        else:
-            fused = self.concat_fuse(T.concat([f_g, f_r], axis=1))
+        fused = self.fusion(f_g, f_r)
         e_r = T.sigmoid(self.head(fused))
         return f_r, e_r, paths, fused
 
@@ -311,11 +300,8 @@ class EdgeDetector(nn.Module):
                 for n, p in self.global_stage.named_parameters()]
 
     def stage2_parameters(self) -> list[tuple[str, Tensor]]:
-        """Trainable stage-two parameters, excluding the inactive fusion arm."""
-        unused = "fusion." if not self.cfg.ffm_enabled else "concat_fuse."
         return [("local_stage." + n, p)
-                for n, p in self.local_stage.named_parameters()
-                if not n.startswith(unused)]
+                for n, p in self.local_stage.named_parameters()]
 
     def freeze_stage1(self) -> None:
         """Stop gradients and batch-norm statistics updates for stage one."""
@@ -349,7 +335,7 @@ class EdgeDetector(nn.Module):
     # -- inference -----------------------------------------------------------
 
     def infer(self, image: np.ndarray) -> np.ndarray:
-        """Float64 edge probabilities (B, 1, H, W) in eval mode,
+        """Float64 stage-two edge probabilities (B, 1, H, W) in eval mode,
         gradient-free, computed in float32 on float32 working copies of the
         parameters with batch norm folded into the convolutions.
 
@@ -360,20 +346,15 @@ class EdgeDetector(nn.Module):
         """
         image, squeeze = _as_batch(image)
         h, w = image.shape[-2:]
-        cfg = self.cfg
-        mult = math.lcm(GLOBAL_PATCH, cfg.window_divisor * LOCAL_PATCH)
+        mult = math.lcm(GLOBAL_PATCH, self.cfg.window_divisor * LOCAL_PATCH)
         image = np.pad(image, ((0, 0), (0, 0), (0, -h % mult), (0, -w % mult)),
                        mode="edge")
         modes = [(m, m.training) for m in self.modules()]
         self.eval()
         try:
             with T.no_grad(), nn.float32_working_copies(self):
-                f_g, e_g, _ = self.run_stage1(image)
-                if cfg.stage_mode == "stage1_only":
-                    out = e_g.data
-                else:
-                    _, e_r, _, _ = self.run_stage2(image, f_g)
-                    out = e_r.data
+                f_g, _, _ = self.run_stage1(image)
+                out = self.run_stage2(image, f_g)[1].data
         finally:
             for m, training in modes:
                 m.training = training

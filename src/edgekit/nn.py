@@ -83,10 +83,6 @@ class Module:
         for p in self.parameters():
             p.requires_grad = flag
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

@@ -42,8 +42,6 @@ SCHEMA: dict[str, tuple] = {
     "smooth_channels": (int, 16, "decoder output feature width"),
     "side_channels": (int, 4, "width inside auxiliary side heads"),
     "decoder_arch": (str, "bimla", "decoder kind: bimla or mla (ablation arm)"),
-    "ffm": (_parse_bool, True, "fuse stages with the feature-transform module"),
-    "stage_mode": (str, "two_stage", "two_stage or stage1_only"),
     "window_divisor": (int, 2, "fine stage window grid divisor"),
     "eta": (float, 0.3, "annotator consensus threshold"),
     "lambda": (float, 0.4, "side-output loss weight"),
@@ -100,11 +98,10 @@ class RunConfig:
 
     def model_config(self) -> ModelConfig:
         """The model keys, each named like its field but ``input_size``
-        (a square ``input_hw``) and ``ffm`` (``ffm_enabled``)."""
+        (a square ``input_hw``)."""
         v = self.values
         same = {f.name: v[f.name] for f in fields(ModelConfig) if f.name in v}
-        return ModelConfig(input_hw=(v["input_size"], v["input_size"]),
-                           ffm_enabled=v["ffm"], **same)
+        return ModelConfig(input_hw=(v["input_size"], v["input_size"]), **same)
 
     def train_config(self) -> TrainConfig:
         v = self.values

@@ -147,9 +147,8 @@ def full_model_check(seed: int = 0, probes_per_tensor: int = 1,
                      ) -> GradcheckReport:
     """Probe every parameter of the toy detector through both stage losses.
 
-    The scalar loss sums the stage-one loss, the stage-two loss with fusion
-    enabled, and the main-head loss along the concatenation fusion path, so
-    gradients reach all parameters in a single backward pass.
+    The scalar loss sums the stage-one and stage-two losses, so gradients
+    reach all parameters in a single backward pass.
     """
     rng = np.random.default_rng(seed)
     cfg = ModelConfig.toy(input_hw=input_hw)
@@ -160,14 +159,11 @@ def full_model_check(seed: int = 0, probes_per_tensor: int = 1,
 
     def loss_fn():
         f_g, e_g, gpaths = model.run_stage1(img)
-        f_r, e_r, rpaths, _ = model.run_stage2(img, f_g)
+        _, e_r, rpaths, _ = model.run_stage2(img, f_g)
         sides_g = model.side_outputs(gpaths, "global", input_hw)
         sides_r = model.side_outputs(rpaths, "local", input_hw)
-        e_off = T.sigmoid(model.local_stage.head(
-            model.local_stage.concat_fuse(T.concat([f_g, f_r], axis=1))))
-        loss = T.add(stage_loss(e_g, sides_g, labels),
+        return T.add(stage_loss(e_g, sides_g, labels),
                      stage_loss(e_r, sides_r, labels))
-        return T.add(loss, weighted_bce(e_off, labels))
 
     buffers = [(b, b.copy()) for _, b in model.named_buffers()]
     try:

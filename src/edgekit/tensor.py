@@ -481,7 +481,9 @@ def _phase_runs(t0: int, n: int, s: int):
 # contiguous slice. Its temporaries are that copy (N x c_in) and the
 # accumulator (N x c_out), where im2col copies an N x c_in*k*k matrix. When
 # c_in < c_out the k*k passes over the accumulator cost more than the im2col
-# copy saves, so those convs keep im2col.
+# copy saves, so those convs keep im2col. In the model only input gradients
+# take that branch: no model conv widens the channels, so every weight
+# gradient is per tap.
 def _tap_rows(xp: np.ndarray, kh: int, kw: int):
     """NHWC rows of a padded input, the rows every tap can shift over, and
     each tap's (i, j, row offset)."""
@@ -531,10 +533,6 @@ def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int,
     gradient of its output."""
     b, c, hp, wp = xp.shape
     _, co, ho, wo = g.shape
-    if c < co:
-        cols = _im2col(xp, kh, kw, 1, 1)
-        gmat = g.transpose(0, 2, 3, 1).reshape(-1, co)
-        return (cols.T @ gmat).T.reshape(co, c, kh, kw)
     rows, m, taps = _tap_rows(xp, kh, kw)
     gfull = np.zeros((b, hp, wp, co), dtype=_state.dtype)
     gfull[:, :ho, :wo] = g.transpose(0, 2, 3, 1)

@@ -267,8 +267,7 @@ def train_two_phase(model: EdgeDetector, scenes: list[Scene],
         _train_phase(model, scenes, cfg, rng, 1, result, masters)
         model.freeze_stage1()
         result.stage1_digest_after_phase1 = stage1_digest(model, masters)
-        if model.cfg.stage_mode == "two_stage":
-            _train_phase(model, scenes, cfg, rng, 2, result, masters)
+        _train_phase(model, scenes, cfg, rng, 2, result, masters)
     result.stage1_digest_final = stage1_digest(model)
     return result
 

@@ -120,10 +120,12 @@ def test_missing_file_exit_codes(tmp_path):
                  "--in", "x.ppm", "--out", "y.pgm"]) == 5
 
 
-def test_bad_config_exit_code(tmp_path):
+def test_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("unknown_key=1\n")
-    assert main(["train", "--config", str(cfg)]) == 3
+    for line in ("unknown_key=1", "ffm=false", "stage_mode=stage1_only"):
+        cfg.write_text(line + "\n")
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", [
@@ -146,6 +148,9 @@ def test_train_size_below_minimum_exit_code(trained, tmp_path, line):
     ["synth", "--n", "-2"],
     ["synth", "--n", "0"],
     ["synth", "--n", "1", "--annotators", "0"],
+    ["synth", "--n", "1", "--size", "-5"],
+    ["synth", "--n", "1", "--size", "0"],
+    ["synth", "--n", "1", "--size", "2"],
     ["gradcheck", "--quick", "--seed", "-1"],
 ])
 def test_negative_seed_or_count_is_a_usage_error(tmp_path, argv):

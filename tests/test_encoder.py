@@ -222,7 +222,8 @@ def test_other_grids_resize_the_trained_embedding():
     assert enc.position((2, 2)) is enc.pos
     native = np.transpose(enc.pos.data.reshape(1, 2, 2, 8), (0, 3, 1, 2))
     for grid in ((3, 2), (4, 4)):
-        enc.zero_grad()
+        for p in enc.parameters():
+            p.grad = None
         with T.fresh_tape():
             taps, got = enc(rng.random((1, 3, 8 * grid[0], 8 * grid[1])))
             T.backward(T.tensor_sum(taps[-1]))

@@ -121,7 +121,7 @@ def test_checkpoint_round_trip_ulp(tmp_path):
     arrays = _arrays()
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, arrays, "k=v\n")
-    loaded, cfg = load_checkpoint(p, "k=v\n")
+    loaded, cfg = load_checkpoint(p)
     assert cfg == "k=v\n"
     for name, arr in arrays.items():
         f32 = arr.astype(np.float32)
@@ -151,17 +151,23 @@ def test_checkpoint_version_mismatch(tmp_path):
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, _arrays(), "k=v\n")
     data = bytearray(p.read_bytes())
-    data[4] = 9
-    p.write_bytes(bytes(data))
-    with pytest.raises(VersionMismatch):
-        load_checkpoint(p)
+    for version in (6, 9):  # 6 still held concat_fuse and the ffm key
+        data[4] = version
+        p.write_bytes(bytes(data))
+        with pytest.raises(VersionMismatch):
+            load_checkpoint(p)
 
 
 def test_checkpoint_digest_mismatch(tmp_path):
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, _arrays(), "k=v\n")
+    data = bytearray(p.read_bytes())
+    start = 4 + 4 + 32 + 4   # magic, version, digest, config length
+    assert data[start:start + 4] == b"k=v\n"
+    data[start + 2] = ord("w")
+    p.write_bytes(bytes(data))
     with pytest.raises(DigestMismatch):
-        load_checkpoint(p, "other=config\n")
+        load_checkpoint(p)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e39])  # -1e39 is -Inf in float32
@@ -212,8 +218,6 @@ MODEL_KEY_OVERRIDES = [
     ("smooth_channels=12", {"smooth_channels": 12}),
     ("side_channels=2", {"side_channels": 2}),
     ("decoder_arch=mla", {"decoder_arch": "mla"}),
-    ("ffm=false", {"ffm_enabled": False}),
-    ("stage_mode=stage1_only", {"stage_mode": "stage1_only"}),
     ("window_divisor=4", {"window_divisor": 4}),
 ]
 NON_MODEL_KEYS = ("eta=0.5", "lambda=0.1", "lr=0.01", "lr_power=1.0",
@@ -265,9 +269,9 @@ def test_runconfig_bad_value_rejected():
 
 
 def test_runconfig_comments_and_overrides():
-    run = RunConfig.parse("# comment\niterations=12  # trailing\nffm=false\n")
+    run = RunConfig.parse("# comment\niterations=12  # trailing\nflip=false\n")
     assert run["iterations"] == 12
-    assert run["ffm"] is False
+    assert run["flip"] is False
 
 
 def test_runconfig_crop_follows_input_size():

@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from edgekit import nn
 from edgekit import tensor as T
 from edgekit.errors import (ConfigError, NumericError, PartitionError, ShapeError,
                             UsageError)
 from edgekit.model import EdgeDetector, ModelConfig, partition_windows
 from edgekit.tensor import Tensor
+from edgekit.train import stage_loss
 from oracles import reassemble_windows, unfold_batch_norm_in_float64
 
 rng = np.random.default_rng(5)
@@ -124,22 +124,21 @@ def test_window_locality_of_taps(net, image):
         assert outside.max() == 0.0
 
 
-def test_ffm_switch_is_live(image):
-    """Two models of one seed that differ only in ``ffm_enabled`` hold the
-    same weights and give different maps."""
-    on = EdgeDetector(tiny_cfg(ffm_enabled=True), seed=3)
-    off = EdgeDetector(tiny_cfg(ffm_enabled=False), seed=3)
-    a, b = on.state_arrays(), off.state_arrays()
-    assert list(a) == list(b)
-    assert all(np.array_equal(a[k], b[k]) for k in a)
-    with T.no_grad():
-        f_g, _, _ = on.run_stage1(image)
-        _, e_on, _, _ = on.run_stage2(image, f_g)
-        _, e_off, _, _ = off.run_stage2(image, f_g)
-    assert e_on.shape == e_off.shape == (1, 1, 32, 32)
-    assert not np.allclose(e_on.data, e_off.data)
-    for e in (e_on, e_off):
-        assert 0.0 < e.data.min() and e.data.max() < 1.0
+def test_no_parameter_sits_idle(image):
+    """The stage groups name every parameter once, and one backward through
+    both stage losses gives each of them a gradient."""
+    net2 = EdgeDetector(tiny_cfg(), seed=7)
+    net2.train()
+    grouped = [n for n, _ in net2.stage1_parameters() + net2.stage2_parameters()]
+    assert grouped == [n for n, _ in net2.named_parameters()]
+    labels = (rng.random((1, 1, 32, 32)) < 0.1).astype(np.float64)
+    with T.fresh_tape():
+        f_g, e_g, gpaths = net2.run_stage1(image)
+        _, e_r, rpaths, _ = net2.run_stage2(image, f_g)
+        T.backward(T.add(
+            stage_loss(e_g, net2.side_outputs(gpaths, "global", (32, 32)), labels),
+            stage_loss(e_r, net2.side_outputs(rpaths, "local", (32, 32)), labels)))
+    assert [n for n, p in net2.named_parameters() if p.grad is None] == []
 
 
 def test_ffm_identity_and_prior_only_modulation(image):
@@ -174,18 +173,6 @@ def test_ffm_extent_mismatch(net):
     with pytest.raises(ShapeError):
         net.local_stage.fusion(Tensor(np.zeros((1, 16, 8, 8))),
                                Tensor(np.zeros((1, 16, 4, 4))))
-
-
-def test_infer_stage_modes(image):
-    two = EdgeDetector(tiny_cfg(), seed=12)
-    one = EdgeDetector(tiny_cfg(stage_mode="stage1_only"), seed=12)
-    out_two = two.infer(image)
-    out_one = one.infer(image)
-    one.eval()  # infer restores the training mode the model was built in
-    with T.no_grad(), nn.float32_working_copies(one):
-        _, e_g, _ = one.run_stage1(image)
-    assert np.array_equal(out_one, e_g.data)
-    assert not np.array_equal(out_one, out_two)
 
 
 def test_infer_accepts_single_image(net):
@@ -233,11 +220,10 @@ def test_output_shape_for_legal_sizes():
             assert out.shape == (1, 1, h, w)
 
 
-@pytest.mark.parametrize("mode", ["two_stage", "stage1_only"])
-def test_infer_any_size(mode):
+def test_infer_any_size():
     """Sizes that are not a multiple of the 16 px cell are edge-padded and
     cropped back; a native-size image pads nothing."""
-    m = EdgeDetector(tiny_cfg(stage_mode=mode), seed=0)
+    m = EdgeDetector(tiny_cfg(), seed=0)
     for h, w in ((80, 80), (128, 96), (70, 50), (1, 17)):
         img = np.random.default_rng(1).random((2, 3, h, w))
         out = m.infer(img)
@@ -275,8 +261,6 @@ def test_infer_rejects_non_finite_image_before_running(net, value):
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig.toy(input_hw=(40, 64))  # not divisible by 16
-    with pytest.raises(ConfigError):
-        ModelConfig.toy(stage_mode="three_stage")
 
 
 @pytest.mark.parametrize("field,value", [
@@ -327,13 +311,12 @@ def test_canonical_text_round_trip():
             ModelConfig.toy(input_hw=(32, 96), embed_dim=32, heads=2,
                             head_dim=16, mlp_ratio=2, local_taps=(2, 3, 4, 5), path_channels=8,
                             smooth_channels=12, decoder_arch="mla",
-                            ffm_enabled=False, stage_mode="stage1_only",
                             side_channels=2)]
     for cfg in cfgs:
         assert ModelConfig.from_canonical_text(cfg.canonical_text()) == cfg
     text = cfgs[0].canonical_text()
     assert "heads=8\n" in text and "global_taps=2,4,6,8\n" in text
-    assert len(text.splitlines()) == 14
+    assert len(text.splitlines()) == 12
     assert text.splitlines() == sorted(text.splitlines())
 
 
@@ -345,10 +328,12 @@ def test_canonical_text_rejects_missing_unknown_and_malformed_keys():
         text + "colour=red\n",                              # unknown key
         text.replace("heads=8", "global_encoder.heads=8"),  # version-4 key
         text + "global_depth=8\n",                          # version-5 key
+        text + "ffm_enabled=True\n",                        # version-6 key
+        text + "stage_mode=two_stage\n",                    # version-6 key
         text + "window_divisor\n",                          # no "="
         text + lines[0],                                    # repeated key
         text.replace("heads=8", "heads=eight"),
-        text.replace("ffm_enabled=True", "ffm_enabled=1"),
+        text.replace("embed_dim=64", "embed_dim=64.0"),
         text.replace("input_hw=64,64", "input_hw=64,,64"),
         text.replace("input_hw=64,64", "input_hw=64"),
         text.replace("input_hw=64,64", "input_hw=0,64"),
@@ -385,11 +370,10 @@ def _conv_calls(monkeypatch, run) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("mode", ["two_stage", "stage1_only"])
-def test_infer_folds_every_batch_norm(monkeypatch, image, mode):
+def test_infer_folds_every_batch_norm(monkeypatch, image):
     """Folded inference runs no batch norm and the same convolutions as the
     float64 unfolded path."""
-    net2 = EdgeDetector(tiny_cfg(stage_mode=mode), seed=6)
+    net2 = EdgeDetector(tiny_cfg(), seed=6)
     for run in (lambda: net2.infer(image),
                 lambda: net2.infer_multiscale(image, (0.5, 1.0))):
         folded = _conv_calls(monkeypatch, run)

@@ -279,16 +279,6 @@ def test_two_phase_as_separate_one_phase_calls():
     assert all(np.isfinite(l) for _, _, l in r1.history + r2.history)
 
 
-def test_stage1_only_skips_phase_two():
-    scenes = _tiny_scenes()
-    cfg = ModelConfig.toy(input_hw=(32, 32), stage_mode="stage1_only")
-    model = EdgeDetector(cfg, seed=0)
-    tcfg = TrainConfig(iterations_stage1=2, iterations_stage2=2,
-                       batch_size=1, crop=32, seed=0)
-    result = train_two_phase(model, scenes, tcfg)
-    assert [s for _, s, _ in result.history] == [1, 1]
-
-
 def test_crop_larger_than_image_rejected():
     scenes = _tiny_scenes()
     cfg = ModelConfig.toy(input_hw=(64, 64))
