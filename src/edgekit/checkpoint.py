@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DigestMismatch, MagicMismatch, NumericError, TruncatedFile,
-                     VersionMismatch)
+from .errors import (CheckpointError, DigestMismatch, MagicMismatch, NumericError,
+                     TruncatedFile, VersionMismatch)
 
 MAGIC = b"EDTR"
 # 4: exact-size upsampling; a version-3 file (upsample then crop) has the same
@@ -39,16 +39,12 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NumericError(f"checkpoint tensor {name} holds NaN or Inf")
 
 
-def config_digest(config_text: str) -> bytes:
-    return hashlib.sha256(config_text.encode("utf-8")).digest()
-
-
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str) -> None:
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", VERSION)
-    blob += config_digest(config_text)
     cfg = config_text.encode("utf-8")
+    blob += hashlib.sha256(cfg).digest()
     blob += struct.pack("<I", len(cfg))
     blob += cfg
     names = sorted(arrays)
@@ -85,6 +81,13 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint {what} is not UTF-8: {exc}") from None
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     """Read arrays and the embedded config; verify the config digest."""
     r = _Reader(Path(path).read_bytes())
@@ -94,12 +97,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     if version != VERSION:
         raise VersionMismatch(f"checkpoint version {version}, supported {VERSION}")
     digest = r.take(32)
-    config_text = r.take(r.u32()).decode("utf-8")
-    if config_digest(config_text) != digest:
+    # the digest is checked on the raw bytes, so a corrupt byte is a
+    # mismatch, not a decoding failure
+    config = r.take(r.u32())
+    if hashlib.sha256(config).digest() != digest:
         raise DigestMismatch("embedded config does not match stored digest")
+    config_text = _utf8(config, "embedded config")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
+        name = _utf8(r.take(r.u32()), "tensor name")
         rank = r.u32()
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         payload = r.take(int(np.prod(dims, dtype=np.int64)) * 4)

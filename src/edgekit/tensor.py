@@ -11,9 +11,11 @@ the gradient checks run in float64.
 :func:`deconv2d` takes the strides and paddings that change resolution.
 Every primitive appends one record (output, inputs, adjoint function) to the
 active tape during the forward pass, and ``backward`` replays the records in
-reverse to populate ``.grad`` on every tracked tensor. The graph is rebuilt
-on each forward pass, so one :func:`fresh_tape` context per training
-iteration keeps memory bounded.
+reverse to populate ``.grad`` on the leaves: the tracked tensors that no
+record of the tape produced (parameters, inputs, tensors from an earlier
+tape). An intermediate's gradient lives only until its record's adjoint has
+read it. The graph is rebuilt on each forward pass, so one
+:func:`fresh_tape` context per training iteration keeps memory bounded.
 """
 
 from __future__ import annotations
@@ -81,7 +83,14 @@ class Tape:
         return len(self.records)
 
     def backward(self, loss: Tensor) -> None:
-        """Replay adjoints in reverse, accumulating into ``.grad`` buffers."""
+        """Replay adjoints in reverse and accumulate into ``.grad`` of the
+        leaves ``loss`` depends on: tensors no record of this tape produced.
+
+        A record's output gradient is dropped once its adjoint has run, so
+        intermediates keep no ``.grad``. Adjoints only read the gradient
+        they are given, so it flows on uncopied; a leaf's ``.grad`` is its
+        own array, never a view shared with another tensor's.
+        """
         if loss.data.size != 1:
             raise UsageError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
@@ -91,7 +100,7 @@ class Tape:
         def _add(t: Tensor, g: np.ndarray) -> None:
             entry = flows.get(id(t))
             if entry is None:
-                flows[id(t)] = [t, np.array(g, dtype=_state.dtype)]
+                flows[id(t)] = [t, np.asarray(g, dtype=_state.dtype)]
             else:
                 entry[1] = entry[1] + g
 
@@ -100,13 +109,11 @@ class Tape:
             entry = flows.pop(id(rec.out), None)
             if entry is None:
                 continue
-            t, g = entry
-            t.grad = g if t.grad is None else t.grad + g
-            for inp, gi in zip(rec.inputs, rec.adjoint(g)):
+            for inp, gi in zip(rec.inputs, rec.adjoint(entry[1])):
                 if gi is not None and inp.requires_grad:
                     _add(inp, gi)
         for t, g in flows.values():  # leaves
-            t.grad = g if t.grad is None else t.grad + g
+            t.grad = np.array(g) if t.grad is None else t.grad + g
 
 
 class _State:
@@ -165,7 +172,8 @@ def current_dtype() -> np.dtype:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of everything the active tape links to ``loss``."""
+    """Populate the gradients of the leaves the active tape links to
+    ``loss`` (see :meth:`Tape.backward`)."""
     _state.tape.backward(loss)
 
 
@@ -681,7 +689,9 @@ def batch_norm(x, gain, bias, running_mean, running_var, training: bool,
     """Per-channel batch normalization over (B, H, W) of an NCHW tensor.
 
     In training mode normalizes by batch statistics and updates the running
-    moment arrays in place; in eval mode uses the running moments.
+    moment arrays in place; in eval mode uses the running moments. The
+    training record keeps no normalized map: its adjoint recomputes it from
+    the input.
     """
     x = _as_tensor(x)
     gain, bias = _as_tensor(gain), _as_tensor(bias)
@@ -694,17 +704,23 @@ def batch_norm(x, gain, bias, running_mean, running_var, training: bool,
         if n < 2:
             raise ShapeError("batch_norm training mode needs >= 2 values per channel")
         mu = x.data.mean(axis=(0, 2, 3))
-        xc = x.data - mu[None, :, None, None]
-        var = (xc * xc).mean(axis=(0, 2, 3))
+        out = x.data - mu[None, :, None, None]
+        var = (out * out).mean(axis=(0, 2, 3))
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var * (n / max(n - 1, 1))
         inv = 1.0 / np.sqrt(var + eps)
-        y = xc * inv[None, :, None, None]
-        out = y * gain.data[None, :, None, None] + bias.data[None, :, None, None]
+        # the output is built in the centred input's buffer, and the adjoint
+        # recomputes the normalized map, so no full-size map but the output
+        # outlives the forward pass
+        out *= inv[None, :, None, None]
+        out *= gain.data[None, :, None, None]
+        out += bias.data[None, :, None, None]
 
         def adjoint(g):
+            y = x.data - mu[None, :, None, None]
+            y *= inv[None, :, None, None]
             dy = g * gain.data[None, :, None, None]
             mean_dy = dy.mean(axis=(0, 2, 3))
             mean_dyy = (dy * y).mean(axis=(0, 2, 3))

@@ -9,13 +9,15 @@ with one incremental breadth-first matching per annotator on vectorized
 candidate graphs; Kuhn's method, taking the rows in the order given, finds it
 by depth-first search.
 
-The convolution references are the engine's earlier kernels: a transposed
-convolution scattered one kernel tap at a time (its padded form slices the
-full map), and a conv2d that multiplies one im2col matrix (every receptive
-field as a row) by the flattened kernel. The inverses of the model's token
-and window layouts are here too, because only tests need them, and so is
-the model's earlier inference path: float64 throughout, with eval-mode batch
-norm run by ``T.batch_norm`` after each convolution instead of folded in.
+The convolution and training batch-norm references are the engine's
+earlier kernels: a transposed convolution scattered one kernel tap at a time
+(its padded form slices the full map), a conv2d that multiplies one im2col
+matrix (every receptive field as a row) by the flattened kernel, and a
+training batch norm that keeps its normalized map for the adjoint. The
+inverses of the model's token and window layouts are here too, because only
+tests need them, and so is the model's earlier inference path: float64
+throughout, with eval-mode batch norm run by ``T.batch_norm`` after each
+convolution instead of folded in.
 """
 
 from __future__ import annotations
@@ -207,6 +209,33 @@ def conv_im2col_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray, sh: int,
     gp[:, :, :raw.shape[2], :raw.shape[3]] = raw
     gx = gp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]]
     return gx, gw
+
+
+def batch_norm_storing(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       running_mean: np.ndarray, running_var: np.ndarray,
+                       g: np.ndarray, momentum: float = 0.1, eps: float = 1e-5):
+    """Training-mode batch norm as the engine computed it when its record
+    stored the normalized map ``y``: the output, then the adjoints of x, gain
+    and bias for the output gradient ``g``. Updates the running moments in
+    place."""
+    b, c, h, w = x.shape
+    n = b * h * w
+    mu = x.mean(axis=(0, 2, 3))
+    xc = x - mu[None, :, None, None]
+    var = (xc * xc).mean(axis=(0, 2, 3))
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu
+    running_var *= 1.0 - momentum
+    running_var += momentum * var * (n / (n - 1))
+    inv = 1.0 / np.sqrt(var + eps)
+    y = xc * inv[None, :, None, None]
+    out = y * gain[None, :, None, None] + bias[None, :, None, None]
+    dy = g * gain[None, :, None, None]
+    mean_dy = dy.mean(axis=(0, 2, 3))
+    mean_dyy = (dy * y).mean(axis=(0, 2, 3))
+    dx = (dy - mean_dy[None, :, None, None]
+          - y * mean_dyy[None, :, None, None]) * inv[None, :, None, None]
+    return out, dx, (g * y).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
 
 def flatten_map(m: Tensor) -> Tensor:

@@ -1,8 +1,9 @@
-"""The names the benchmark's tracer wraps must exist in the package.
+"""The names and records the benchmark's tracer uses must exist in the package.
 
 ``bench/tracing.py`` replaces tensor primitives and decoder methods by name,
-so renaming or deleting one breaks ``bench/run.py --trace 1``. Its op lists
-are read here with ``ast``, without importing the benchmark.
+and reads and rewraps the tape records of the ops it wraps, so renaming or
+deleting one breaks ``bench/run.py --trace 1``. Its op lists are read here
+with ``ast``, without importing the benchmark.
 """
 
 import ast
@@ -44,3 +45,22 @@ def test_traced_decoder_methods_exist():
         for attr in ("forward", "paths", "upsample"):
             assert callable(getattr(dec, attr)), (type(dec).__name__, attr)
         assert callable(dec.smooth.forward)
+
+
+def test_tape_records_expose_what_the_tracer_reads():
+    """The tracer finds an op's record as the last one whose ``out`` is the
+    returned tensor, sizes the tape from ``out`` and ``inputs``, and replaces
+    ``adjoint`` with a timed wrapper."""
+    x = T.Tensor(np.ones((2, 3, 4, 4)), requires_grad=True)
+    bn = lambda t: T.batch_norm(t, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)),
+                                np.zeros(3), np.ones(3), training=True)
+    with T.fresh_tape():
+        for op in (T.relu, bn):
+            out = op(x)
+            rec = T.active_tape().records[-1]
+            assert rec.out is out
+            assert rec.inputs[0] is x
+            assert all(isinstance(t.data, np.ndarray) for t in rec.inputs)
+            adjoint = rec.adjoint
+            rec.adjoint = lambda g, adjoint=adjoint: adjoint(g)
+            assert rec.adjoint(np.ones_like(out.data))[0].shape == x.shape

@@ -225,6 +225,22 @@ def test_version1_checkpoint_exit_code(trained, tmp_path):
                      "--out", str(tmp_path / "e.pgm")]) == 3
 
 
+def test_non_utf8_checkpoint_exit_code(trained, tmp_path):
+    _, data, out, _ = trained
+    good = (out / "model.ckpt").read_bytes()
+    (cfg_len,) = struct.unpack("<I", good[40:44])
+    assert 50 < 44 + cfg_len
+    for pos in (50, 44 + cfg_len + 8):   # inside the config, the first name
+        blob = bytearray(good)
+        blob[pos] = 0xFF
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        assert main(["infer", "--ckpt", str(bad), "--in",
+                     str(data / "images" / "000.ppm"),
+                     "--out", str(tmp_path / "e.pgm")]) == 3
+    assert not (tmp_path / "e.pgm").exists()
+
+
 def test_non_finite_checkpoint_exit_code(trained, tmp_path):
     _, data, out, _ = trained
     blob = bytearray((out / "model.ckpt").read_bytes())

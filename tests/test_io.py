@@ -5,9 +5,9 @@ import pytest
 
 from edgekit import rasters
 from edgekit.checkpoint import load_checkpoint, save_checkpoint
-from edgekit.errors import (ConfigError, DigestMismatch, MagicMismatch,
-                            NumericError, ParseError, TruncatedFile,
-                            VersionMismatch)
+from edgekit.errors import (CheckpointError, ConfigError, DigestMismatch,
+                            MagicMismatch, NumericError, ParseError,
+                            TruncatedFile, VersionMismatch)
 from edgekit.model import ModelConfig
 from edgekit.runconfig import SCHEMA, RunConfig, default_config_text
 from edgekit.train import TrainConfig
@@ -168,6 +168,21 @@ def test_checkpoint_digest_mismatch(tmp_path):
     p.write_bytes(bytes(data))
     with pytest.raises(DigestMismatch):
         load_checkpoint(p)
+
+
+def test_checkpoint_non_utf8_bytes_rejected(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, _arrays(), "k=v\n")
+    good = p.read_bytes()
+    start = 4 + 4 + 32 + 4   # magic, version, digest, config length
+    name = start + 4 + 4 + 4  # config, tensor count, first name length
+    assert good[name:name + 8] == b"a.weight"
+    for pos, error in ((start + 1, DigestMismatch), (name + 1, CheckpointError)):
+        data = bytearray(good)
+        data[pos] = 0xFF
+        p.write_bytes(bytes(data))
+        with pytest.raises(error):
+            load_checkpoint(p)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e39])  # -1e39 is -Inf in float32

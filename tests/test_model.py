@@ -124,21 +124,47 @@ def test_window_locality_of_taps(net, image):
         assert outside.max() == 0.0
 
 
+def _both_stage_losses(net2, image):
+    """Both stages' losses summed, recorded on the active tape."""
+    labels = (rng.random((1, 1, 32, 32)) < 0.1).astype(np.float64)
+    f_g, e_g, gpaths = net2.run_stage1(image)
+    _, e_r, rpaths, _ = net2.run_stage2(image, f_g)
+    return T.add(
+        stage_loss(e_g, net2.side_outputs(gpaths, "global", (32, 32)), labels),
+        stage_loss(e_r, net2.side_outputs(rpaths, "local", (32, 32)), labels))
+
+
 def test_no_parameter_sits_idle(image):
     """The stage groups name every parameter once, and one backward through
-    both stage losses gives each of them a gradient."""
+    both stage losses gives each of them a gradient, and no intermediate
+    one."""
     net2 = EdgeDetector(tiny_cfg(), seed=7)
     net2.train()
     grouped = [n for n, _ in net2.stage1_parameters() + net2.stage2_parameters()]
     assert grouped == [n for n, _ in net2.named_parameters()]
-    labels = (rng.random((1, 1, 32, 32)) < 0.1).astype(np.float64)
-    with T.fresh_tape():
-        f_g, e_g, gpaths = net2.run_stage1(image)
-        _, e_r, rpaths, _ = net2.run_stage2(image, f_g)
-        T.backward(T.add(
-            stage_loss(e_g, net2.side_outputs(gpaths, "global", (32, 32)), labels),
-            stage_loss(e_r, net2.side_outputs(rpaths, "local", (32, 32)), labels)))
+    with T.fresh_tape() as tape:
+        T.backward(_both_stage_losses(net2, image))
     assert [n for n, p in net2.named_parameters() if p.grad is None] == []
+    assert all(rec.out.grad is None for rec in tape.records)
+
+
+def test_no_adjoint_writes_into_its_upstream_gradient(image):
+    """Backward hands each adjoint its gradient uncopied, so every adjoint
+    must leave it as it is: here a write into it raises."""
+    def read_only(adjoint):
+        def spy(g):
+            g.flags.writeable = False
+            return adjoint(g)
+        return spy
+
+    net2 = EdgeDetector(tiny_cfg(), seed=7)
+    net2.train()
+    with T.fresh_tape() as tape:
+        loss = _both_stage_losses(net2, image)
+        for rec in tape.records:
+            rec.adjoint = read_only(rec.adjoint)
+        T.backward(loss)
+    assert all(p.grad is not None for p in net2.parameters())
 
 
 def test_ffm_identity_and_prior_only_modulation(image):

@@ -7,7 +7,8 @@ from edgekit import tensor as T
 from edgekit.errors import ConfigError, NumericError, ShapeError, UsageError
 from edgekit.gradcheck import check_op
 from edgekit.tensor import Tensor
-from oracles import conv_im2col, conv_im2col_grads, deconv_loop, deconv_padded
+from oracles import (batch_norm_storing, conv_im2col, conv_im2col_grads, deconv_loop,
+                     deconv_padded)
 
 rng = np.random.default_rng(1234)
 
@@ -417,6 +418,36 @@ def test_batch_norm_needs_two_samples():
                      Tensor(np.zeros(2)), np.zeros(2), np.ones(2), training=True)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+def test_batch_norm_training_matches_storing_formula(dtype, layout):
+    r = np.random.default_rng(8)
+    shape = (2, 3, 6, 5) if layout == "nchw" else (2, 6, 5, 3)
+    x = r.normal(loc=1.5, scale=2.0, size=shape).astype(dtype)
+    if layout == "nhwc":  # the transposed view conv2d returns
+        x = x.transpose(0, 3, 1, 2)
+    gain, bias = r.normal(size=3).astype(dtype), r.normal(size=3).astype(dtype)
+    g = r.normal(size=x.shape).astype(dtype)
+    moments = [r.random(3), r.random(3) + 0.5]
+    ref_moments = [m.copy() for m in moments]
+    want = batch_norm_storing(x, gain, bias, *ref_moments, g)
+    with T.compute_dtype(dtype), T.fresh_tape() as tape:
+        out = T.batch_norm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True),
+                           Tensor(bias, requires_grad=True), *moments, training=True)
+        got = (out.data, *tape.records[-1].adjoint(g))
+    for a, b in zip(got + tuple(moments), want + tuple(ref_moments)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_batch_norm_training_record_keeps_no_full_size_array():
+    x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
+    with T.fresh_tape() as tape:
+        T.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3),
+                     np.ones(3), training=True)
+    held = [c.cell_contents for c in tape.records[-1].adjoint.__closure__]
+    assert all(a.size < x.data.size for a in held if isinstance(a, np.ndarray))
+
+
 def test_batch_norm_gradcheck_training():
     r = check_op(lambda x, g, b: T.batch_norm(x, g, b, np.zeros(3), np.ones(3),
                                               training=True),
@@ -456,13 +487,32 @@ def test_backward_accumulates_on_repeat():
     assert np.array_equal(x.grad, 2 * np.ones(3))
 
 
-def test_intermediate_tensors_receive_grads():
+def test_only_leaves_keep_gradients():
     x = Tensor(np.ones(3), requires_grad=True)
     with T.fresh_tape():
+        early = T.mul(x, 2.0)
+    with T.fresh_tape():
         mid = T.mul(x, 3.0)
-        T.backward(T.tensor_sum(mid))
-    assert np.array_equal(mid.grad, np.ones(3))
+        loss = T.tensor_sum(mid)
+        T.backward(loss)
+    assert mid.grad is None and loss.grad is None
     assert np.array_equal(x.grad, 3 * np.ones(3))
+    # a tensor from an earlier tape is a leaf of this one: the gradient
+    # stops there and does not reach x through the earlier record
+    with T.fresh_tape():
+        T.backward(T.tensor_sum(T.mul(early, 5.0)))
+    assert np.array_equal(early.grad, 5 * np.ones(3))
+    assert np.array_equal(x.grad, 3 * np.ones(3))
+
+
+def test_leaves_get_distinct_gradient_arrays():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    with T.fresh_tape():
+        T.backward(T.tensor_sum(T.add(a, b)))  # add passes one array to both
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad[0] = 7.0
+    assert np.array_equal(b.grad, np.ones(3))
 
 
 def test_no_grad_suppresses_recording():
