@@ -31,7 +31,9 @@ MAGIC = b"EDTR"
 #    global_depth/local_depth lines would fail as unknown config keys
 # 7: no ffm_enabled/stage_mode keys and no concat_fuse tensors; a version-6
 #    file would fail as an unknown config key or a state mismatch
-VERSION = 7
+# 8: no decoder_arch key; a version-7 file's decoder_arch line would fail as
+#    an unknown config key
+VERSION = 8
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:

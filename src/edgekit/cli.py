@@ -127,6 +127,14 @@ def _int_at_least(low: int):
     return integer
 
 
+def _probability(text: str) -> float:
+    """An argparse type: a number in [0, 1]; NaN and infinities are not."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="edgekit",
                                  description=__doc__.splitlines()[0])
@@ -138,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_int_at_least(3), default=64)
     p.add_argument("--out", required=True)
     p.add_argument("--annotators", type=_int_at_least(1), default=5)
-    p.add_argument("--jitter", type=float, default=0.08)
+    p.add_argument("--jitter", type=_probability, default=0.08)
     p.set_defaults(fn=_cmd_synth)
 
     p = sub.add_parser("train", help="two-phase training from a config file")

@@ -1,6 +1,6 @@
-"""Decoders that lift four tapped token sets to full-resolution features.
+"""The BiMLA decoder: lifts four tapped token sets to full-resolution features.
 
-The main decoder runs a top-down and a bottom-up aggregation path over the
+The decoder runs a top-down and a bottom-up aggregation path over the
 four tapped levels, upsamples all eight path outputs with learned strided
 transposed convolutions, and smooths the concatenation. Both stages build it
 from the shared widths of ``ModelConfig`` (input width ``embed_dim``); the
@@ -8,8 +8,7 @@ stage fixes the rest. Its patch side p sets the upsampling, (kernel, stride)
 (4, 2) then (p, p/2), each padded by half its stride: exactly p times the
 token grid, nothing cropped. The coarse stage (p = 16) uses 3x3
 path/smoothing convolutions, the fine stage (p = 8) 1x1 ones (no padding
-artifacts). A single-path bilinear decoder is kept as the ablation
-comparison arm.
+artifacts).
 """
 
 from __future__ import annotations
@@ -95,33 +94,26 @@ def _path_convs(cfg: ModelConfig, kernel: int, rng: np.random.Generator
     return proj, conv
 
 
-class _LevelDecoder(nn.Module):
-    """The top-down path and the forward pass both decoders share; ``patch``
-    is the stage's patch side and ``kernel`` its path/smoothing kernel."""
+class BiMLADecoder(nn.Module):
+    """Bidirectional multi-level aggregation with learned upsampling;
+    ``patch`` is the stage's patch side and ``kernel`` its path/smoothing
+    kernel."""
 
     def __init__(self, cfg: ModelConfig, patch: int, kernel: int,
                  rng: np.random.Generator):
         super().__init__()
+        pc = cfg.path_channels
         self.td_proj, self.td_conv = _path_convs(cfg, kernel, rng)
+        self.bu_proj, self.bu_conv = _path_convs(cfg, kernel, rng)
+        self.upsamplers = nn.ModuleList(UpsampleBlock(pc, pc, patch, rng)
+                                        for _ in range(8))
+        self.smooth = SmoothStack(8 * pc, cfg.smooth_channels, kernel, rng)
 
     def forward(self, taps: list[Tensor], grid: tuple[int, int]
                 ) -> tuple[Tensor, list[Tensor]]:
         paths = self.paths(taps, grid)
         ups = self.upsample(paths)
         return self.smooth(T.concat(ups, axis=1)), paths
-
-
-class BiMLADecoder(_LevelDecoder):
-    """Bidirectional multi-level aggregation with learned upsampling."""
-
-    def __init__(self, cfg: ModelConfig, patch: int, kernel: int,
-                 rng: np.random.Generator):
-        super().__init__(cfg, patch, kernel, rng)
-        pc = cfg.path_channels
-        self.bu_proj, self.bu_conv = _path_convs(cfg, kernel, rng)
-        self.upsamplers = nn.ModuleList(UpsampleBlock(pc, pc, patch, rng)
-                                        for _ in range(8))
-        self.smooth = SmoothStack(8 * pc, cfg.smooth_channels, kernel, rng)
 
     def paths(self, taps: list[Tensor], grid: tuple[int, int]) -> list[Tensor]:
         """The eight token-resolution path features (top-down then bottom-up)."""
@@ -132,29 +124,3 @@ class BiMLADecoder(_LevelDecoder):
 
     def upsample(self, paths: list[Tensor]) -> list[Tensor]:
         return [self.upsamplers[i](p) for i, p in enumerate(paths)]
-
-
-class MLADecoder(_LevelDecoder):
-    """Top-down-only comparison arm with fixed bilinear upsampling."""
-
-    def __init__(self, cfg: ModelConfig, patch: int, kernel: int,
-                 rng: np.random.Generator):
-        super().__init__(cfg, patch, kernel, rng)
-        self.patch = patch
-        self.smooth = SmoothStack(4 * cfg.path_channels, cfg.smooth_channels,
-                                  kernel, rng)
-
-    def paths(self, taps: list[Tensor], grid: tuple[int, int]) -> list[Tensor]:
-        maps = [reshape_tokens(t, grid) for t in taps]
-        return top_down_path(maps, self.td_proj, self.td_conv)
-
-    def upsample(self, paths: list[Tensor]) -> list[Tensor]:
-        f = self.patch
-        return [T.bilinear_resize(p, (f * p.shape[2], f * p.shape[3])) for p in paths]
-
-
-def build_decoder(cfg: ModelConfig, patch: int, kernel: int,
-                  rng: np.random.Generator) -> nn.Module:
-    """The decoder ``cfg.decoder_arch`` names, for one stage's patch and kernel."""
-    arch = BiMLADecoder if cfg.decoder_arch == "bimla" else MLADecoder
-    return arch(cfg, patch, kernel, rng)

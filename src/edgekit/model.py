@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .decoder import UpsampleBlock, build_decoder
+from .decoder import BiMLADecoder, UpsampleBlock
 from .encoder import Encoder
 from .errors import ConfigError, NumericError, PartitionError, ShapeError, UsageError
 from .tensor import Tensor
@@ -42,7 +42,6 @@ class ModelConfig:
     mlp_ratio: int = 4
     path_channels: int = 16
     smooth_channels: int = 16
-    decoder_arch: str = "bimla"  # "bimla" or "mla" (bilinear comparison arm)
     global_taps: tuple[int, ...] = (2, 4, 6, 8)
     local_taps: tuple[int, ...] = (1, 2, 3, 4)
     side_channels: int = 4
@@ -66,8 +65,6 @@ class ModelConfig:
                     and list(taps) == sorted(set(taps))):
                 raise ConfigError(f"{name} must be a tuple of 4 strictly "
                                   f"increasing integers >= 1, got {taps!r}")
-        if self.decoder_arch not in ("bimla", "mla"):
-            raise ConfigError(f"unknown decoder arch {self.decoder_arch!r}")
         (h, w), d = self.input_hw, self.window_divisor
         if h % GLOBAL_PATCH or w % GLOBAL_PATCH:
             raise ConfigError(
@@ -162,10 +159,9 @@ class SideHead(UpsampleBlock):
 
 def _side_heads(cfg: ModelConfig, patch: int,
                 rng: np.random.Generator) -> nn.ModuleList:
-    """One side head per decoder path (8 for BiMLA, 4 for MLA)."""
-    n_paths = 8 if cfg.decoder_arch == "bimla" else 4
+    """One side head per decoder path: 4 top-down, then 4 bottom-up."""
     return nn.ModuleList(SideHead(cfg.path_channels, cfg.side_channels, patch, rng)
-                         for _ in range(n_paths))
+                         for _ in range(8))
 
 
 def _native_grid(cfg: ModelConfig, cell: int) -> tuple[int, int]:
@@ -208,7 +204,7 @@ class GlobalStage(nn.Module):
         self.cfg = cfg
         grid = _native_grid(cfg, GLOBAL_PATCH)
         self.encoder = Encoder(cfg, GLOBAL_PATCH, cfg.global_taps, grid, rng)
-        self.decoder = build_decoder(cfg, GLOBAL_PATCH, 3, rng)
+        self.decoder = BiMLADecoder(cfg, GLOBAL_PATCH, 3, rng)
         self.head = nn.Conv2d(cfg.smooth_channels, 1, 1, rng)
         self.sides = _side_heads(cfg, GLOBAL_PATCH, rng)
 
@@ -228,7 +224,7 @@ class LocalStage(nn.Module):
         # a window is 1/divisor of the image, so a token covers divisor*patch
         grid = _native_grid(cfg, cfg.window_divisor * LOCAL_PATCH)
         self.encoder = Encoder(cfg, LOCAL_PATCH, cfg.local_taps, grid, rng)
-        self.decoder = build_decoder(cfg, LOCAL_PATCH, 1, rng)
+        self.decoder = BiMLADecoder(cfg, LOCAL_PATCH, 1, rng)
         ch = cfg.smooth_channels
         self.fusion = FeatureFusion(ch, rng)
         self.head = nn.Conv2d(ch, 1, 1, rng)

@@ -41,7 +41,6 @@ SCHEMA: dict[str, tuple] = {
     "path_channels": (int, 16, "decoder aggregation-path width"),
     "smooth_channels": (int, 16, "decoder output feature width"),
     "side_channels": (int, 4, "width inside auxiliary side heads"),
-    "decoder_arch": (str, "bimla", "decoder kind: bimla or mla (ablation arm)"),
     "window_divisor": (int, 2, "fine stage window grid divisor"),
     "eta": (float, 0.3, "annotator consensus threshold"),
     "lambda": (float, 0.4, "side-output loss weight"),

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from edgekit import tensor as T
-from edgekit.decoder import build_decoder
 from edgekit.model import EdgeDetector, ModelConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -37,11 +36,7 @@ def test_traced_ops_are_tensor_functions(name):
 
 def test_traced_decoder_methods_exist():
     model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
-    decoders = [model.global_stage.decoder, model.local_stage.decoder]
-    mla = ModelConfig(embed_dim=4, path_channels=4, smooth_channels=4,
-                      decoder_arch="mla")
-    decoders.append(build_decoder(mla, 16, 3, np.random.default_rng(0)))
-    for dec in decoders:
+    for dec in (model.global_stage.decoder, model.local_stage.decoder):
         for attr in ("forward", "paths", "upsample"):
             assert callable(getattr(dec, attr)), (type(dec).__name__, attr)
         assert callable(dec.smooth.forward)

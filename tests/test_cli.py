@@ -122,7 +122,8 @@ def test_missing_file_exit_codes(tmp_path):
 
 def test_bad_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    for line in ("unknown_key=1", "ffm=false", "stage_mode=stage1_only"):
+    for line in ("unknown_key=1", "ffm=false", "stage_mode=stage1_only",
+                 "decoder_arch=bimla", "decoder_arch=mla"):
         cfg.write_text(line + "\n")
         assert main(["train", "--config", str(cfg)]) == 3
         assert "unknown key" in capsys.readouterr().err
@@ -151,6 +152,10 @@ def test_train_size_below_minimum_exit_code(trained, tmp_path, line):
     ["synth", "--n", "1", "--size", "-5"],
     ["synth", "--n", "1", "--size", "0"],
     ["synth", "--n", "1", "--size", "2"],
+    ["synth", "--n", "1", "--jitter", "nan"],
+    ["synth", "--n", "1", "--jitter=-1"],
+    ["synth", "--n", "1", "--jitter", "5"],
+    ["synth", "--n", "1", "--jitter", "inf"],
     ["gradcheck", "--quick", "--seed", "-1"],
 ])
 def test_negative_seed_or_count_is_a_usage_error(tmp_path, argv):

@@ -3,9 +3,8 @@ import pytest
 
 from edgekit import nn
 from edgekit import tensor as T
-from edgekit.decoder import (BiMLADecoder, MLADecoder, UpsampleBlock,
-                             build_decoder, reshape_tokens)
-from edgekit.errors import ConfigError, ShapeError
+from edgekit.decoder import BiMLADecoder, UpsampleBlock, reshape_tokens
+from edgekit.errors import ShapeError
 from edgekit.gradcheck import check_gradients
 from edgekit.model import ModelConfig
 from edgekit.tensor import Tensor
@@ -16,10 +15,9 @@ rng = np.random.default_rng(21)
 STAGE = {"global": (16, 3), "local": (8, 1)}
 
 
-def small_decoder(stage="global", pc=4, arch="bimla", seed=0):
-    cfg = ModelConfig(embed_dim=4, path_channels=pc, smooth_channels=4,
-                      decoder_arch=arch)
-    return build_decoder(cfg, *STAGE[stage], np.random.default_rng(seed))
+def small_decoder(stage="global", pc=4, seed=0):
+    cfg = ModelConfig(embed_dim=4, path_channels=pc, smooth_channels=4)
+    return BiMLADecoder(cfg, *STAGE[stage], np.random.default_rng(seed))
 
 
 def test_reshape_tokens_round_trip():
@@ -120,7 +118,6 @@ def test_upsample_extents():
 def test_decode_output_extent_and_paths():
     for stage, (patch, _) in STAGE.items():
         dec = small_decoder(stage)
-        assert isinstance(dec, BiMLADecoder)
         dec.eval()
         grid = (2, 3)
         out_hw = (grid[0] * patch, grid[1] * patch)
@@ -157,21 +154,6 @@ def test_local_variant_receptive_field_confined():
     mask[max(lo, 0):hi, max(lo, 0):hi] = True
     assert diff[~mask].max() < 1e-12
     assert diff[mask].max() > 0
-
-
-def test_mla_arm_top_down_only():
-    dec = small_decoder(arch="mla")
-    assert isinstance(dec, MLADecoder)
-    dec.eval()
-    taps = [Tensor(rng.normal(size=(1, 4, 4))) for _ in range(4)]
-    feats, paths = dec(taps, (2, 2))
-    assert len(paths) == 4
-    assert feats.shape == (1, 4, 32, 32)
-
-
-def test_decoder_config_validation():
-    with pytest.raises(ConfigError):
-        ModelConfig(decoder_arch="other")
 
 
 def test_decoder_gradcheck_small():

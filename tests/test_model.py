@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -319,6 +320,27 @@ def test_each_stage_encoder_depth_is_its_last_tap():
     assert m.local_stage.encoder.taps == (2, 4, 5, 6)
 
 
+# one valid value per ModelConfig field other than tiny_cfg's
+OTHER_FIELD_VALUES = {
+    "input_hw": (32, 48), "embed_dim": 32, "heads": 2, "head_dim": 4,
+    "mlp_ratio": 2, "path_channels": 8, "smooth_channels": 8,
+    "global_taps": (1, 2, 3, 5), "local_taps": (1, 2, 3, 5),
+    "side_channels": 2, "window_divisor": 4}
+
+
+def test_every_model_field_shapes_the_model():
+    """A field that changes no parameter or buffer name or shape is one the
+    model ignores."""
+    def layout(cfg):
+        return {n: a.shape for n, a in EdgeDetector(cfg).state_arrays().items()}
+
+    base = layout(tiny_cfg())
+    assert set(OTHER_FIELD_VALUES) == {f.name for f in fields(ModelConfig)}
+    for name, value in OTHER_FIELD_VALUES.items():
+        assert value != getattr(tiny_cfg(), name)
+        assert layout(tiny_cfg(**{name: value})) != base, name
+
+
 def test_state_round_trip(net):
     state = net.state_arrays()
     other = EdgeDetector(tiny_cfg(), seed=99)
@@ -336,13 +358,12 @@ def test_canonical_text_round_trip():
     cfgs = [ModelConfig.toy(input_hw=(64, 64)),
             ModelConfig.toy(input_hw=(32, 96), embed_dim=32, heads=2,
                             head_dim=16, mlp_ratio=2, local_taps=(2, 3, 4, 5), path_channels=8,
-                            smooth_channels=12, decoder_arch="mla",
-                            side_channels=2)]
+                            smooth_channels=12, side_channels=2)]
     for cfg in cfgs:
         assert ModelConfig.from_canonical_text(cfg.canonical_text()) == cfg
     text = cfgs[0].canonical_text()
     assert "heads=8\n" in text and "global_taps=2,4,6,8\n" in text
-    assert len(text.splitlines()) == 12
+    assert len(text.splitlines()) == 11
     assert text.splitlines() == sorted(text.splitlines())
 
 
@@ -356,6 +377,7 @@ def test_canonical_text_rejects_missing_unknown_and_malformed_keys():
         text + "global_depth=8\n",                          # version-5 key
         text + "ffm_enabled=True\n",                        # version-6 key
         text + "stage_mode=two_stage\n",                    # version-6 key
+        text + "decoder_arch=bimla\n",                      # version-7 key
         text + "window_divisor\n",                          # no "="
         text + lines[0],                                    # repeated key
         text.replace("heads=8", "heads=eight"),
@@ -365,7 +387,6 @@ def test_canonical_text_rejects_missing_unknown_and_malformed_keys():
         text.replace("input_hw=64,64", "input_hw=0,64"),
         text.replace("heads=8", "heads=0"),
         text.replace("local_taps=1,2,3,4", "local_taps=2,3,4"),
-        text.replace("decoder_arch=bimla", "decoder_arch=other"),
     ]
     for case in bad:
         assert case != text
