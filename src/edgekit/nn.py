@@ -185,6 +185,9 @@ class Deconv2d(Module):
 
 
 class BatchNorm2d(Module):
+    """Batch normalization followed by a ReLU, one ``T.batch_norm`` record;
+    ``fold`` gives the eval-mode normalization alone."""
+
     eps = 1e-5
 
     def __init__(self, channels: int):
@@ -227,7 +230,7 @@ class ConvBNReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if self.bn.training:
-            return T.relu(self.bn(self.conv(x)))
+            return self.bn(self.conv(x))
         scale, shift = self.bn.fold()
         w = T.mul(self.conv.weight, T.reshape(scale, (-1, 1, 1, 1)))
         return T.relu(T.conv2d(x, w, shift))
@@ -245,7 +248,7 @@ class DeconvBNReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if self.bn.training:
-            return T.relu(self.bn(self.deconv(x)))
+            return self.bn(self.deconv(x))
         scale, shift = self.bn.fold()
         w = T.mul(self.deconv.weight, T.reshape(scale, (1, -1, 1, 1)))
         return T.relu(T.deconv2d(x, w, shift, stride=self.deconv.stride,

@@ -7,6 +7,7 @@ decimal; pipelines that need lossless round trips should prefer it.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -127,7 +128,7 @@ def load_float_raster(path) -> np.ndarray:
         raise ParseError("truncated dimension list", len(data))
     dims = struct.unpack_from(f"<{rank}I", data, 8)
     pos = 8 + 4 * rank
-    need = int(np.prod(dims)) * 4
+    need = math.prod(dims) * 4  # exact: np.prod wraps in int64
     if len(data) < pos + need:
         raise ParseError(
             f"truncated payload: expected {need} bytes, got {len(data) - pos}",

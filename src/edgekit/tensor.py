@@ -13,8 +13,10 @@ Every primitive appends one record (output, inputs, adjoint function) to the
 active tape during the forward pass, and ``backward`` replays the records in
 reverse to populate ``.grad`` on the leaves: the tracked tensors that no
 record of the tape produced (parameters, inputs, tensors from an earlier
-tape). An intermediate's gradient lives only until its record's adjoint has
-read it. The graph is rebuilt on each forward pass, so one
+tape). Backward consumes the tape: each record is dropped once its adjoint
+has run, so the arrays it holds are freed as soon as no earlier record needs
+them, and an intermediate's gradient lives only until its record's adjoint
+has read it. The graph is rebuilt on each forward pass, so one
 :func:`fresh_tape` context per training iteration keeps memory bounded.
 """
 
@@ -74,10 +76,12 @@ class _Record:
 
 
 class Tape:
-    """Append-only record of primitive ops within one forward pass."""
+    """Append-only record of primitive ops within one forward pass; one
+    backward consumes it."""
 
     def __init__(self):
         self.records: list[_Record] = []
+        self._consumed = False
 
     def __len__(self) -> int:
         return len(self.records)
@@ -86,15 +90,24 @@ class Tape:
         """Replay adjoints in reverse and accumulate into ``.grad`` of the
         leaves ``loss`` depends on: tensors no record of this tape produced.
 
-        A record's output gradient is dropped once its adjoint has run, so
-        intermediates keep no ``.grad``. Adjoints only read the gradient
-        they are given, so it flows on uncopied; a leaf's ``.grad`` is its
-        own array, never a view shared with another tensor's.
+        Each record is popped before its adjoint runs and dropped after it,
+        so the tape is empty when backward returns and a record's arrays are
+        freed once no earlier record holds them. A second backward on the
+        same tape raises ``UsageError``: its records are gone, so it would
+        miss every gradient. A record's output gradient is dropped once its
+        adjoint has run, so intermediates keep no ``.grad``. Adjoints only
+        read the gradient they are given, so it flows on uncopied; a leaf's
+        ``.grad`` is its own array, never a view shared with another
+        tensor's.
         """
         if loss.data.size != 1:
             raise UsageError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
+        if self._consumed:
+            raise UsageError("backward already ran on this tape; record each "
+                             "forward pass on its own fresh_tape()")
+        self._consumed = True
         flows: dict[int, list] = {}
 
         def _add(t: Tensor, g: np.ndarray) -> None:
@@ -104,14 +117,17 @@ class Tape:
             else:
                 entry[1] = entry[1] + g
 
-        _add(loss, np.ones_like(loss.data))
-        for rec in reversed(self.records):
+        def _replay(rec: _Record) -> None:
+            # a function, so no local outlives the record it reads
             entry = flows.pop(id(rec.out), None)
-            if entry is None:
-                continue
-            for inp, gi in zip(rec.inputs, rec.adjoint(entry[1])):
-                if gi is not None and inp.requires_grad:
-                    _add(inp, gi)
+            if entry is not None:
+                for inp, gi in zip(rec.inputs, rec.adjoint(entry[1])):
+                    if gi is not None and inp.requires_grad:
+                        _add(inp, gi)
+
+        _add(loss, np.ones_like(loss.data))
+        while self.records:
+            _replay(self.records.pop())
         for t, g in flows.values():  # leaves
             t.grad = np.array(g) if t.grad is None else t.grad + g
 
@@ -686,12 +702,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
 
 def batch_norm(x, gain, bias, running_mean, running_var, training: bool,
                momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """Per-channel batch normalization over (B, H, W) of an NCHW tensor.
+    """Per-channel batch normalization over (B, H, W) of an NCHW tensor,
+    followed by a ReLU, as one record.
 
     In training mode normalizes by batch statistics and updates the running
     moment arrays in place; in eval mode uses the running moments. The
-    training record keeps no normalized map: its adjoint recomputes it from
-    the input.
+    training record holds no full-size array but its output: the adjoint
+    reads the ReLU mask from the output (positive exactly where the value
+    before the ReLU is) and recomputes the normalized map from the input.
     """
     x = _as_tensor(x)
     gain, bias = _as_tensor(gain), _as_tensor(bias)
@@ -717,8 +735,10 @@ def batch_norm(x, gain, bias, running_mean, running_var, training: bool,
         out *= inv[None, :, None, None]
         out *= gain.data[None, :, None, None]
         out += bias.data[None, :, None, None]
+        np.maximum(out, 0.0, out=out)
 
         def adjoint(g):
+            g = g * (out > 0.0)
             y = x.data - mu[None, :, None, None]
             y *= inv[None, :, None, None]
             dy = g * gain.data[None, :, None, None]
@@ -737,8 +757,10 @@ def batch_norm(x, gain, bias, running_mean, running_var, training: bool,
     scale = gain.data * inv
     y = (x.data - running_mean[None, :, None, None]) * inv[None, :, None, None]
     out = y * gain.data[None, :, None, None] + bias.data[None, :, None, None]
+    np.maximum(out, 0.0, out=out)
 
     def adjoint(g):
+        g = g * (out > 0.0)
         return (g * scale[None, :, None, None],
                 (g * y).sum(axis=(0, 2, 3)),
                 g.sum(axis=(0, 2, 3)))

@@ -13,7 +13,8 @@ The convolution and training batch-norm references are the engine's
 earlier kernels: a transposed convolution scattered one kernel tap at a time
 (its padded form slices the full map), a conv2d that multiplies one im2col
 matrix (every receptive field as a row) by the flattened kernel, and a
-training batch norm that keeps its normalized map for the adjoint. The
+training batch norm that keeps its normalized map for the adjoint, and
+that batch norm followed by the ReLU as a record of its own. The
 inverses of the model's token and window layouts are here too, because only
 tests need them, and so is the model's earlier inference path: float64
 throughout, with eval-mode batch norm run by ``T.batch_norm`` after each
@@ -238,6 +239,21 @@ def batch_norm_storing(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     return out, dx, (g * y).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
 
+def batch_norm_relu_storing(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                            running_mean: np.ndarray, running_var: np.ndarray,
+                            g: np.ndarray):
+    """``batch_norm_storing`` followed by a ReLU as its own record, as the
+    engine ran them before they became one: the ReLU's output, then the
+    adjoints of x, gain and bias for the output gradient ``g``, masked where
+    the batch norm's output is not positive. Updates the running moments in
+    place, once."""
+    scratch = (running_mean.copy(), running_var.copy())
+    pre = batch_norm_storing(x, gain, bias, *scratch, g)[0]
+    _, dx, dgain, dbias = batch_norm_storing(x, gain, bias, running_mean,
+                                             running_var, g * (pre > 0.0))
+    return np.maximum(pre, 0.0), dx, dgain, dbias
+
+
 def flatten_map(m: Tensor) -> Tensor:
     """Inverse of ``decoder.reshape_tokens``: a (B, C, h, w) map to (B, h*w, C)
     token rows (exact round trip)."""
@@ -259,6 +275,6 @@ def unfold_batch_norm_in_float64(monkeypatch) -> None:
     call after its convolution, for the rest of the test."""
     monkeypatch.setattr(nn, "float32_working_copies", lambda model: nullcontext({}))
     monkeypatch.setattr(nn.ConvBNReLU, "forward",
-                        lambda self, x: T.relu(self.bn(self.conv(x))))
+                        lambda self, x: self.bn(self.conv(x)))
     monkeypatch.setattr(nn.DeconvBNReLU, "forward",
-                        lambda self, x: T.relu(self.bn(self.deconv(x))))
+                        lambda self, x: self.bn(self.deconv(x)))

@@ -361,6 +361,15 @@ def test_eval_non_finite_prediction_exit_code(tmp_path):
     assert main(args + ["--no-nms"]) == 4
 
 
+def test_eval_huge_float_raster_header_exit_code(tmp_path):
+    gt = np.zeros((8, 8))
+    gt[4, :] = 1.0
+    args = _eval_dir(tmp_path, gt, gt, suffix=".epfm")
+    (tmp_path / "pred" / "000.epfm").write_bytes(
+        FLOAT_MAGIC + struct.pack("<5I", 4, *[65536] * 4))
+    assert main(args) == 3
+
+
 @pytest.mark.parametrize("shape", [(3,), (1,)])
 def test_checkpoint_buffer_shape_exit_code(trained, tmp_path, shape):
     _, data, out, _ = trained

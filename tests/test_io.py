@@ -1,3 +1,4 @@
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -62,6 +63,14 @@ def test_float_raster_round_trip_bit_exact(tmp_path):
     p = tmp_path / "e.epfm"
     rasters.save_edge_map(e, p)
     assert np.array_equal(rasters.load_edge_map(p), e)
+
+
+def test_float_raster_huge_header_is_a_parse_error(tmp_path):
+    # 65536**4 elements wrap to 0 in int64, which once sized the payload
+    p = tmp_path / "e.epfm"
+    p.write_bytes(rasters.FLOAT_MAGIC + struct.pack("<5I", 4, *[65536] * 4))
+    with pytest.raises(ParseError, match="truncated payload"):
+        rasters.load_float_raster(p)
 
 
 def test_gray_range_validation(tmp_path):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from edgekit import tensor as T
 from edgekit.errors import ConfigError, NumericError, ShapeError, UsageError
 from edgekit.gradcheck import check_op
 from edgekit.tensor import Tensor
-from oracles import (batch_norm_storing, conv_im2col, conv_im2col_grads, deconv_loop,
-                     deconv_padded)
+from oracles import (batch_norm_relu_storing, conv_im2col, conv_im2col_grads,
+                     deconv_loop, deconv_padded)
 
 rng = np.random.default_rng(1234)
 
@@ -389,16 +391,17 @@ def test_batch_norm_eval_fresh_state_is_affine_identity():
     out = T.batch_norm(Tensor(x), Tensor(gain), Tensor(bias),
                        np.zeros(3), np.ones(3), training=False)
     expect = x * gain[None, :, None, None] / np.sqrt(1 + 1e-5) + bias[None, :, None, None]
-    assert np.allclose(out.data, expect, atol=1e-12)
+    assert np.allclose(out.data, np.maximum(expect, 0.0), atol=1e-12)
 
 
 def test_batch_norm_training_normalizes():
+    # a bias of 10 keeps every output above the ReLU's kink
     x = rng.normal(loc=3.0, scale=2.5, size=(4, 3, 8, 8))
-    out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+    out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.full(3, 10.0)),
                        np.zeros(3), np.ones(3), training=True)
     mean = out.data.mean(axis=(0, 2, 3))
     var = out.data.var(axis=(0, 2, 3))
-    assert np.abs(mean).max() < 1e-6
+    assert np.abs(mean - 10.0).max() < 1e-6
     assert np.abs(var - 1.0).max() < 1e-3
 
 
@@ -430,7 +433,7 @@ def test_batch_norm_training_matches_storing_formula(dtype, layout):
     g = r.normal(size=x.shape).astype(dtype)
     moments = [r.random(3), r.random(3) + 0.5]
     ref_moments = [m.copy() for m in moments]
-    want = batch_norm_storing(x, gain, bias, *ref_moments, g)
+    want = batch_norm_relu_storing(x, gain, bias, *ref_moments, g)
     with T.compute_dtype(dtype), T.fresh_tape() as tape:
         out = T.batch_norm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True),
                            Tensor(bias, requires_grad=True), *moments, training=True)
@@ -440,12 +443,15 @@ def test_batch_norm_training_matches_storing_formula(dtype, layout):
 
 
 def test_batch_norm_training_record_keeps_no_full_size_array():
+    """The adjoint holds no normalized map and no ReLU mask: the only
+    full-size array it keeps is the record's own output."""
     x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
     with T.fresh_tape() as tape:
-        T.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3),
-                     np.ones(3), training=True)
+        out = T.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3),
+                           np.ones(3), training=True)
     held = [c.cell_contents for c in tape.records[-1].adjoint.__closure__]
-    assert all(a.size < x.data.size for a in held if isinstance(a, np.ndarray))
+    big = [a for a in held if isinstance(a, np.ndarray) and a.size >= x.data.size]
+    assert all(a is out.data for a in big)
 
 
 def test_batch_norm_gradcheck_training():
@@ -479,12 +485,42 @@ def test_backward_rejects_non_scalar():
 
 
 def test_backward_accumulates_on_repeat():
+    """Two forward passes, each on its own tape: the second backward adds
+    to the leaf gradient the first one left."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    for _ in range(2):
+        with T.fresh_tape():
+            T.backward(T.tensor_sum(x))
+    assert np.array_equal(x.grad, 2 * np.ones(3))
+
+
+def test_second_backward_on_a_tape_raises():
     x = Tensor(np.ones(3), requires_grad=True)
     with T.fresh_tape():
-        loss = T.tensor_sum(x)
+        loss = T.tensor_sum(T.mul(x, 2.0))
         T.backward(loss)
-        T.backward(loss)
+        with pytest.raises(UsageError):
+            T.backward(loss)
     assert np.array_equal(x.grad, 2 * np.ones(3))
+
+
+def test_backward_consumes_the_tape():
+    """Each record is dropped once its adjoint has run, so the tape is
+    empty after backward and an intermediate activation is already freed."""
+    r = np.random.default_rng(5)
+    x = Tensor(r.normal(size=(2, 3, 6, 6)), requires_grad=True)
+    w = Tensor(r.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    with T.fresh_tape() as tape:
+        h = T.conv2d(x, w)
+        act = weakref.ref(h.data if h.data.base is None else h.data.base)
+        loss = T.tensor_sum(T.batch_norm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                                         np.zeros(4), np.ones(4), training=True))
+        del h
+        assert act() is not None
+        T.backward(loss)
+        assert len(tape) == 0
+        assert act() is None
+    assert w.grad is not None and x.grad is not None
 
 
 def test_only_leaves_keep_gradients():
