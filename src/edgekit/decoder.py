@@ -2,7 +2,9 @@
 
 The decoder runs a top-down and a bottom-up aggregation path over the
 four tapped levels, upsamples all eight path outputs with learned strided
-transposed convolutions, and smooths the concatenation. Both stages build it
+transposed convolutions, and smooths them together: the first smoothing
+convolution reads the eight maps as one 8 x ``path_channels`` input, so their
+concatenation is never stored. Both stages build it
 from the shared widths of ``ModelConfig`` (input width ``embed_dim``); the
 stage fixes the rest. Its patch side p sets the upsampling, (kernel, stride)
 (4, 2) then (p, p/2), each padded by half its stride: exactly p times the
@@ -71,7 +73,8 @@ class UpsampleBlock(nn.Module):
 
 
 class SmoothStack(nn.Module):
-    """Three kxk convolutions and one 1x1, each with BN + ReLU."""
+    """Three kxk convolutions and one 1x1, each with BN + ReLU; the input
+    may be a list of maps, read as their channel concatenation."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  rng: np.random.Generator):
@@ -81,7 +84,7 @@ class SmoothStack(nn.Module):
         self.c3 = nn.ConvBNReLU(out_channels, out_channels, kernel, rng)
         self.c4 = nn.ConvBNReLU(out_channels, out_channels, 1, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor | list[Tensor]) -> Tensor:
         return self.c4(self.c3(self.c2(self.c1(x))))
 
 
@@ -113,7 +116,7 @@ class BiMLADecoder(nn.Module):
                 ) -> tuple[Tensor, list[Tensor]]:
         paths = self.paths(taps, grid)
         ups = self.upsample(paths)
-        return self.smooth(T.concat(ups, axis=1)), paths
+        return self.smooth(ups), paths
 
     def paths(self, taps: list[Tensor], grid: tuple[int, int]) -> list[Tensor]:
         """The eight token-resolution path features (top-down then bottom-up)."""

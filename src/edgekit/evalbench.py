@@ -112,11 +112,17 @@ class _Graph(NamedTuple):
 
 
 def _finite_map(m, what: str) -> np.ndarray:
+    """``m`` as a float64 2-D map of probabilities: finite and in [0, 1],
+    with the 1e-9 slack that ``rasters.save_gray`` allows."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{what} must be a 2-D map, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NumericError(f"{what} has non-finite values")
+    if m.size and (m.min() < -1e-9 or m.max() > 1.0 + 1e-9):
+        raise NumericError(
+            f"{what} values outside [0, 1]: range [{m.min()}, {m.max()}]"
+        )
     return m
 
 

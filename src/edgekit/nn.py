@@ -148,7 +148,8 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """Stride-1 convolution with an odd k x k kernel; the map keeps its size."""
+    """Stride-1 convolution with an odd k x k kernel; the map keeps its size.
+    The input may be a list of maps, read as their channel concatenation."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator, bias: bool = True):
@@ -160,7 +161,7 @@ class Conv2d(Module):
         )
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor | list[Tensor]) -> Tensor:
         return T.conv2d(x, self.weight, self.bias)
 
 
@@ -228,7 +229,7 @@ class ConvBNReLU(Module):
         self.conv = Conv2d(in_channels, out_channels, kernel_size, rng, bias=False)
         self.bn = BatchNorm2d(out_channels)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor | list[Tensor]) -> Tensor:
         if self.bn.training:
             return self.bn(self.conv(x))
         scale, shift = self.bn.fold()

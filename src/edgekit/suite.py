@@ -123,6 +123,11 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
                    check_op(lambda x, w, b: T.deconv2d(x, w, b, 2, (1, 2)),
                             [r(size=(1, 2, 3, 4)), r(size=(2, 3, 4, 4)),
                              r(size=3)], rng)))
+    checks.append(("conv2d_list",
+                   check_op(lambda a, b, c, w, bias: T.conv2d([a, b, c], w, bias),
+                            [r(size=(2, 2, 5, 5)), r(size=(2, 3, 5, 5)),
+                             r(size=(2, 1, 5, 5)), r(size=(4, 6, 3, 3)),
+                             r(size=4)], rng)))
     return checks
 
 

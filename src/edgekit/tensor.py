@@ -508,11 +508,29 @@ def _phase_runs(t0: int, n: int, s: int):
 # copy saves, so those convs keep im2col. In the model only input gradients
 # take that branch: no model conv widens the channels, so every weight
 # gradient is per tap.
-def _tap_rows(xp: np.ndarray, kh: int, kw: int):
-    """NHWC rows of a padded input, the rows every tap can shift over, and
-    each tap's (i, j, row offset)."""
-    b, c, hp, wp = xp.shape
-    rows = xp.transpose(0, 2, 3, 1).reshape(b * hp * wp, c)
+def _tap_rows(xs: list[np.ndarray], kh: int, kw: int):
+    """NHWC rows of the channel concatenation of the NCHW maps ``xs``,
+    zero-padded by half the odd kernel; the rows every tap can shift over;
+    and each tap's (i, j, row offset).
+
+    Each map is written once, straight into its channels of the padded
+    rows, so neither the concatenation nor a padded NCHW copy is made. One
+    unpadded map whose NHWC view is contiguous is used in place.
+    """
+    b, _, h, wdt = xs[0].shape
+    ph, pw = kh // 2, kw // 2
+    wp = wdt + 2 * pw
+    if len(xs) == 1 and not (ph or pw):
+        rows = xs[0].transpose(0, 2, 3, 1).reshape(b * h * wdt, -1)
+    else:
+        buf = np.zeros((b, h + 2 * ph, wp, sum(x.shape[1] for x in xs)),
+                       dtype=np.result_type(*xs))
+        c0 = 0
+        for x in xs:
+            c1 = c0 + x.shape[1]
+            buf[:, ph:ph + h, pw:pw + wdt, c0:c1] = x.transpose(0, 2, 3, 1)
+            c0 = c1
+        rows = buf.reshape(-1, c0)
     m = rows.shape[0] - (kh - 1) * wp - (kw - 1)
     return rows, m, [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
 
@@ -523,10 +541,11 @@ def _pad_half(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1 cross-correlation of x, padded by half the odd kernel w, at
-    the size of x."""
-    b, c, h, wdt = x.shape
+def _conv_forward(xs: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """Stride-1 cross-correlation of the channel concatenation of the NCHW
+    maps xs, padded by half the odd kernel w, at the maps' size."""
+    b, _, h, wdt = xs[0].shape
+    c = sum(x.shape[1] for x in xs)
     co, ci, kh, kw = w.shape
     if ci != c:
         raise ShapeError(f"conv2d channels mismatch: input {c}, kernel {ci}")
@@ -537,31 +556,30 @@ def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
             f"conv2d input {h}x{wdt} is empty: kernel {kh}x{kw} larger than "
             f"padded input {h + kh - 1}x{wdt + kw - 1}"
         )
-    xp = _pad_half(x, kh, kw)
     if c < co:  # im2col; see the per-tap note above
-        cols = _im2col(xp, kh, kw, 1, 1)
+        x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
+        cols = _im2col(_pad_half(x, kh, kw), kh, kw, 1, 1)
         out = cols @ w.reshape(co, -1).T
         return out.reshape(b, h, wdt, co).transpose(0, 3, 1, 2)
-    _, _, hp, wp = xp.shape
-    rows, m, taps = _tap_rows(xp, kh, kw)
+    rows, m, taps = _tap_rows(xs, kh, kw)
     wt = w.transpose(2, 3, 1, 0).copy()
     acc = np.zeros((rows.shape[0], co), dtype=_state.dtype)
     for i, j, o in taps:
         acc[:m] += rows[o:o + m] @ wt[i, j]
-    return acc.reshape(b, hp, wp, co)[:, :h, :wdt].transpose(0, 3, 1, 2)
+    return acc.reshape(b, h + kh - 1, wdt + kw - 1, co)[:, :h, :wdt].transpose(
+        0, 3, 1, 2)
 
 
-def _conv_weight_grad(xp: np.ndarray, g: np.ndarray, kh: int,
+def _conv_weight_grad(xs: list[np.ndarray], g: np.ndarray, kh: int,
                       kw: int) -> np.ndarray:
-    """Gradient of a conv's OIHW kernel, given its padded input and the
+    """Gradient of a conv's OIHW kernel, given its input maps and the
     gradient of its output."""
-    b, c, hp, wp = xp.shape
-    _, co, ho, wo = g.shape
-    rows, m, taps = _tap_rows(xp, kh, kw)
-    gfull = np.zeros((b, hp, wp, co), dtype=_state.dtype)
+    b, co, ho, wo = g.shape
+    rows, m, taps = _tap_rows(xs, kh, kw)
+    gfull = np.zeros((b, ho + kh - 1, wo + kw - 1, co), dtype=_state.dtype)
     gfull[:, :ho, :wo] = g.transpose(0, 2, 3, 1)
     gm = gfull.reshape(-1, co)[:m]
-    gw = np.empty((co, c, kh, kw), dtype=_state.dtype)
+    gw = np.empty((co, rows.shape[1], kh, kw), dtype=_state.dtype)
     for i, j, o in taps:
         gw[:, :, i, j] = gm.T @ rows[o:o + m]
     return gw
@@ -590,30 +608,47 @@ def _check_4d(op: str, x: Tensor, w: Tensor) -> None:
 def conv2d(x, w, bias=None) -> Tensor:
     """Stride-1 2D cross-correlation of an NCHW tensor with an OIHW kernel
     of odd sides, zero-padded by half the kernel so the output keeps the
-    input's size."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    _check_4d("conv2d", x, w)
+    input's size.
+
+    ``x`` may also be a list of NCHW tensors of one batch size and H x W,
+    read as their channel concatenation, which is never built: each is
+    written straight into the conv's padded rows, and the input gradient is
+    split among them along channels. The record's inputs are the tensors,
+    then ``w``, then ``bias``.
+    """
+    xs = [_as_tensor(t) for t in (x if isinstance(x, (list, tuple)) else [x])]
+    w = _as_tensor(w)
+    if not xs:
+        raise ShapeError("conv2d needs at least one input")
+    for t in xs:
+        _check_4d("conv2d", t, w)
+    if len({(t.data.shape[0], *t.data.shape[2:]) for t in xs}) > 1:
+        raise ShapeError(
+            f"conv2d inputs differ in batch size or HxW: "
+            f"{[t.data.shape for t in xs]}"
+        )
     co, ci, kh, kw = w.data.shape
     b = _check_bias("conv2d", bias, co)
-    out = _conv_forward(x.data, w.data)
+    out = _conv_forward([t.data for t in xs], w.data)
     if b is not None:
         out = out + b.data[None, :, None, None]
+    splits = np.cumsum([t.data.shape[1] for t in xs])[:-1]
 
     def adjoint(g):
-        gx = gw = None
+        gxs, gw = [None] * len(xs), None
         if w.requires_grad:
-            gw = _conv_weight_grad(_pad_half(x.data, kh, kw), g, kh, kw)
-        if x.requires_grad:
+            gw = _conv_weight_grad([t.data for t in xs], g, kh, kw)
+        if any(t.requires_grad for t in xs):
             # the adjoint of a same-size conv is the same-size conv with the
             # flipped, transposed kernel
             wf = np.ascontiguousarray(
                 w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            gx = _conv_forward(g, wf)
+            gxs = np.split(_conv_forward([g], wf), splits, axis=1)
         if b is None:
-            return (gx, gw)
-        return (gx, gw, g.sum(axis=(0, 2, 3)))
+            return (*gxs, gw)
+        return (*gxs, gw, g.sum(axis=(0, 2, 3)))
 
-    inputs = (x, w) if b is None else (x, w, b)
+    inputs = (*xs, w) if b is None else (*xs, w, b)
     return _apply(out, inputs, adjoint)
 
 

@@ -202,7 +202,9 @@ def stage1_digest(model: EdgeDetector,
     """SHA-256 over stage-one parameters and buffers, in name order.
 
     ``masters`` maps model parameter names to the arrays hashed in place of
-    the parameters' data (their float64 masters during training).
+    the parameters' data (their float64 masters during training). Each
+    array's buffer is hashed in place: the bytes are those of ``tobytes()``,
+    without the copy.
     """
     import hashlib
 
@@ -210,10 +212,10 @@ def stage1_digest(model: EdgeDetector,
     for name, p in sorted(model.global_stage.named_parameters()):
         data = p.data if masters is None else masters["global_stage." + name]
         h.update(name.encode())
-        h.update(np.ascontiguousarray(data).tobytes())
+        h.update(np.ascontiguousarray(data))
     for name, b in sorted(model.global_stage.named_buffers()):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(b).tobytes())
+        h.update(np.ascontiguousarray(b))
     return h.hexdigest()
 
 

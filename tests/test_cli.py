@@ -361,6 +361,15 @@ def test_eval_non_finite_prediction_exit_code(tmp_path):
     assert main(args + ["--no-nms"]) == 4
 
 
+@pytest.mark.parametrize("value", [-3.0, 7.0])
+def test_eval_out_of_range_prediction_exit_code(tmp_path, value):
+    gt = np.zeros((8, 8))
+    gt[4, :] = 1.0
+    args = _eval_dir(tmp_path, np.full((8, 8), value), gt, suffix=".epfm")
+    assert main(args) == 4
+    assert main(args + ["--no-nms"]) == 4
+
+
 def test_eval_huge_float_raster_header_exit_code(tmp_path):
     gt = np.zeros((8, 8))
     gt[4, :] = 1.0

@@ -303,6 +303,24 @@ def test_evaluation_rejects_non_finite_prediction(bad):
         match_correspondence(pred, gt)
 
 
+@pytest.mark.parametrize("value", [-3.0, 7.0])
+def test_evaluation_rejects_out_of_range_prediction(value):
+    """A map outside [0, 1] is no probability map: it would score ODS 0 (all
+    below every threshold) or a count with every pixel an edge."""
+    pred = np.full((8, 8), value)
+    gt = (rng.random((8, 8)) < 0.3).astype(np.uint8)
+    for apply_nms in (True, False):
+        with pytest.raises(NumericError, match=r"outside \[0, 1\]"):
+            evaluate_predictions([pred], [[gt]], apply_nms=apply_nms)
+    with pytest.raises(NumericError):
+        match_correspondence(pred, gt)
+    # save_gray's slack: values within 1e-9 of the range are accepted
+    edge = np.zeros((8, 8))
+    edge[4, :] = 1.0 + 1e-10
+    edge[0, 0] = -1e-10
+    evaluate_predictions([edge], [[gt]], apply_nms=False)
+
+
 def test_pr_sweep_needs_ground_truth():
     with pytest.raises(InputError):
         pr_sweep(np.zeros((4, 4)), [], tol=0.1)

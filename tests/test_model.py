@@ -151,6 +151,49 @@ def test_no_parameter_sits_idle(image):
     assert outputs and all(t.grad is None for t in outputs)
 
 
+def _held_arrays(obj, seen):
+    """The arrays ``obj`` holds: itself, a tensor's data, the items of a
+    list or tuple, and what a function's closure cells hold (each function
+    once, by ``seen``)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, Tensor):
+        yield obj.data
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item, seen)
+    elif callable(obj) and obj not in seen:
+        seen.append(obj)
+        for cell in getattr(obj, "__closure__", None) or ():
+            try:
+                contents = cell.cell_contents
+            except ValueError:  # an empty cell
+                continue
+            yield from _held_arrays(contents, seen)
+
+
+def test_training_tape_holds_no_decoder_concat():
+    """The decoders' first smoothing conv reads the eight upsampled paths as
+    one input without building their concatenation: after a training
+    forward of the 64x64 toy model, no record holds a batch-sized array of
+    8 * path_channels channels, as output, input or in its adjoint."""
+    cfg = ModelConfig.toy()
+    net2 = EdgeDetector(cfg, seed=7)
+    net2.train()
+    img = np.random.default_rng(8).random((2, 3, *cfg.input_hw))
+    with T.fresh_tape() as tape:
+        f_g, _, _ = net2.run_stage1(img)
+        net2.run_stage2(img, f_g)
+        assert len(tape) > 0
+        seen = []
+        held = [a for rec in tape.records
+                for a in _held_arrays((rec.out, rec.inputs, rec.adjoint), seen)]
+    assert held
+    wide = [a.shape for a in held
+            if a.ndim == 4 and a.shape[:2] == (2, 8 * cfg.path_channels)]
+    assert wide == []
+
+
 def test_no_adjoint_writes_into_its_upstream_gradient(image):
     """Backward hands each adjoint its gradient uncopied, so every adjoint
     must leave it as it is: here a write into it raises."""

@@ -336,12 +336,76 @@ def test_conv2d_matches_im2col_reference(c_in, c_out, k, pad, stride, batch):
     (dict(w=np.zeros((2, 2, 3))), ShapeError),
     (dict(bias=np.zeros(1)), ShapeError),
     (dict(bias=np.zeros((2, 1))), ShapeError),
+    (dict(x=[]), ShapeError),                       # list inputs
+    (dict(x=[np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 4, 4))]), ShapeError),
+    (dict(x=[np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 5))]), ShapeError),
+    (dict(x=[np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 4))]), ShapeError),
+    (dict(x=[np.zeros((1, 1, 4, 4)), np.zeros((1, 2, 4, 4))]), ShapeError),
+    (dict(x=[np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4))]), ShapeError),
 ])
 def test_conv2d_rejects_misuse(kwargs, error):
     args = dict(x=np.zeros((1, 2, 4, 4)), w=np.zeros((2, 2, 3, 3)),
                 bias=None) | kwargs
+    x = args["x"]
+    x = [Tensor(a) for a in x] if isinstance(x, list) else Tensor(x)
     with pytest.raises(error):
-        T.conv2d(Tensor(args["x"]), Tensor(args["w"]), args["bias"])
+        T.conv2d(x, Tensor(args["w"]), args["bias"])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("c_out", [5, 12])   # per-tap and im2col forwards
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_conv2d_list_equals_conv2d_of_concat(dtype, k, c_out, with_bias):
+    """A list input is its channel concatenation, bit for bit: the output,
+    each input's gradient and the kernel and bias gradients all equal those
+    of conv2d on T.concat of the list."""
+    r = np.random.default_rng(17)
+    parts = [r.normal(size=(2, c, 5, 6)) for c in (3, 1, 4)]
+    w = r.normal(size=(c_out, 8, k, k))
+    bias = r.normal(size=c_out) if with_bias else None
+    g = r.normal(size=(2, c_out, 5, 6))
+
+    def run(as_list):
+        with T.compute_dtype(dtype):
+            xs = [Tensor(p, requires_grad=True) for p in parts]
+            wt = Tensor(w, requires_grad=True)
+            bt = None if bias is None else Tensor(bias, requires_grad=True)
+            with T.fresh_tape():
+                out = T.conv2d(xs if as_list else T.concat(xs, axis=1), wt, bt)
+                T.backward(T.tensor_sum(T.mul(out, g)))
+        grads = [t.grad for t in xs] + [wt.grad] + ([] if bt is None else [bt.grad])
+        return [out.data] + grads
+
+    got, want = run(True), run(False)
+    assert len(got) == len(want) == 5 + with_bias
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_conv2d_list_input_without_grad_gets_none():
+    """Inputs that do not require a gradient get none; the others get their
+    channels of the concat's gradient, and the record lists the inputs, then
+    the kernel, then the bias."""
+    r = np.random.default_rng(19)
+    a = Tensor(r.normal(size=(1, 2, 4, 4)), requires_grad=True)
+    b = Tensor(r.normal(size=(1, 3, 4, 4)))
+    c = Tensor(r.normal(size=(1, 1, 4, 4)), requires_grad=True)
+    w = Tensor(r.normal(size=(2, 6, 3, 3)))
+    bias = Tensor(np.zeros(2), requires_grad=True)
+    with T.fresh_tape() as tape:
+        out = T.conv2d([a, b, c], w, bias)
+        assert tape.records[-1].inputs == (a, b, c, w, bias)
+        T.backward(T.tensor_sum(out))
+    assert b.grad is None and w.grad is None
+    full = Tensor(np.concatenate([a.data, b.data, c.data], axis=1),
+                  requires_grad=True)
+    with T.fresh_tape():
+        T.backward(T.tensor_sum(T.conv2d(full, w)))
+    assert np.array_equal(a.grad, full.grad[:, :2])
+    assert np.array_equal(c.grad, full.grad[:, 5:])
+    assert np.array_equal(bias.grad, np.full(2, 16.0))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -631,6 +695,10 @@ def _dtype_cases():
             T.conv2d(T.conv2d(x, w1, b), w2), T.tensor_sum(T.conv2d(x, w3))),
             [r(size=(2, 4, 7, 7)), r(size=(3, 4, 3, 3)), r(size=(3, 3, 3, 3)),
              r(size=(5, 4, 1, 1)), r(size=3)]),
+        # a list input: per-tap forward, im2col input gradient
+        "conv2d_list": (lambda a, b, c, w, bias: T.conv2d([a, b, c], w, bias),
+                        [r(size=(2, 2, 5, 6)), r(size=(2, 3, 5, 6)),
+                         r(size=(2, 1, 5, 6)), r(size=(4, 6, 3, 3)), r(size=4)]),
         "deconv2d": (lambda x, w1, w2, b: T.add(
             T.deconv2d(x, w1, b, 2, 1), T.crop2d(T.deconv2d(x, w2, None, 4), 0, 0, 10, 10)),
             [r(size=(2, 3, 5, 5)), r(size=(3, 2, 4, 4)), r(size=(3, 2, 8, 8)),
@@ -675,7 +743,13 @@ def _run_case(fn, arrays, dtype):
 
 
 def test_dtype_cases_cover_every_primitive():
-    assert set(_dtype_cases()) == set(T.__all__) - _NOT_PRIMITIVES
+    """One case per primitive, named after it; a case for another form of a
+    primitive is named after it plus an underscore and a suffix."""
+    primitives = set(T.__all__) - _NOT_PRIMITIVES
+    cases = set(_dtype_cases())
+    assert primitives <= cases
+    assert all(any(n.startswith(op + "_") for op in primitives)
+               for n in cases - primitives)
 
 
 def test_suite_checks_cover_every_primitive():

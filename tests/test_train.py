@@ -247,6 +247,34 @@ def test_two_phase_freezes_stage1_bit_exact():
     assert all(not p.requires_grad for p in model.global_stage.parameters())
 
 
+def test_stage1_digest_hashes_the_bytes_tobytes_gives():
+    """Each array's buffer is hashed in place: the digest is the SHA-256 of
+    the names and ``tobytes()`` copies, also for masters that are
+    transposed views or another dtype."""
+    import hashlib
+
+    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=2)
+    r = np.random.default_rng(3)
+    masters = {"global_stage." + n: r.normal(size=p.shape[::-1]).T
+               for n, p in model.global_stage.named_parameters()}
+    masters32 = {n: a.astype(np.float32) for n, a in masters.items()}
+
+    def by_copies(masters):
+        h = hashlib.sha256()
+        for name, p in sorted(model.global_stage.named_parameters()):
+            data = p.data if masters is None else masters["global_stage." + name]
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(data).tobytes())
+        for name, b in sorted(model.global_stage.named_buffers()):
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(b).tobytes())
+        return h.hexdigest()
+
+    digests = [stage1_digest(model, m) for m in (None, masters, masters32)]
+    assert digests == [by_copies(m) for m in (None, masters, masters32)]
+    assert len(set(digests)) == 3
+
+
 def test_two_phase_reproducible():
     _, r1 = _tiny_train(seed=4)
     _, r2 = _tiny_train(seed=4)
