@@ -14,6 +14,7 @@ value (also one the float32 cast makes) is refused on save and on load.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -110,7 +111,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         name = _utf8(r.take(r.u32()), "tensor name")
         rank = r.u32()
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        payload = r.take(int(np.prod(dims, dtype=np.int64)) * 4)
+        payload = r.take(math.prod(dims) * 4)
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
         _check_finite(name, arr)
         arrays[name] = arr.astype(np.float64)

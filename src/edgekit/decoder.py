@@ -6,11 +6,10 @@ transposed convolutions, and smooths them together: the first smoothing
 convolution reads the eight maps as one 8 x ``path_channels`` input, so their
 concatenation is never stored. Both stages build it
 from the shared widths of ``ModelConfig`` (input width ``embed_dim``); the
-stage fixes the rest. Its patch side p sets the upsampling, (kernel, stride)
-(4, 2) then (p, p/2), each padded by half its stride: exactly p times the
-token grid, nothing cropped. The coarse stage (p = 16) uses 3x3
-path/smoothing convolutions, the fine stage (p = 8) 1x1 ones (no padding
-artifacts).
+stage fixes the rest. Its patch side p sets the upsampling, stride 2 then
+p/2, each by a kernel of twice its stride: exactly p times the token grid.
+The coarse stage (p = 16) uses 3x3 path/smoothing convolutions, the fine
+stage (p = 8) 1x1 ones (no padding artifacts).
 """
 
 from __future__ import annotations
@@ -59,14 +58,14 @@ def bottom_up_path(maps: list[Tensor], proj: nn.ModuleList,
 
 
 class UpsampleBlock(nn.Module):
-    """Two strided transposed convolutions, (kernel, stride) (4, 2) then
-    (p, p / 2), each with BN + ReLU: exactly p times the input size."""
+    """Two transposed convolutions, stride 2 then p / 2 (kernels 4 and p),
+    each with BN + ReLU: exactly p times the input size."""
 
     def __init__(self, in_channels: int, out_channels: int, patch: int,
                  rng: np.random.Generator):
         super().__init__()
-        self.up1 = nn.DeconvBNReLU(in_channels, out_channels, 4, 2, rng)
-        self.up2 = nn.DeconvBNReLU(out_channels, out_channels, patch, patch // 2, rng)
+        self.up1 = nn.DeconvBNReLU(in_channels, out_channels, 2, rng)
+        self.up2 = nn.DeconvBNReLU(out_channels, out_channels, patch // 2, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.up2(self.up1(x))

@@ -166,23 +166,20 @@ class Conv2d(Module):
 
 
 class Deconv2d(Module):
-    """Bias-free transposed convolution; weight shape (in, out, k, k);
-    padding (k - stride) // 2, so k = 2 * stride maps h x w to exactly
-    stride * h x w."""
+    """Bias-free transposed convolution that maps h x w to exactly
+    stride * h x w; weight shape (in, out, 2 * stride, 2 * stride)."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int, rng: np.random.Generator):
+    def __init__(self, in_channels: int, out_channels: int, stride: int,
+                 rng: np.random.Generator):
         super().__init__()
-        k = kernel_size
-        self.stride = stride
-        self.padding = (k - stride) // 2
+        k = 2 * stride
         self.weight = Tensor(
             he_normal(rng, (in_channels, out_channels, k, k), in_channels * k * k),
             requires_grad=True,
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.deconv2d(x, self.weight, stride=self.stride, padding=self.padding)
+        return T.deconv2d(x, self.weight)
 
 
 class BatchNorm2d(Module):
@@ -241,10 +238,10 @@ class DeconvBNReLU(Module):
     """Transposed conv -> BatchNorm -> ReLU; in eval mode one transposed
     convolution with the normalization folded into it."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int, rng: np.random.Generator):
+    def __init__(self, in_channels: int, out_channels: int, stride: int,
+                 rng: np.random.Generator):
         super().__init__()
-        self.deconv = Deconv2d(in_channels, out_channels, kernel_size, stride, rng)
+        self.deconv = Deconv2d(in_channels, out_channels, stride, rng)
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -252,5 +249,4 @@ class DeconvBNReLU(Module):
             return self.bn(self.deconv(x))
         scale, shift = self.bn.fold()
         w = T.mul(self.deconv.weight, T.reshape(scale, (1, -1, 1, 1)))
-        return T.relu(T.deconv2d(x, w, shift, stride=self.deconv.stride,
-                                 padding=self.deconv.padding))
+        return T.relu(T.deconv2d(x, w, shift))

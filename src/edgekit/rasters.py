@@ -16,7 +16,6 @@ import numpy as np
 from .errors import NumericError, ParseError
 
 FLOAT_MAGIC = b"EPFM"
-_WS = b" \t\r\n"
 
 
 def _read_pnm(data: bytes) -> tuple[np.ndarray, int]:

@@ -8,7 +8,7 @@ the caller's back. Training and inference run in float32 (inference with
 eval-mode batch norm folded into the convolution weights); evaluation and
 the gradient checks run in float64.
 :func:`conv2d` is the stride-1, size-keeping convolution (odd kernels);
-:func:`deconv2d` takes the strides and paddings that change resolution.
+:func:`deconv2d` upsamples by exactly its stride, fixed by its kernel.
 Every primitive appends one record (output, inputs, adjoint function) to the
 active tape during the forward pass, and ``backward`` replays the records in
 reverse to populate ``.grad`` on the leaves: the tracked tensors that no
@@ -41,6 +41,7 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+BN_MOMENTUM = 0.1  # weight of each batch's moments in batch_norm's running ones
 
 
 class Tensor:
@@ -418,86 +419,65 @@ def softmax(x, axis: int = -1) -> Tensor:
 # convolution family (NCHW, cross-correlation convention)
 
 
-def _pair(v) -> tuple[int, int]:
-    return (v, v) if isinstance(v, int) else (int(v[0]), int(v[1]))
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int):
+def _im2col(xp: np.ndarray, kh: int, kw: int, s: int):
     b, c, hp, wp = xp.shape
-    ho = (hp - kh) // sh + 1
-    wo = (wp - kw) // sw + 1
+    ho = (hp - kh) // s + 1
+    wo = (wp - kw) // s + 1
     s0, s1, s2, s3 = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp,
         shape=(b, c, ho, wo, kh, kw),
-        strides=(s0, s1, s2 * sh, s3 * sw, s2, s3),
+        strides=(s0, s1, s2 * s, s3 * s, s2, s3),
         writeable=False,
     )
     return view.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * kh * kw)
 
 
-def _deconv_raw(y: np.ndarray, w: np.ndarray, sh: int, sw: int,
-                ph: int, pw: int) -> np.ndarray:
-    """Transposed convolution: scatter y through w at stride (sh, sw),
-    keeping the full map minus ph rows and pw columns on each side.
+def _deconv_raw(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Transposed convolution of y by a kernel of side 2s at stride s,
+    cropped by s/2 on each side: the s*h x s*w map.
 
-    Sub-pixel layout (Shi et al., CVPR 2016): the full map is a grid of
-    cells of sh x sw pixels, and cell (m, n) holds the sh*sw output phases
-    of its pixels as one row of ci*sh*sw values. The kernel is zero-padded
-    to (qh*sh, qw*sw); tap (a, c), kernel rows [a*sh, (a+1)*sh) by columns
-    [c*sw, (c+1)*sw), carries input pixel (m - a, n - c) to cell (m, n).
-    Only the cells the kept map touches are accumulated: each tap is one
-    matmul of the NHWC input rows by its (co, ci*sh*sw) matrix, added into
-    the part of one (b, cells, ci*sh*sw) accumulator it reaches, and one
-    depth-to-space copy writes the kept map as a new array. A tap that
-    reaches no kept cell is never computed. Every output pixel sums the same
-    per-tap products as the per-tap scatter, in (a, c) order from zero, and
-    the padded taps add exact zeros, so the result equals that scatter,
-    sliced, bit for bit.
+    Sub-pixel layout (Shi et al., CVPR 2016): the uncropped (h + 1)*s x
+    (w + 1)*s map is a grid of cells of s x s pixels, and cell (m, n) holds
+    the s*s output phases of its pixels as one row of ci*s*s values. Tap
+    (a, c), kernel rows [a*s, (a+1)*s) by columns [c*s, (c+1)*s), carries
+    input pixel (m - a, n - c) to cell (m, n). Each of the four taps is one
+    matmul of the NHWC input rows by its (co, ci*s*s) matrix, added into the
+    part of one (b, h + 1, w + 1, ci*s*s) accumulator it reaches, and one
+    depth-to-space copy writes the cropped map as a new array. Every output
+    pixel sums the same per-tap products as the per-tap scatter, in (a, c)
+    order from zero, so the result equals that scatter, cropped, bit for bit.
     """
     b, co, h, wdt = y.shape
-    _, ci, kh, kw = w.shape
-    ho, wo = (h - 1) * sh + kh - 2 * ph, (wdt - 1) * sw + kw - 2 * pw
-    qh, qw = -(-kh // sh), -(-kw // sw)
-    if (qh * sh, qw * sw) != (kh, kw):
-        w = np.pad(w, ((0, 0), (0, 0), (0, qh * sh - kh), (0, qw * sw - kw)))
-    # the kept map covers cells m0 .. m0 + mh - 1 by n0 .. n0 + nw - 1
-    m0, n0 = ph // sh, pw // sw
-    mh, nw = (ph + ho - 1) // sh + 1 - m0, (pw + wo - 1) // sw + 1 - n0
+    _, ci, k, _ = w.shape
+    s = k // 2
     rows = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, co)
-    acc = np.zeros((b, mh, nw, ci * sh * sw), dtype=_state.dtype)
-    for a in range(qh):
-        # input rows [i0, i1) reach kept cells through tap row a
-        i0, i1 = max(m0 - a, 0), min(m0 + mh - a, h)
-        for c in range(qw):
-            j0, j1 = max(n0 - c, 0), min(n0 + nw - c, wdt)
-            if i0 < i1 and j0 < j1:
-                tap = w[:, :, a * sh:(a + 1) * sh, c * sw:(c + 1) * sw]
-                # all b*h*w rows, as the per-tap scatter multiplies them: a
-                # product of fewer rows (one row goes to gemv) can round
-                # differently
-                part = (rows @ tap.reshape(co, -1)).reshape(b, h, wdt, -1)
-                acc[:, i0 + a - m0:i1 + a - m0, j0 + c - n0:j1 + c - n0] += \
-                    part[:, i0:i1, j0:j1]
-    cells = acc.reshape(b, mh, nw, ci, sh, sw).transpose(0, 3, 1, 4, 2, 5)
-    out = np.empty((b, ci, ho, wo), dtype=_state.dtype)
-    for oy, my, ry in _phase_runs(ph - m0 * sh, ho, sh):
-        for ox, mx, rx in _phase_runs(pw - n0 * sw, wo, sw):
+    acc = np.zeros((b, h + 1, wdt + 1, ci * s * s), dtype=_state.dtype)
+    for a in range(2):
+        for c in range(2):
+            tap = w[:, :, a * s:(a + 1) * s, c * s:(c + 1) * s]
+            # all b*h*w rows, as the per-tap scatter multiplies them: a product
+            # of fewer rows (one row goes to gemv) can round differently
+            acc[:, a:a + h, c:c + wdt] += (rows @ tap.reshape(co, -1)).reshape(
+                b, h, wdt, -1)
+    cells = acc.reshape(b, h + 1, wdt + 1, ci, s, s).transpose(0, 3, 1, 4, 2, 5)
+    out = np.empty((b, ci, s * h, s * wdt), dtype=_state.dtype)
+    for oy, my, ry in _phase_runs(h, s):
+        for ox, mx, rx in _phase_runs(wdt, s):
             src = cells[:, :, my, ry, mx, rx]
             np.reshape(out[:, :, oy, ox], src.shape, copy=False)[...] = src
     return out
 
 
-def _phase_runs(t0: int, n: int, s: int):
-    """Split n map rows, the first at phase t0 of its s-row cell, into at
-    most three runs that each span whole cells or one cell's phase range:
-    (map rows, cells, phases) slices."""
-    a = min(-t0 % s, n)
-    cuts = sorted({0, a, a + (n - a) // s * s, n})
-    for y0, y1 in zip(cuts, cuts[1:]):
-        r = (t0 + y0) % s
-        yield (slice(y0, y1), slice((t0 + y0) // s, (t0 + y1 - 1) // s + 1),
-               slice(r, r + min(y1 - y0, s)))
+def _phase_runs(n: int, s: int):
+    """The s*n kept rows of n + 1 cells of s rows, cropped by s/2 at each
+    end, as (map rows, cells, phases) slices: the first cell's lower half,
+    the whole middle cells (an empty run when n = 1) and the last cell's
+    upper half."""
+    t = s // 2
+    yield slice(0, t), slice(0, 1), slice(t, s)
+    yield slice(t, s * n - t), slice(1, n), slice(0, s)
+    yield slice(s * n - t, s * n), slice(n, n + 1), slice(0, t)
 
 
 # A conv is k*k shifted matmuls of one NHWC copy of its padded input: row
@@ -558,7 +538,7 @@ def _conv_forward(xs: list[np.ndarray], w: np.ndarray) -> np.ndarray:
         )
     if c < co:  # im2col; see the per-tap note above
         x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
-        cols = _im2col(_pad_half(x, kh, kw), kh, kw, 1, 1)
+        cols = _im2col(_pad_half(x, kh, kw), kh, kw, 1)
         out = cols @ w.reshape(co, -1).T
         return out.reshape(b, h, wdt, co).transpose(0, 3, 1, 2)
     rows, m, taps = _tap_rows(xs, kh, kw)
@@ -652,54 +632,48 @@ def conv2d(x, w, bias=None) -> Tensor:
     return _apply(out, inputs, adjoint)
 
 
-def deconv2d(x, w, bias=None, stride=1, padding=0) -> Tensor:
-    """Strided transposed convolution: the exact adjoint of cross-correlation
-    by the same kernel at this stride, with this zero padding.
+def deconv2d(x, w, bias=None) -> Tensor:
+    """Transposed convolution that upsamples by exactly the kernel's half
+    side: the exact adjoint of cross-correlation by the same kernel.
 
-    The kernel is indexed (C_in, C_out, kh, kw). ``padding`` drops rows and
-    columns on each side of the (h - 1)*s + k map: kernel 2s, stride s,
-    padding s/2 give s*h x s*w.
+    The kernel is indexed (C_in, C_out, 2s, 2s), its side a multiple of 4;
+    it fixes stride s and padding s/2, so an h x w input gives s*h x s*w.
     """
     x, w = _as_tensor(x), _as_tensor(w)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    if sh < 1 or sw < 1:
-        raise ConfigError(f"deconv2d stride must be positive, got {stride}")
-    if ph < 0 or pw < 0:
-        raise ConfigError(f"deconv2d padding must be non-negative, got {padding}")
     _check_4d("deconv2d", x, w)
     if x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(
             f"deconv2d shapes incompatible: {x.data.shape} x {w.data.shape}"
         )
     bsz, ci, h, wdt = x.data.shape
-    _, co, kh, kw = w.data.shape
-    if (h - 1) * sh + kh <= 2 * ph or (wdt - 1) * sw + kw <= 2 * pw:
+    _, co, k, kw = w.data.shape
+    if k != kw or k < 4 or k % 4:
         raise ShapeError(
-            f"deconv2d padding {padding} leaves no output pixel of the "
-            f"{(h - 1) * sh + kh}x{(wdt - 1) * sw + kw} map"
+            f"deconv2d kernel must be square with a side that is a positive "
+            f"multiple of 4, got {k}x{kw}"
         )
+    if h < 1 or wdt < 1:
+        raise ShapeError(f"deconv2d input {h}x{wdt} is empty")
+    s = k // 2
     b = _check_bias("deconv2d", bias, co)
-    out = _deconv_raw(x.data, w.data, sh, sw, ph, pw)
+    out = _deconv_raw(x.data, w.data)
     if b is not None:
         out = out + b.data[None, :, None, None]
 
     def adjoint(g):
         # one im2col of g, zero-padded back to the full map, serves both the
         # x-adjoint (the strided correlation of g) and the w-adjoint
-        gp = g
-        if ph or pw:
-            gp = np.zeros((bsz, co, g.shape[2] + 2 * ph, g.shape[3] + 2 * pw),
-                          dtype=_state.dtype)
-            gp[:, :, ph:ph + g.shape[2], pw:pw + g.shape[3]] = g
-        cols = _im2col(gp, kh, kw, sh, sw)
+        t = s // 2
+        gp = np.zeros((bsz, co, s * (h + 1), s * (wdt + 1)), dtype=_state.dtype)
+        gp[:, :, t:t + s * h, t:t + s * wdt] = g
+        cols = _im2col(gp, k, k, s)
         gx = gw = None
         if x.requires_grad:
             gx = (cols @ w.data.reshape(ci, -1).T).reshape(bsz, h, wdt, ci)
             gx = gx.transpose(0, 3, 1, 2)
         if w.requires_grad:
             xm = x.data.transpose(1, 0, 2, 3).reshape(ci, -1)
-            gw = (xm @ cols).reshape(ci, co, kh, kw)
+            gw = (xm @ cols).reshape(ci, co, k, k)
         if b is None:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)))
@@ -736,12 +710,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
 
 
 def batch_norm(x, gain, bias, running_mean, running_var, training: bool,
-               momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               eps: float = 1e-5) -> Tensor:
     """Per-channel batch normalization over (B, H, W) of an NCHW tensor,
     followed by a ReLU, as one record.
 
     In training mode normalizes by batch statistics and updates the running
-    moment arrays in place; in eval mode uses the running moments. The
+    moment arrays in place, with momentum ``BN_MOMENTUM``; in eval mode uses
+    the running moments. The
     training record holds no full-size array but its output: the adjoint
     reads the ReLU mask from the output (positive exactly where the value
     before the ReLU is) and recomputes the normalized map from the input.
@@ -759,10 +734,10 @@ def batch_norm(x, gain, bias, running_mean, running_var, training: bool,
         mu = x.data.mean(axis=(0, 2, 3))
         out = x.data - mu[None, :, None, None]
         var = (out * out).mean(axis=(0, 2, 3))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * (n / max(n - 1, 1))
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * (n / max(n - 1, 1))
         inv = 1.0 / np.sqrt(var + eps)
         # the output is built in the centred input's buffer, and the adjoint
         # recomputes the normalized map, so no full-size map but the output

@@ -222,7 +222,6 @@ def stage1_digest(model: EdgeDetector,
 def _sample_batch(scenes: list[Scene], cfg: TrainConfig,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     images, labels, ignores = [], [], []
-    any_ignore = cfg.use_ignore_band
     for _ in range(cfg.batch_size):
         scene = scenes[int(rng.integers(len(scenes)))]
         h, w = scene.image.shape[1:]
@@ -231,7 +230,7 @@ def _sample_batch(scenes: list[Scene], cfg: TrainConfig,
         img = scene.image[:, top:top + cfg.crop, left:left + cfg.crop]
         lab = scene.labels[top:top + cfg.crop, left:left + cfg.crop]
         ign = None
-        if any_ignore and scene.ignore is not None:
+        if cfg.use_ignore_band:
             ign = scene.ignore[top:top + cfg.crop, left:left + cfg.crop]
         if cfg.flip and rng.random() < 0.5:
             img = img[:, :, ::-1]
@@ -242,7 +241,7 @@ def _sample_batch(scenes: list[Scene], cfg: TrainConfig,
         ignores.append(ign)
     x = np.ascontiguousarray(np.stack(images), dtype=T.current_dtype())
     y = np.stack(labels)[:, None].astype(T.current_dtype())
-    if any_ignore and all(i is not None for i in ignores):
+    if cfg.use_ignore_band:
         return x, y, np.stack(ignores)[:, None]
     return x, y, None
 
@@ -252,11 +251,14 @@ def train_two_phase(model: EdgeDetector, scenes: list[Scene],
     """Optimize stage one, freeze it bit-exactly, then optimize stage two."""
     if not scenes:
         raise InputError("training set is empty")
-    for s in scenes:
+    for i, s in enumerate(scenes):
         if cfg.crop > s.image.shape[1] or cfg.crop > s.image.shape[2]:
             raise ConfigError(
                 f"crop {cfg.crop} exceeds image {s.image.shape[1:]}"
             )
+        if cfg.use_ignore_band and s.ignore is None:
+            raise InputError(f"use_ignore_band is set but scene {i} has no "
+                             f"ignore band")
     if (cfg.crop, cfg.crop) != model.cfg.input_hw:
         raise ConfigError(
             f"crop {cfg.crop} must match model input {model.cfg.input_hw}"

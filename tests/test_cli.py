@@ -379,6 +379,16 @@ def test_eval_huge_float_raster_header_exit_code(tmp_path):
     assert main(args) == 3
 
 
+@pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1,) * 4])
+def test_infer_huge_checkpoint_header_exit_code(tmp_path, dims):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, {"w": np.zeros((1,) * len(dims))}, "k=v\n")
+    ckpt.write_bytes(ckpt.read_bytes()[:-4 * len(dims) - 4]
+                     + struct.pack(f"<{len(dims)}I", *dims))
+    assert main(["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "x.ppm"),
+                 "--out", str(tmp_path / "e.pgm")]) == 3
+
+
 @pytest.mark.parametrize("shape", [(3,), (1,)])
 def test_checkpoint_buffer_shape_exit_code(trained, tmp_path, shape):
     _, data, out, _ = trained

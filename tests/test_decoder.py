@@ -147,8 +147,9 @@ def test_local_variant_receptive_field_confined():
     feats1, _ = dec([Tensor(t) for t in bumped], (3, 3))
     diff = np.abs(feats1.data - feats0.data).sum(axis=(0, 1))
     # fine-variant upsampling footprint: token i reaches rows [2 i - 1, 2 i + 3)
-    # after the (4, 2, padding 1) deconv and, through the (8, 4, padding 2)
-    # one, rows [4 r - 2, 4 r + 6) of each of those: [8 i - 6, 8 i + 14)
+    # after the stride-2 deconv (kernel 4, padding 1) and, through the
+    # stride-4 one (kernel 8, padding 2), rows [4 r - 2, 4 r + 6) of each of
+    # those: [8 i - 6, 8 i + 14)
     lo, hi = 8 * ti - 6, 8 * ti + 14
     mask = np.zeros((24, 24), dtype=bool)
     mask[max(lo, 0):hi, max(lo, 0):hi] = True
@@ -184,7 +185,7 @@ def _bn_unit_in_eval(kind: str, seed: int):
         unit = nn.ConvBNReLU(3, 5, 3, r)
         pre, x = unit.conv, Tensor(r.normal(size=(2, 3, 6, 7)))
     else:
-        unit = nn.DeconvBNReLU(3, 5, 4, 2, r)
+        unit = nn.DeconvBNReLU(3, 5, 2, r)
         pre, x = unit.deconv, Tensor(r.normal(size=(2, 3, 5, 4)))
     unit.bn.running_mean[...] = r.normal(0.0, 0.5, 5)
     unit.bn.running_var[...] = r.uniform(0.3, 2.0, 5)

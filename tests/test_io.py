@@ -73,6 +73,17 @@ def test_float_raster_huge_header_is_a_parse_error(tmp_path):
         rasters.load_float_raster(p)
 
 
+@pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1,) * 4])
+def test_checkpoint_huge_header_is_truncated(tmp_path, dims):
+    # in int64 these element counts wrap to 0 and to a negative number
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, {"w": np.zeros((1,) * len(dims))}, "k=v\n")
+    p.write_bytes(p.read_bytes()[:-4 * len(dims) - 4]
+                  + struct.pack(f"<{len(dims)}I", *dims))
+    with pytest.raises(TruncatedFile):
+        load_checkpoint(p)
+
+
 def test_gray_range_validation(tmp_path):
     with pytest.raises(NumericError):
         rasters.save_gray(np.array([[1.5]]), tmp_path / "bad.pgm")

@@ -1,3 +1,4 @@
+import itertools
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from edgekit.errors import ConfigError, NumericError, ShapeError, UsageError
 from edgekit.gradcheck import check_op
 from edgekit.tensor import Tensor
 from oracles import (batch_norm_relu_storing, conv_im2col, conv_im2col_grads,
-                     deconv_loop, deconv_padded)
+                     deconv_padded)
 
 rng = np.random.default_rng(1234)
 
@@ -143,47 +144,57 @@ def test_conv2d_gradcheck():
     assert r.max_rel_err < 1e-5
 
 
+# the model's upsamplers: (kernel 2s, stride s), padding s/2
+MODEL_DECONVS = [(4, 2), (8, 4), (16, 8)]
+# a 1x1, a square and a non-square input grid
+GRIDS = [(1, 1), (3, 3), (2, 5)]
+
+
 def test_deconv2d_extent():
-    out = T.deconv2d(Tensor(np.zeros((1, 2, 6, 4))), Tensor(np.zeros((2, 2, 4, 4))),
-                     stride=2)
-    assert out.shape == (1, 2, 2 * 6 + 2, 2 * 4 + 2)
+    out = T.deconv2d(Tensor(np.zeros((1, 2, 6, 4))), Tensor(np.zeros((2, 2, 8, 8))))
+    assert out.shape == (1, 2, 4 * 6, 4 * 4)
 
 
 def test_deconv2d_matches_conv_input_gradient():
-    """deconv2d is the input gradient of the stride-2 correlation, and, at
-    stride 1 padded by half the kernel, of conv2d."""
-    x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 2, 3, 3)))
-    y = rng.normal(size=(1, 3, 2, 2))
-    gx, _ = conv_im2col_grads(x.data, w.data, y, 2, 2, 0, 0)
-    assert np.allclose(gx, T.deconv2d(Tensor(y), w, stride=2).data, atol=1e-12)
-    g = rng.normal(size=(1, 3, 5, 5))
-    with T.fresh_tape():
-        T.backward(T.tensor_sum(T.mul(T.conv2d(x, w), g)))
-    via_deconv = T.deconv2d(Tensor(g), w, stride=1, padding=1).data
-    assert np.allclose(x.grad, via_deconv, atol=1e-12)
+    """deconv2d is the input gradient of the stride-s correlation padded by
+    s/2 with the same kernel."""
+    for k, s in MODEL_DECONVS:
+        x = rng.normal(size=(1, 2, 3 * s, 2 * s))
+        w = rng.normal(size=(3, 2, k, k))
+        y = rng.normal(size=(1, 3, 3, 2))
+        gx, _ = conv_im2col_grads(x, w, y, s, s, s // 2, s // 2)
+        assert np.allclose(gx, T.deconv2d(Tensor(y), Tensor(w)).data, atol=1e-12)
 
 
 def test_deconv2d_adjoint_inner_product():
-    x = rng.normal(size=(1, 2, 5, 5))
-    w = rng.normal(size=(3, 2, 3, 3))
-    y = rng.normal(size=(1, 3, 2, 2))
-    lhs = (conv_im2col(x, w, 2, 2, 0, 0) * y).sum()
-    rhs = (x * T.deconv2d(Tensor(y), Tensor(w), stride=2).data).sum()
-    assert abs(lhs - rhs) < 1e-9
+    """The engine's adjoints are the transposes of the forward map:
+    <deconv(y, w), g> = <y, dy> = <w, dw> for the gradients of that sum."""
+    for (k, s), hw in itertools.product(MODEL_DECONVS, GRIDS):
+        y = Tensor(rng.normal(size=(2, 3) + hw), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, k, k)), requires_grad=True)
+        with T.fresh_tape():
+            out = T.deconv2d(y, w)
+            g = rng.normal(size=out.shape)
+            T.backward(T.tensor_sum(T.mul(out, g)))
+        lhs = (out.data * g).sum()
+        for t in (y, w):
+            assert abs(lhs - (t.data * t.grad).sum()) < 1e-9 * abs(lhs) + 1e-9
 
 
 def test_deconv2d_bad_stride():
-    with pytest.raises(ConfigError):
-        T.deconv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 2))),
-                   stride=0)
+    """A kernel side that is not a positive multiple of 4 gives no even
+    stride, so no whole s/2 padding."""
+    for k in (0, 2, 6, 10):
+        with pytest.raises(ShapeError):
+            T.deconv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, k, k))))
 
 
 def test_deconv2d_gradcheck():
-    r = check_op(lambda x, w: T.deconv2d(x, w, stride=2),
-                 [rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(2, 3, 4, 4))],
-                 rng)
-    assert r.max_rel_err < 1e-5
+    for (k, s), hw in itertools.product(MODEL_DECONVS, GRIDS):
+        r = check_op(lambda x, w, b: T.deconv2d(x, w, b),
+                     [rng.normal(size=(1, 2) + hw), rng.normal(size=(2, 3, k, k)),
+                      rng.normal(size=3)], rng)
+        assert r.max_rel_err < 1e-5, (k, hw)
 
 
 def test_conv2d_gradcheck_channels_not_increasing():
@@ -191,33 +202,30 @@ def test_conv2d_gradcheck_channels_not_increasing():
         r = check_op(lambda x, w, b: T.conv2d(x, w, b),
                      [rng.normal(size=(2, 4, 5, 7)), rng.normal(size=(3, 4, k, k)),
                       rng.normal(size=3)], rng)
-        assert r.max_rel_err < 1e-5, k
+        assert r.max_rel_err < 1e-5, (k, hw)
 
 
-def test_deconv2d_gradcheck_kernel_not_multiple_of_stride():
-    r = check_op(lambda x, w, b: T.deconv2d(x, w, b, stride=2),
-                 [rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 3, 3, 3)),
-                  rng.normal(size=3)], rng)
-    assert r.max_rel_err < 1e-5
-
-
-@pytest.mark.parametrize("hw", [(4, 4), (3, 5)])
+@pytest.mark.parametrize("hw", [(4, 4), (3, 5), (1, 1)])
 @pytest.mark.parametrize("kernel, stride", [
-    ((4, 4), (2, 2)), ((8, 8), (4, 4)), ((16, 16), (8, 8)), ((2, 2), (2, 2)),
-    ((1, 1), (2, 2)), ((3, 3), (2, 2)), ((5, 3), (3, 2)), ((3, 3), (1, 1)),
+    ((4, 4), (2, 2)), ((8, 8), (4, 4)), ((16, 16), (8, 8)), ((12, 12), (6, 6)),
+    ((20, 20), (10, 10)), ((24, 24), (12, 12)), ((28, 28), (14, 14)),
+    ((32, 32), (16, 16)),
 ])
 def test_deconv2d_equals_tap_loop_reference(kernel, stride, hw):
+    """Any kernel side that is a multiple of 4 upsamples by half of it: the
+    per-tap scatter at that stride, cropped by half the stride."""
     y = rng.normal(size=(2, 3) + hw)
     w = rng.normal(size=(3, 2) + kernel)
-    out = T.deconv2d(Tensor(y), Tensor(w), stride=stride).data
-    assert np.array_equal(out, deconv_loop(y, w, *stride))
+    out = T.deconv2d(Tensor(y), Tensor(w)).data
+    sh, sw = stride
+    assert np.array_equal(out, deconv_padded(y, w, sh, sw, sh // 2, sw // 2))
 
 
 @pytest.mark.parametrize("kernel, stride, padding, hw", [
     ((4, 4), (2, 2), (1, 1), (4, 4)), ((16, 16), (8, 8), (4, 4), (2, 2)),
-    ((8, 8), (4, 4), (2, 2), (3, 3)), ((4, 4), (2, 2), (1, 2), (3, 3)),
-    ((8, 8), (4, 4), (2, 2), (2, 5)), ((5, 3), (3, 2), (2, 1), (3, 4)),
-    ((7, 5), (1, 1), (3, 2), (1, 2)),   # some taps reach no kept pixel
+    ((8, 8), (4, 4), (2, 2), (3, 3)), ((4, 4), (2, 2), (1, 1), (3, 5)),
+    ((8, 8), (4, 4), (2, 2), (2, 5)), ((16, 16), (8, 8), (4, 4), (1, 3)),
+    ((8, 8), (4, 4), (2, 2), (1, 1)),
 ])
 def test_deconv2d_padded_equals_central_slice_of_reference(kernel, stride, padding, hw):
     y = Tensor(rng.normal(size=(2, 3) + hw), requires_grad=True)
@@ -225,7 +233,7 @@ def test_deconv2d_padded_equals_central_slice_of_reference(kernel, stride, paddi
     want = deconv_padded(y.data, w.data, *stride, *padding)
     g = rng.normal(size=want.shape)
     with T.fresh_tape():
-        out = T.deconv2d(y, w, stride=stride, padding=padding)
+        out = T.deconv2d(y, w)
         T.backward(T.tensor_sum(T.mul(out, g)))
     assert np.array_equal(out.data, want)
     # the adjoints are a padded conv of g and its kernel gradient against y
@@ -236,61 +244,58 @@ def test_deconv2d_padded_equals_central_slice_of_reference(kernel, stride, paddi
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("hw", [(3, 5), (6, 2), (1, 4)])
+@pytest.mark.parametrize("hw", [(3, 5), (6, 2), (1, 4), (1, 1), (4, 4)])
 @pytest.mark.parametrize("kernel, stride, padding", [
     (4, 2, 1), (16, 8, 4), (8, 4, 2),   # the decoders' and side heads' upsamplers
-    (8, 4, 3), (6, 2, 2),               # kept map starts mid-cell, or on a cell edge
 ])
 def test_deconv2d_model_triples_equal_tap_loop(kernel, stride, padding, hw):
-    """The model's (kernel, stride, padding) upsamplers at batch 2 on
-    non-square grids equal the per-tap scatter, sliced, bit for bit."""
+    """The model's (kernel, stride, padding) upsamplers at batch 2 equal the
+    per-tap scatter, sliced, bit for bit."""
     y = rng.normal(size=(2, 5) + hw)
     w = rng.normal(size=(5, 3, kernel, kernel))
-    out = T.deconv2d(Tensor(y), Tensor(w), stride=stride, padding=padding).data
+    out = T.deconv2d(Tensor(y), Tensor(w)).data
     assert np.array_equal(out, deconv_padded(y, w, stride, stride, padding, padding))
 
 
-@pytest.mark.parametrize("kernel, stride, padding", [(4, 2, 1), (16, 8, 4), (5, 3, 2)])
+@pytest.mark.parametrize("kernel, stride, padding", [(4, 2, 1), (16, 8, 4), (8, 4, 2)])
 def test_deconv2d_output_owns_a_contiguous_map(kernel, stride, padding):
     """The output is a new C-contiguous array, not a view that keeps the
     cropped border of a larger buffer alive."""
     out = T.deconv2d(Tensor(rng.normal(size=(2, 3, 3, 4))),
-                     Tensor(rng.normal(size=(3, 2, kernel, kernel))),
-                     stride=stride, padding=padding).data
+                     Tensor(rng.normal(size=(3, 2, kernel, kernel)))).data
+    assert out.shape == (2, 2, 3 * stride, 4 * stride)
     assert out.flags.c_contiguous
     assert out.base is None or out.base.nbytes <= out.nbytes
 
 
 @pytest.mark.parametrize("kernel, stride, padding, hw", [
     ((4, 4), (2, 2), (1, 1), (3, 5)), ((16, 16), (8, 8), (4, 4), (2, 3)),
-    ((8, 8), (4, 4), (2, 2), (4, 2)), ((5, 3), (3, 2), (2, 1), (3, 4)),
-    ((3, 3), (2, 2), (0, 0), (4, 4)),
+    ((8, 8), (4, 4), (2, 2), (4, 2)), ((4, 4), (2, 2), (1, 1), (1, 1)),
+    ((8, 8), (4, 4), (2, 2), (1, 1)), ((16, 16), (8, 8), (4, 4), (1, 1)),
+    ((4, 4), (2, 2), (1, 1), (4, 4)), ((8, 8), (4, 4), (2, 2), (3, 3)),
+    ((16, 16), (8, 8), (4, 4), (2, 2)),
 ])
 def test_deconv2d_float32_equals_float32_tap_loop(kernel, stride, padding, hw):
     y = rng.normal(size=(2, 3) + hw).astype(np.float32)
     w = rng.normal(size=(3, 2) + kernel).astype(np.float32)
     with T.compute_dtype(np.float32):
-        out = T.deconv2d(Tensor(y), Tensor(w), stride=stride, padding=padding).data
+        out = T.deconv2d(Tensor(y), Tensor(w)).data
     want = deconv_padded(y, w, *stride, *padding, dtype=np.float32)
     assert out.dtype == want.dtype == np.float32
     assert np.array_equal(out, want)
 
 
 def test_deconv2d_padded_adjoint_inner_product():
-    x = rng.normal(size=(1, 2, 4, 6))
-    w = rng.normal(size=(3, 2, 4, 4))
-    conv = conv_im2col(x, w, 2, 2, 1, 2)
-    y = rng.normal(size=conv.shape)
-    back = T.deconv2d(Tensor(y), Tensor(w), stride=2, padding=(1, 2)).data
-    assert back.shape == x.shape
-    assert abs((conv * y).sum() - (x * back).sum()) < 1e-9
-
-
-def test_deconv2d_negative_padding_rejected():
-    for padding in (-1, (0, -1)):
-        with pytest.raises(ConfigError):
-            T.deconv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 4, 4))),
-                       stride=2, padding=padding)
+    """<conv(x), y> = <x, deconv(y)> for the stride-s correlation padded by
+    s/2 with the same kernel."""
+    for k, s in MODEL_DECONVS:
+        x = rng.normal(size=(1, 2, 2 * s, 3 * s))
+        w = rng.normal(size=(3, 2, k, k))
+        conv = conv_im2col(x, w, s, s, s // 2, s // 2)
+        y = rng.normal(size=conv.shape)
+        back = T.deconv2d(Tensor(y), Tensor(w)).data
+        assert back.shape == x.shape
+        assert abs((conv * y).sum() - (x * back).sum()) < 1e-9
 
 
 @pytest.mark.parametrize("batch", [1, 2])
@@ -410,18 +415,18 @@ def test_conv2d_list_input_without_grad_gets_none():
 
 @pytest.mark.parametrize("kwargs", [
     dict(x=np.zeros((2, 4, 4))),
-    dict(w=np.zeros((2, 2, 3))),
+    dict(w=np.zeros((2, 2, 4))),
     dict(bias=np.zeros(1)),
     dict(bias=np.zeros(3)),
-    dict(padding=(5, 0)),   # 2 * 5 rows of the 9-row map leave none
-    dict(padding=(1, 5)),
+    dict(w=np.zeros((2, 2, 4, 8))),   # not square
+    dict(w=np.zeros((3, 2, 4, 4))),   # input channels differ
+    dict(x=np.zeros((1, 2, 0, 4))),   # empty input
 ])
 def test_deconv2d_rejects_misuse(kwargs):
-    args = dict(x=np.zeros((1, 2, 4, 4)), w=np.zeros((2, 2, 3, 3)),
-                bias=None, padding=0) | kwargs
+    args = dict(x=np.zeros((1, 2, 4, 4)), w=np.zeros((2, 2, 4, 4)),
+                bias=None) | kwargs
     with pytest.raises(ShapeError):
-        T.deconv2d(Tensor(args["x"]), Tensor(args["w"]), args["bias"], stride=2,
-                   padding=args["padding"])
+        T.deconv2d(Tensor(args["x"]), Tensor(args["w"]), args["bias"])
 
 
 def test_layer_norm_constant_row_maps_to_bias():
@@ -699,8 +704,9 @@ def _dtype_cases():
         "conv2d_list": (lambda a, b, c, w, bias: T.conv2d([a, b, c], w, bias),
                         [r(size=(2, 2, 5, 6)), r(size=(2, 3, 5, 6)),
                          r(size=(2, 1, 5, 6)), r(size=(4, 6, 3, 3)), r(size=4)]),
+        # strides 2 and 4: 10 x 10 and 20 x 20 maps
         "deconv2d": (lambda x, w1, w2, b: T.add(
-            T.deconv2d(x, w1, b, 2, 1), T.crop2d(T.deconv2d(x, w2, None, 4), 0, 0, 10, 10)),
+            T.deconv2d(x, w1, b), T.crop2d(T.deconv2d(x, w2), 0, 0, 10, 10)),
             [r(size=(2, 3, 5, 5)), r(size=(3, 2, 4, 4)), r(size=(3, 2, 8, 8)),
              r(size=2)]),
         "layer_norm": (T.layer_norm, [r(size=(4, 6)), r(size=6), r(size=6)]),

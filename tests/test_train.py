@@ -317,6 +317,42 @@ def test_crop_larger_than_image_rejected():
         train_two_phase(model, scenes, tcfg)
 
 
+def test_ignore_band_missing_from_a_scene_rejected():
+    """With the band on, every scene must carry one: the batch is never
+    quietly trained without it."""
+    scenes = _tiny_scenes()
+    scenes[0].ignore = np.zeros((32, 32), dtype=bool)
+    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
+    before = stage1_digest(model)
+    tcfg = TrainConfig(iterations_stage1=1, iterations_stage2=1, crop=32,
+                       batch_size=2, seed=0, use_ignore_band=True)
+    with pytest.raises(InputError, match="scene 1"):
+        train_two_phase(model, scenes, tcfg)
+    assert stage1_digest(model) == before
+    scenes[1].ignore = np.zeros((32, 32), dtype=bool)
+    result = train_two_phase(model, scenes, tcfg)
+    assert [s for _, s, _ in result.history] == [1, 2]
+
+
+def test_tape_records_per_iteration(monkeypatch):
+    """One 64x64 training iteration of the toy model at batch 2 records 396
+    tape entries in stage one and 328 in stage two. A change to the op graph
+    changes these figures and must update them on purpose."""
+    counts = []
+    backward = T.backward
+
+    def counting(loss):
+        counts.append(len(T.active_tape()))
+        backward(loss)
+
+    monkeypatch.setattr(T, "backward", counting)
+    model = EdgeDetector(ModelConfig.toy(), seed=0)
+    train_two_phase(model, _tiny_scenes(size=64),
+                    TrainConfig(iterations_stage1=1, iterations_stage2=1,
+                                batch_size=2, crop=64, seed=0))
+    assert counts == [396, 328]
+
+
 def test_side_outputs_count_range_and_gradient_reach():
     cfg = ModelConfig.toy(input_hw=(32, 32))
     model = EdgeDetector(cfg, seed=2)
