@@ -82,6 +82,10 @@ def _cmd_eval(args) -> int:
                    if p.suffix in (".pgm", ".epfm"))
     if not paths:
         raise InputError(f"no predictions under {pred_dir}")
+    stems = [p.stem for p in paths]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise InputError(f"two predictions for image {stem} under {pred_dir}")
     for p in paths:
         preds.append(load_edge_map(p))
         stacks.append(load_annotators(Path(args.gt) / p.stem))

@@ -24,6 +24,9 @@ from .errors import ConfigError, InputError, NumericError, ShapeError
 
 THRESHOLDS = np.arange(1, 100) / 100.0
 DEFAULT_TOLERANCE = 0.0075
+# pixel-offset pairs a candidate-graph lookup gathers at once: about 13 bytes
+# each (offset index, candidate, hit flag), so about 3.4 MB whatever the radius
+GATHER_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -74,23 +77,29 @@ def nms_thin(edge: np.ndarray) -> np.ndarray:
     the probability map; a pixel survives iff its value is >= both bilinear
     samples one pixel away along +/- the gradient direction. Samples falling
     outside the image are skipped, zero-gradient plateaus are kept, and
-    survivors keep their original probability.
+    survivors keep their original probability. The smoothing and gradients
+    cover the whole map; the test runs at the nonzero pixels only.
     """
     edge = _finite_map(edge, "prediction")
     gy, gx = _central_gradients(_gaussian_smooth5(edge))
+    # a zero pixel stays zero whether it is kept or not
+    at = np.flatnonzero(edge)
+    ys, xs = np.divmod(at, edge.shape[1])
+    gy, gx, value = gy.ravel()[at], gx.ravel()[at], edge.ravel()[at]
     mag = np.hypot(gy, gx)
     flat = mag == 0
     safe = np.where(flat, 1.0, mag)
     uy = gy / safe
     ux = gx / safe
-    h, w = edge.shape
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    keep = np.ones_like(edge, dtype=bool)
+    yy, xx = ys.astype(np.float64), xs.astype(np.float64)
+    keep = np.ones(len(ys), dtype=bool)
     for sign in (1.0, -1.0):
         val, valid = _bilinear_sample(edge, yy + sign * uy, xx + sign * ux)
-        keep &= (edge >= val) | ~valid
+        keep &= (value >= val) | ~valid
     keep |= flat
-    return edge * keep
+    mask = np.zeros(edge.size, dtype=bool)
+    mask[at] = keep
+    return edge * mask.reshape(edge.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +136,18 @@ def _finite_map(m, what: str) -> np.ndarray:
 
 
 def _annotator_maps(gts, shape: tuple[int, int]) -> list[np.ndarray]:
-    gts = [np.asarray(g, dtype=bool) for g in gts]
+    """The annotator maps as boolean maps of ``shape``; a NaN would cast to
+    an edge pixel, so non-finite values are an error."""
+    maps = []
     for g in gts:
+        g = np.asarray(g)
         if g.shape != shape:
             raise ShapeError(f"annotator map of shape {g.shape} against a "
                              f"prediction of shape {shape}")
-    return gts
+        if g.dtype.kind in "fc" and not np.isfinite(g).all():
+            raise NumericError("annotator map has non-finite values")
+        maps.append(g.astype(bool))
+    return maps
 
 
 def _radius(shape: tuple[int, int], tol: float) -> float:
@@ -150,30 +165,63 @@ def _ranked_pixels(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[order], values[order]
 
 
-def _candidate_graph(pts: np.ndarray, gt: np.ndarray, radius: float) -> _Graph:
-    """Pairs each row of ``pts`` with the ground-truth pixels within
-    ``radius``, nearest first: every pixel looks up the integer offsets of
-    the disk in a flat index grid of the ground truth, padded by the radius,
-    with no loop over pixels."""
-    h, w = gt.shape
+def _disk(radius: float, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Integer offsets (dy, dx) within ``radius``, nearest first, none longer
+    along an axis than the map is wide."""
+    h, w = shape
     ry = min(int(radius), h - 1)
     rx = min(int(radius), w - 1)
     dy, dx = np.mgrid[-ry:ry + 1, -rx:rx + 1].reshape(2, -1)
     d2 = dy * dy + dx * dx
-    disk = d2 <= radius * radius
-    dy, dx, d2 = dy[disk], dx[disk], d2[disk]
+    inside = d2 <= radius * radius
+    dy, dx, d2 = dy[inside], dx[inside], d2[inside]
     nearest = np.lexsort((dx, dy, d2))
-    dy, dx = dy[nearest], dx[nearest]
+    return dy[nearest], dx[nearest]
 
+
+def _within_reach(pts: np.ndarray, gts: list[np.ndarray],
+                  disk: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Whether each row of ``pts`` has a pixel of some annotator map at an
+    offset of ``disk``: the union of the maps dilated by the disk, read at
+    the rows."""
+    union = np.logical_or.reduce(gts)
+    h, w = union.shape
+    dy, dx = disk
+    ry, rx = dy.max(), dx.max()
+    padded = np.zeros((h + 2 * ry, w + 2 * rx), dtype=bool)
+    padded[ry:ry + h, rx:rx + w] = union
+    reach = np.zeros_like(union)
+    for y, x in zip((dy + ry).tolist(), (dx + rx).tolist()):
+        reach |= padded[y:y + h, x:x + w]
+    return reach[pts[:, 0], pts[:, 1]]
+
+
+def _candidate_graph(pts: np.ndarray, gt: np.ndarray,
+                     disk: tuple[np.ndarray, np.ndarray]) -> _Graph:
+    """Pairs each row of ``pts`` with the ground-truth pixels at the offsets
+    of ``disk``, nearest first: every pixel looks up the offsets in a flat
+    index grid of the ground truth, padded by the radius, with no loop over
+    pixels. The rows are looked up in blocks of at most ``GATHER_ENTRIES``
+    pixel-offset pairs, so memory stays bounded however large the radius."""
+    h, w = gt.shape
+    dy, dx = disk
+    ry, rx = dy.max(), dx.max()
     gt_pts = np.argwhere(gt)
     wp = w + 2 * rx
     index = np.full((h + 2 * ry) * wp, -1, dtype=np.int32)
     index[(gt_pts[:, 0] + ry) * wp + gt_pts[:, 1] + rx] = np.arange(len(gt_pts))
-    cand = index[((pts[:, 0] + ry) * wp + pts[:, 1] + rx)[:, None] + (dy * wp + dx)]
-    hit = cand >= 0
+    at = (pts[:, 0] + ry) * wp + pts[:, 1] + rx
+    offsets = dy * wp + dx
+    step = max(1, GATHER_ENTRIES // len(offsets))
+    degree, parts = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int32)]
+    for start in range(0, len(pts), step):
+        cand = index[at[start:start + step, None] + offsets]
+        hit = cand >= 0
+        degree.append(np.count_nonzero(hit, axis=1))
+        parts.append(cand[hit])
     indptr = np.zeros(len(pts) + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(hit, axis=1), out=indptr[1:])
-    indices = cand[hit]
+    np.cumsum(np.concatenate(degree), out=indptr[1:])
+    indices = np.concatenate(parts)
 
     own = None
     row_deg = np.diff(indptr)
@@ -254,7 +302,7 @@ def match_correspondence(pred: np.ndarray, gt: np.ndarray,
     pred = _finite_map(pred, "prediction")
     (gt,) = _annotator_maps([gt], pred.shape)
     pts, _ = _ranked_pixels(pred)
-    graph = _candidate_graph(pts, gt, _radius(pred.shape, tol))
+    graph = _candidate_graph(pts, gt, _disk(_radius(pred.shape, tol), pred.shape))
     cols = _maximum_matching(graph)
     matched_pred = np.zeros(pred.shape, dtype=bool)
     matched_gt = np.zeros(pred.shape, dtype=bool)
@@ -287,22 +335,24 @@ def pr_sweep(thinned: np.ndarray, gts: list[np.ndarray],
         raise InputError("need at least one ground-truth map")
     thinned = _finite_map(thinned, "prediction")
     gts = _annotator_maps(gts, thinned.shape)
-    radius = _radius(thinned.shape, tol)
+    disk = _disk(_radius(thinned.shape, tol), thinned.shape)
     pts, values = _ranked_pixels(thinned)
     # pixels at or above each threshold: a prefix of the ranked rows
     prefix = np.searchsorted(-values, -THRESHOLDS, side="right")
     pts = pts[:prefix[0]]
-    matched_any = np.zeros(len(pts), dtype=bool)
-    matched_gt = np.zeros(len(pts) + 1, dtype=np.int64)
+    # a row with no annotator pixel in reach is never matched and never lies
+    # on an augmenting path, so each annotator matches the rows in reach only
+    reach = np.flatnonzero(_within_reach(pts, gts, disk))
+    near = pts[reach]
+    hits = np.zeros((len(gts), len(pts)), dtype=bool)
     total_gt = 0
-    for gt in gts:
-        graph = _candidate_graph(pts, gt, radius)
-        hit = _maximum_matching(graph) >= 0
-        matched_any |= hit
-        matched_gt[1:] += np.cumsum(hit)
+    for hit, gt in zip(hits, gts):
+        graph = _candidate_graph(near, gt, disk)
+        hit[reach] = _maximum_matching(graph) >= 0
         total_gt += len(graph.gt_pts)
-    any_so_far = np.concatenate(([0], np.cumsum(matched_any)))
-    return np.stack([any_so_far[prefix], prefix, matched_gt[prefix],
+    any_so_far = np.concatenate(([0], np.cumsum(hits.any(axis=0))))
+    gt_so_far = np.concatenate(([0], np.cumsum(hits.sum(axis=0))))
+    return np.stack([any_so_far[prefix], prefix, gt_so_far[prefix],
                      np.full(len(prefix), total_gt)], axis=1).astype(np.int64)
 
 

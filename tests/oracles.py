@@ -7,7 +7,9 @@ matching is maximum per annotator, with predicted pixels taken strongest
 first, so the matched pixels are nested across thresholds. The bench finds it
 with one incremental breadth-first matching per annotator on vectorized
 candidate graphs; Kuhn's method, taking the rows in the order given, finds it
-by depth-first search.
+by depth-first search. The evaluation's earlier non-maximum suppression,
+which tests every pixel of the map, is here to check the one that tests the
+nonzero pixels only.
 
 The convolution and training batch-norm references are the engine's
 earlier kernels: a transposed convolution scattered one kernel tap at a time
@@ -28,7 +30,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from edgekit import nn
+from edgekit import evalbench, nn
 from edgekit import tensor as T
 from edgekit.tensor import Tensor
 
@@ -73,6 +75,26 @@ def ranked_points(prob: np.ndarray) -> np.ndarray:
     pts = np.argwhere(prob != 0)
     order = sorted(range(len(pts)), key=lambda i: -prob[tuple(pts[i])])
     return pts[order]
+
+
+def nms_thin_dense(edge: np.ndarray) -> np.ndarray:
+    """``evalbench.nms_thin`` as it was when every pixel, zero or not, took
+    the two bilinear samples along its gradient normal."""
+    edge = evalbench._finite_map(edge, "prediction")
+    gy, gx = evalbench._central_gradients(evalbench._gaussian_smooth5(edge))
+    mag = np.hypot(gy, gx)
+    flat = mag == 0
+    safe = np.where(flat, 1.0, mag)
+    uy = gy / safe
+    ux = gx / safe
+    h, w = edge.shape
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    keep = np.ones_like(edge, dtype=bool)
+    for sign in (1.0, -1.0):
+        val, valid = evalbench._bilinear_sample(edge, yy + sign * uy, xx + sign * ux)
+        keep &= (edge >= val) | ~valid
+    keep |= flat
+    return edge * keep
 
 
 def optimal_match_mask(pred: np.ndarray, gt: np.ndarray,

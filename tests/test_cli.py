@@ -336,6 +336,17 @@ def _eval_dir(root, pred_map, gt_map, suffix=".pgm"):
     return ["eval", "--pred", str(pred), "--gt", str(root / "gt")]
 
 
+def test_eval_rejects_a_stem_given_twice(tmp_path, capsys):
+    # a stray 000.epfm beside 000.pgm would be scored as a second image
+    # against the same annotators
+    gt = np.zeros((8, 8))
+    gt[4, :] = 1.0
+    args = _eval_dir(tmp_path, gt, gt)
+    save_edge_map(gt, tmp_path / "pred" / "000.epfm")
+    assert main(args) == 3
+    assert "000" in capsys.readouterr().err
+
+
 def test_eval_shape_mismatch_exit_code(tmp_path):
     gt = np.zeros((8, 8))
     gt[4, :] = 1.0

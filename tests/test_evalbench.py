@@ -1,13 +1,16 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from edgekit import evalbench
+from edgekit import evalbench, synth
 from edgekit.errors import ConfigError, InputError, NumericError, ShapeError
 from edgekit.evalbench import (THRESHOLDS, aggregate_ods_ois_ap,
                                evaluate_predictions, match_correspondence,
                                nms_thin, pr_sweep)
 
-from oracles import (brute_force_report, optimal_match_count,
+from oracles import (brute_force_report, nms_thin_dense, optimal_match_count,
                      ordered_matched_rows, ranked_points)
 
 rng = np.random.default_rng(31)
@@ -55,6 +58,39 @@ def test_nms_support_subset_and_values_preserved():
     survivors = out > 0
     assert np.all(edge[survivors] == out[survivors])
     assert np.all(out[edge == 0] == 0)
+
+
+def _nms_cases():
+    g = np.random.default_rng(41)
+    zero_regions = g.random((24, 30)) * (g.random((24, 30)) < 0.5)
+    zero_regions[:10] = 0.0
+    zero_regions[:, 20:] = 0.0
+    slack = g.random((20, 20)) * (g.random((20, 20)) < 0.5)
+    slack[g.random((20, 20)) < 0.2] = -1e-10  # within _finite_map's slack
+    return {
+        "zero regions": zero_regions,
+        "transposed view": zero_regions.T,
+        "slack": slack,
+        "constant": np.full((7, 9), 0.5),
+        "all zero": np.zeros((5, 6)),
+        "1xN": g.random((1, 17)) * (g.random((1, 17)) < 0.6),
+        "Nx1": g.random((17, 1)) * (g.random((17, 1)) < 0.6),
+        "1x1": np.full((1, 1), 0.3),
+        "1x1 zero": np.zeros((1, 1)),
+    }
+
+
+NMS_CASES = _nms_cases()
+
+
+@pytest.mark.parametrize("case", list(NMS_CASES))
+def test_nms_thin_equals_dense_oracle(case):
+    # testing the nonzero pixels only gives the map of testing every pixel,
+    # bit for bit, signed zeros included
+    edge = NMS_CASES[case]
+    out, expect = nms_thin(edge), nms_thin_dense(edge)
+    assert np.array_equal(out, expect)
+    assert out.tobytes() == expect.tobytes()
 
 
 # -- matching -----------------------------------------------------------------
@@ -193,7 +229,7 @@ def test_shortcut_and_search_agree_below_one_pixel():
         prob, gts = _property_maps(g)
         pts = ranked_points(prob)
         for gt in gts:
-            graph = evalbench._candidate_graph(pts, gt, 0.99)
+            graph = evalbench._candidate_graph(pts, gt, evalbench._disk(0.99, gt.shape))
             assert graph.own_matching is not None
             searched = evalbench._maximum_matching(graph._replace(own_matching=None))
             assert np.array_equal(evalbench._maximum_matching(graph), searched)
@@ -232,27 +268,88 @@ def test_pr_sweep_counts_are_maximum_matchings(radius):
             assert max(per_annotator) <= mp <= tp
 
 
+def _assert_rows_equal_direct_matching(counts, prob, gts, tol):
+    for k, t in enumerate(THRESHOLDS):
+        # the map zeroed below t ranks its pixels as the sweep does
+        pred = np.where(prob >= t, prob, 0.0)
+        matched_any = np.zeros(pred.shape, bool)
+        matched_gt = 0
+        for gt in gts:
+            mp, mg = match_correspondence(pred, gt, tol=tol)
+            assert mp.sum() == mg.sum()
+            assert np.all(pred[mp] > 0) and np.all(gt[mg])
+            matched_any |= mp
+            matched_gt += int(mg.sum())
+        row = (matched_any.sum(), (pred > 0).sum(), matched_gt,
+               sum(int(gt.sum()) for gt in gts))
+        assert tuple(counts[k]) == row
+
+
 @pytest.mark.parametrize("radius", PROPERTY_RADII)
 def test_pr_sweep_rows_equal_direct_matching(radius):
     g = np.random.default_rng(int(radius * 100) + 1)
     tol = radius / np.hypot(16, 16)
     for _ in range(3):
         prob, gts = _property_maps(g)
-        counts = pr_sweep(prob, gts, tol=tol)
-        for k, t in enumerate(THRESHOLDS):
-            # the map zeroed below t ranks its pixels as the sweep does
-            pred = np.where(prob >= t, prob, 0.0)
-            matched_any = np.zeros(pred.shape, bool)
-            matched_gt = 0
-            for gt in gts:
-                mp, mg = match_correspondence(pred, gt, tol=tol)
-                assert mp.sum() == mg.sum()
-                assert np.all(pred[mp] > 0) and np.all(gt[mg])
-                matched_any |= mp
-                matched_gt += int(mg.sum())
-            row = (matched_any.sum(), (pred > 0).sum(), matched_gt,
-                   sum(int(gt.sum()) for gt in gts))
-            assert tuple(counts[k]) == row
+        _assert_rows_equal_direct_matching(pr_sweep(prob, gts, tol=tol),
+                                           prob, gts, tol)
+
+
+def test_pr_sweep_drops_rows_out_of_every_annotators_reach():
+    # the annotators draw in the top-left corner only, the prediction
+    # covers the whole map
+    g = np.random.default_rng(12)
+    prob = np.round(g.random((24, 24)), 2) * (g.random((24, 24)) < 0.6)
+    gts = [np.zeros((24, 24), bool) for _ in range(3)]
+    for gt in gts:
+        gt[:8, :8] = g.random((8, 8)) < 0.3
+    radius = 2.7
+    pts = ranked_points(prob)
+    reach = evalbench._within_reach(pts, gts, evalbench._disk(radius, prob.shape))
+    near = [any(np.hypot(*(q - p)) <= radius for gt in gts for q in np.argwhere(gt))
+            for p in pts]
+    assert np.array_equal(reach, near)
+    assert reach.sum() < len(pts) / 4
+    tol = radius / np.hypot(24, 24)
+    _assert_rows_equal_direct_matching(pr_sweep(prob, gts, tol=tol), prob, gts, tol)
+
+
+def test_candidate_graph_is_the_same_in_small_blocks(monkeypatch):
+    prob, gts = _property_maps(np.random.default_rng(13))
+    pts = ranked_points(prob)
+    disk = evalbench._disk(4.3, prob.shape)
+    whole = [evalbench._candidate_graph(pts, gt, disk) for gt in gts]
+    # 3 rows of the 57-offset disk per block, and a last block of 1 or 2
+    monkeypatch.setattr(evalbench, "GATHER_ENTRIES", 200)
+    for gt, expect in zip(gts, whole):
+        graph = evalbench._candidate_graph(pts, gt, disk)
+        for a, b in zip(graph, expect):
+            assert (a is None and b is None) or (np.array_equal(a, b)
+                                                 and a.dtype == b.dtype)
+
+
+def test_large_tolerance_sweep_stays_small():
+    # tol 1.0 puts every pixel pair of a 64x64 map in reach: a disk of
+    # 127x127 offsets, which for 1,000 predicted pixels at once would be
+    # gathered in over 200 MB
+    g = np.random.default_rng(64)
+    prob = np.zeros((64, 64))
+    prob.flat[g.choice(64 * 64, 1000, replace=False)] = g.uniform(0.01, 1.0, 1000)
+    gt = np.zeros((64, 64), bool)
+    gt.flat[g.choice(64 * 64, 30, replace=False)] = True
+    tracemalloc.start()
+    try:
+        counts = pr_sweep(prob, [gt], tol=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    matched = np.array(ordered_matched_rows(ranked_points(prob), np.argwhere(gt),
+                                            np.hypot(64, 64)))
+    for k, t in enumerate(THRESHOLDS):
+        n = int((prob >= t).sum())
+        m = int((matched < n).sum())
+        assert tuple(counts[k]) == (m, n, m, 30)
 
 
 def test_pr_sweep_below_one_pixel_counts_coincidences():
@@ -319,6 +416,20 @@ def test_evaluation_rejects_out_of_range_prediction(value):
     edge[4, :] = 1.0 + 1e-10
     edge[0, 0] = -1e-10
     evaluate_predictions([edge], [[gt]], apply_nms=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_evaluation_rejects_non_finite_annotator(bad):
+    # a NaN cast to bool would be an edge pixel
+    pred = rng.random((8, 8))
+    gt = (rng.random((8, 8)) < 0.3).astype(np.float64)
+    gt[2, 5] = bad
+    with pytest.raises(NumericError, match="annotator"):
+        evaluate_predictions([pred], [[gt]])
+    with pytest.raises(NumericError, match="annotator"):
+        pr_sweep(pred, [np.zeros((8, 8)), gt])
+    with pytest.raises(NumericError, match="annotator"):
+        match_correspondence(pred, gt)
 
 
 def test_pr_sweep_needs_ground_truth():
@@ -408,3 +519,20 @@ def test_three_image_set_matches_brute_force_evaluator():
     assert abs(report.ods - ods) < 1e-9
     assert abs(report.ois - ois) < 1e-9
     assert abs(report.ap - ap) < 1e-9
+
+
+def test_seeded_256_evaluation_counts_are_pinned():
+    # the per-image counts of a seeded 256x256 evaluation against five
+    # annotators, pinned so that work meant to be exact cannot drift
+    g = np.random.default_rng(256)
+    preds, stacks = [], []
+    for _ in range(2):
+        _, boundary, maps = synth.generate_scene(g, 256)
+        noise = g.random(boundary.shape) * (g.random(boundary.shape) < 0.5)
+        preds.append(np.clip(0.7 * np.roll(boundary, 1, axis=1) + 0.3 * noise,
+                             0.0, 1.0))
+        stacks.append(maps)
+    report = evaluate_predictions(preds, stacks)
+    counts = np.stack(report.per_image_counts).astype("<i8")
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+        "78e06c09492fca94f6c83c42dc297e31d744fe94e52ef8087b7ad1681f9147b5")
