@@ -20,7 +20,7 @@ from .evalbench import DEFAULT_TOLERANCE, evaluate_predictions, write_pr_csv
 from .model import DEFAULT_SCALES, EdgeDetector, ModelConfig
 from .rasters import load_edge_map, load_image, save_edge_map
 from .runconfig import RunConfig, default_config_text
-from .synth import load_annotators, load_dataset, write_dataset
+from .synth import ANNOTATORS, JITTER, load_annotators, load_dataset, write_dataset
 from .train import train_two_phase, write_loss_csv
 
 EXIT_CONFIG = 3
@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--size", type=_int_at_least(3), default=64)
     p.add_argument("--out", required=True)
-    p.add_argument("--annotators", type=_int_at_least(1), default=5)
-    p.add_argument("--jitter", type=_probability, default=0.08)
+    p.add_argument("--annotators", type=_int_at_least(1), default=ANNOTATORS)
+    p.add_argument("--jitter", type=_probability, default=JITTER)
     p.set_defaults(fn=_cmd_synth)
 
     p = sub.add_parser("train", help="two-phase training from a config file")

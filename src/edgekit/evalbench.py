@@ -87,8 +87,8 @@ def nms_thin(edge: np.ndarray) -> np.ndarray:
     ys, xs = np.divmod(at, edge.shape[1])
     gy, gx, value = gy.ravel()[at], gx.ravel()[at], edge.ravel()[at]
     mag = np.hypot(gy, gx)
-    flat = mag == 0
-    safe = np.where(flat, 1.0, mag)
+    # a zero-gradient pixel samples itself twice, so the test keeps it
+    safe = np.where(mag == 0, 1.0, mag)
     uy = gy / safe
     ux = gx / safe
     yy, xx = ys.astype(np.float64), xs.astype(np.float64)
@@ -96,7 +96,6 @@ def nms_thin(edge: np.ndarray) -> np.ndarray:
     for sign in (1.0, -1.0):
         val, valid = _bilinear_sample(edge, yy + sign * uy, xx + sign * ux)
         keep &= (value >= val) | ~valid
-    keep |= flat
     mask = np.zeros(edge.size, dtype=bool)
     mask[at] = keep
     return edge * mask.reshape(edge.shape)
@@ -121,14 +120,15 @@ class _Graph(NamedTuple):
 
 
 def _finite_map(m, what: str) -> np.ndarray:
-    """``m`` as a float64 2-D map of probabilities: finite and in [0, 1],
-    with the 1e-9 slack that ``rasters.save_gray`` allows."""
+    """``m`` as a float64 2-D map of probabilities with at least one pixel:
+    finite and in [0, 1], with the 1e-9 slack that ``rasters.save_gray``
+    allows."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"{what} must be a 2-D map, got shape {m.shape}")
+    if m.ndim != 2 or not m.size:
+        raise ShapeError(f"{what} must be a 2-D map with pixels, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NumericError(f"{what} has non-finite values")
-    if m.size and (m.min() < -1e-9 or m.max() > 1.0 + 1e-9):
+    if m.min() < -1e-9 or m.max() > 1.0 + 1e-9:
         raise NumericError(
             f"{what} values outside [0, 1]: range [{m.min()}, {m.max()}]"
         )

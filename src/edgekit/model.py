@@ -122,18 +122,29 @@ def _int_tuple(value) -> bool:
     return isinstance(value, tuple) and all(_is_int(v) for v in value)
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _render(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def _parse(raw: str, default):
-    """Parse by the type of ``default``; bad text raises ValueError."""
+    """Parse by the type of ``default``; bad text raises ValueError. A tuple
+    is a comma list, a bool one of ``_BOOLS`` in any case."""
     if isinstance(default, tuple):
         return tuple(_parse(v, default[0]) for v in raw.split(","))
+    if isinstance(default, bool):
+        if raw.strip().lower() not in _BOOLS:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return _BOOLS[raw.strip().lower()]
     return type(default)(raw)
 
 
-def partition_windows(image: np.ndarray, divisor: int = 2) -> list[np.ndarray]:
+def partition_windows(image: np.ndarray, divisor: int) -> list[np.ndarray]:
     """Split (B, 3, H, W) into divisor^2 windows, row-major order."""
     h, w = image.shape[-2], image.shape[-1]
     if h % divisor or w % divisor:

@@ -1,62 +1,57 @@
 """Line-oriented key=value run configuration with a strict schema.
 
-Every key has a documented default; unknown keys are rejected so typos fail
-loudly. `#` starts a comment, blank lines are ignored.
+Every key has the default and type of the ModelConfig or TrainConfig field it
+sets; unknown keys are rejected so typos fail loudly. `#` starts a comment,
+blank lines are ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import ModelConfig
+from .model import ModelConfig, _parse, _render
 from .train import TrainConfig
 
-
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {s!r}")
-
-
-def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in s.split(","))
-
-
-# key -> (parser, default, description)
-SCHEMA: dict[str, tuple] = {
-    "input_size": (int, 64, "square side of the native input and training crops"),
-    "embed_dim": (int, 64, "token embedding width of both encoders"),
-    "heads": (int, 8, "attention heads per block"),
-    "head_dim": (int, 8, "per-head query/key/value width"),
-    "mlp_ratio": (int, 4, "transformer MLP hidden width / embed_dim"),
-    "global_taps": (_parse_ints, (2, 4, 6, 8),
-                    "tapped block indices, coarse stage; the last is its depth"),
-    "local_taps": (_parse_ints, (1, 2, 3, 4),
-                   "tapped block indices, fine stage; the last is its depth"),
-    "path_channels": (int, 16, "decoder aggregation-path width"),
-    "smooth_channels": (int, 16, "decoder output feature width"),
-    "side_channels": (int, 4, "width inside auxiliary side heads"),
-    "window_divisor": (int, 2, "fine stage window grid divisor"),
-    "eta": (float, 0.3, "annotator consensus threshold"),
-    "lambda": (float, 0.4, "side-output loss weight"),
-    "lr": (float, 5e-4, "base learning rate (polynomial decay)"),
-    "lr_power": (float, 0.9, "polynomial decay exponent"),
-    "momentum": (float, 0.9, "SGD momentum"),
-    "weight_decay": (float, 2e-4, "L2 weight decay folded into the velocity"),
-    "iterations": (int, 600, "iterations per training stage"),
-    "batch_size": (int, 2, "training batch size"),
-    "seed": (int, 0, "seed for weights, batches, and augmentation"),
-    "flip": (_parse_bool, True, "random horizontal flips during training"),
-    "ignore_band": (_parse_bool, False,
-                    "exclude sub-threshold annotator pixels from the loss"),
-    "data_dir": (str, "data", "dataset directory (images/ + gt/)"),
-    "out_dir": (str, "runs", "output directory for checkpoints and CSVs"),
+# key -> description, in the order `edgekit config` prints them
+SCHEMA: dict[str, str] = {
+    "input_size": "square side of the native input and training crops",
+    "embed_dim": "token embedding width of both encoders",
+    "heads": "attention heads per block",
+    "head_dim": "per-head query/key/value width",
+    "mlp_ratio": "transformer MLP hidden width / embed_dim",
+    "global_taps": "tapped block indices, coarse stage; the last is its depth",
+    "local_taps": "tapped block indices, fine stage; the last is its depth",
+    "path_channels": "decoder aggregation-path width",
+    "smooth_channels": "decoder output feature width",
+    "side_channels": "width inside auxiliary side heads",
+    "window_divisor": "fine stage window grid divisor",
+    "eta": "annotator consensus threshold",
+    "lambda": "side-output loss weight",
+    "lr": "base learning rate (polynomial decay)",
+    "lr_power": "polynomial decay exponent",
+    "momentum": "SGD momentum",
+    "weight_decay": "L2 weight decay folded into the velocity",
+    "iterations": "iterations per training stage",
+    "batch_size": "training batch size",
+    "seed": "seed for weights, batches, and augmentation",
+    "flip": "random horizontal flips during training",
+    "ignore_band": "exclude sub-threshold annotator pixels from the loss",
+    "data_dir": "dataset directory (images/ + gt/)",
+    "out_dir": "output directory for checkpoints and CSVs",
 }
+
+# keys not named like their one field; the first gives the default
+FIELDS: dict[str, tuple[str, ...]] = {
+    "input_size": ("crop", "input_hw"),
+    "lambda": ("lam",),
+    "lr": ("base_lr",),
+    "iterations": ("iterations_stage1", "iterations_stage2"),
+    "ignore_band": ("use_ignore_band",),
+}
+
+PATHS = {"data_dir": "data", "out_dir": "runs"}  # the keys that set no field
 
 
 @dataclass
@@ -68,11 +63,12 @@ class RunConfig:
 
     @staticmethod
     def defaults() -> "RunConfig":
-        return RunConfig({k: v for k, (_, v, _) in SCHEMA.items()})
+        known = {**asdict(ModelConfig()), **asdict(TrainConfig()), **PATHS}
+        return RunConfig({key: known[FIELDS.get(key, (key,))[0]] for key in SCHEMA})
 
     @staticmethod
     def parse(text: str) -> "RunConfig":
-        values = {k: v for k, (_, v, _) in SCHEMA.items()}
+        values = RunConfig.defaults().values
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -84,10 +80,9 @@ class RunConfig:
                 raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
             if key not in SCHEMA:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            parser = SCHEMA[key][0]
             try:
-                values[key] = parser(value)
-            except (ValueError, ConfigError) as exc:
+                values[key] = _parse(value, values[key])
+            except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
         return RunConfig(values)
 
@@ -95,33 +90,21 @@ class RunConfig:
     def load(path) -> "RunConfig":
         return RunConfig.parse(Path(path).read_text())
 
+    def _config(self, cls):  # `input_hw` is the square of `input_size`
+        names = {f.name for f in fields(cls)}
+        kwargs = {name: (value, value) if name == "input_hw" else value
+                  for key, value in self.values.items()
+                  for name in FIELDS.get(key, (key,)) if name in names}
+        return cls(**kwargs)
+
     def model_config(self) -> ModelConfig:
-        """The model keys, each named like its field but ``input_size``
-        (a square ``input_hw``)."""
-        v = self.values
-        same = {f.name: v[f.name] for f in fields(ModelConfig) if f.name in v}
-        return ModelConfig(input_hw=(v["input_size"], v["input_size"]), **same)
+        return self._config(ModelConfig)
 
     def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(eta=v["eta"], lam=v["lambda"], base_lr=v["lr"],
-                           iterations_stage1=v["iterations"],
-                           iterations_stage2=v["iterations"],
-                           batch_size=v["batch_size"], crop=v["input_size"],
-                           seed=v["seed"], flip=v["flip"],
-                           use_ignore_band=v["ignore_band"],
-                           momentum=v["momentum"],
-                           weight_decay=v["weight_decay"],
-                           lr_power=v["lr_power"])
+        return self._config(TrainConfig)
 
 
 def default_config_text() -> str:
     """All keys with defaults and help comments, ready to edit."""
-    lines = []
-    for key, (_, default, help_text) in SCHEMA.items():
-        if isinstance(default, tuple):
-            default = ",".join(str(x) for x in default)
-        elif isinstance(default, bool):
-            default = "true" if default else "false"
-        lines.append(f"{key}={default}  # {help_text}")
-    return "\n".join(lines) + "\n"
+    run = RunConfig.defaults()
+    return "".join(f"{key}={_render(run[key])}  # {text}\n" for key, text in SCHEMA.items())

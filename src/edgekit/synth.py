@@ -17,6 +17,8 @@ from .rasters import load_gray, load_image, save_gray, save_image
 from .train import AnnotationStack, Scene, consensus_labels, ignore_band
 
 BOUNDARY_FRACTION = (0.01, 0.15)
+ANNOTATORS = 5  # simulated annotators per scene
+JITTER = 0.08   # fraction of each annotator's boundary pixels displaced
 
 
 def _erode4(mask: np.ndarray) -> np.ndarray:
@@ -85,8 +87,8 @@ def _pick_color(rng: np.random.Generator, taken: list[np.ndarray]) -> np.ndarray
     return c  # pragma: no cover - practically unreachable
 
 
-def generate_scene(rng: np.random.Generator, size: int, annotators: int = 5,
-                   jitter: float = 0.08
+def generate_scene(rng: np.random.Generator, size: int,
+                   annotators: int = ANNOTATORS, jitter: float = JITTER
                    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """One scene: image (3, S, S), true boundary, jittered annotator maps."""
     lo, hi = BOUNDARY_FRACTION
@@ -135,8 +137,8 @@ def generate_scene(rng: np.random.Generator, size: int, annotators: int = 5,
     return image, boundary.astype(np.uint8), maps
 
 
-def write_dataset(out_dir, n: int, seed: int, size: int, annotators: int = 5,
-                  jitter: float = 0.08) -> None:
+def write_dataset(out_dir, n: int, seed: int, size: int,
+                  annotators: int = ANNOTATORS, jitter: float = JITTER) -> None:
     """Write ``n`` scenes; fully determined by the seed."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
@@ -157,17 +159,22 @@ def load_annotators(gt_dir) -> list[np.ndarray]:
     return [(load_gray(p) > 0.5).astype(np.uint8) for p in paths]
 
 
-def load_dataset(data_dir, eta: float = 0.3,
-                 use_ignore_band: bool = False) -> list[Scene]:
-    """Read scenes from the on-disk layout, deriving consensus labels."""
+def load_dataset(data_dir, eta: float, use_ignore_band: bool) -> list[Scene]:
+    """Read scenes from the on-disk layout, deriving consensus labels; every
+    annotator map must have its image's height and width."""
     root = Path(data_dir)
     image_paths = sorted((root / "images").glob("*.ppm"))
     if not image_paths:
         raise InputError(f"no images under {root / 'images'}")
     scenes = []
     for p in image_paths:
+        image = load_image(p)
         maps = load_annotators(root / "gt" / p.stem)
+        for k, m in enumerate(maps, start=1):
+            if m.shape != image.shape[1:]:
+                raise InputError(f"scene {p.stem}: annotator map {k} (in name order) "
+                                 f"has shape {m.shape}, its image {image.shape[1:]}")
         stack = AnnotationStack(maps, consensus_labels(maps, eta))
         ign = ignore_band(maps, eta) if use_ignore_band else None
-        scenes.append(Scene(load_image(p), stack, ign))
+        scenes.append(Scene(image, stack, ign))
     return scenes

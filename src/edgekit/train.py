@@ -84,7 +84,9 @@ def weighted_bce(edge: Tensor, labels: np.ndarray,
 
 def stage_loss(edge: Tensor, sides: list[Tensor], labels: np.ndarray,
                lam: float = 0.4, ignore: np.ndarray | None = None) -> Tensor:
-    """Main-head loss plus ``lam`` times the summed side-output losses."""
+    """Main-head loss plus ``lam`` times the summed side-output losses. The
+    ``TrainConfig.lam`` default is repeated for the gradient suite and the
+    benchmark's gradient check, which call this without ``lam``."""
     loss = weighted_bce(edge, labels, ignore)
     for s in sides:
         loss = T.add(loss, T.mul(weighted_bce(s, labels, ignore), lam))
@@ -99,19 +101,15 @@ class SGD:
     float64 velocity. ``masters`` maps parameter names to their masters; a
     parameter without one is its own master when it is float64 and gets a
     float64 copy otherwise. A parameter whose data is not its master
-    receives the master's cast after every step.
+    receives the master's cast after every step. The rate, momentum, decay
+    and power are ``cfg``'s; the rate reaches zero at ``max_iterations``.
     """
 
-    def __init__(self, params: list[tuple[str, Tensor]], base_lr: float,
-                 max_iterations: int, momentum: float = 0.9,
-                 weight_decay: float = 2e-4, power: float = 0.9,
-                 masters: dict[str, np.ndarray] | None = None):
+    def __init__(self, params: list[tuple[str, Tensor]], cfg: TrainConfig,
+                 max_iterations: int, masters: dict[str, np.ndarray] | None = None):
         self.params = list(params)
-        self.base_lr = base_lr
+        self.cfg = cfg
         self.max_iterations = max_iterations
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.power = power
         self.iteration = 0
         masters = masters or {}
         self.masters = {name: masters[name] if name in masters
@@ -122,7 +120,7 @@ class SGD:
     def lr(self, iteration: int | None = None) -> float:
         it = self.iteration if iteration is None else iteration
         frac = 1.0 - it / self.max_iterations
-        return self.base_lr * max(frac, 0.0) ** self.power
+        return self.cfg.base_lr * max(frac, 0.0) ** self.cfg.lr_power
 
     def step(self) -> None:
         rate = self.lr()
@@ -131,8 +129,8 @@ class SGD:
                 raise UsageError(f"parameter {name} has no gradient; "
                                  "run backward before stepping")
             master, v = self.masters[name], self.velocity[name]
-            v *= self.momentum
-            v += p.grad + self.weight_decay * master
+            v *= self.cfg.momentum
+            v += p.grad + self.cfg.weight_decay * master
             master -= rate * v
             if master is not p.data:
                 p.data[...] = master
@@ -284,8 +282,7 @@ def _train_phase(model: EdgeDetector, scenes: list[Scene], cfg: TrainConfig,
         iterations, params = cfg.iterations_stage1, model.stage1_parameters()
     else:
         iterations, params = cfg.iterations_stage2, model.stage2_parameters()
-    opt = SGD(params, cfg.base_lr, iterations, momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay, power=cfg.lr_power, masters=masters)
+    opt = SGD(params, cfg, iterations, masters=masters)
     out_hw = (cfg.crop, cfg.crop)
     for it in range(iterations):
         x, y, ign = _sample_batch(scenes, cfg, rng)

@@ -1,12 +1,15 @@
-"""The names and records the benchmark's tracer uses must exist in the package.
+"""The names and records the benchmark uses must exist in the package.
 
 ``bench/tracing.py`` replaces tensor primitives and decoder methods by name,
 and reads and rewraps the tape records of the ops it wraps, so renaming or
-deleting one breaks ``bench/run.py --trace 1``. Its op lists are read here
-with ``ast``, without importing the benchmark.
+deleting one breaks ``bench/run.py --trace 1``. ``bench/workloads.py``
+builds its training settings by ``TrainConfig`` field name, so renaming a
+field breaks ``train-64``. Both files are read here with ``ast``, without
+importing the benchmark.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,11 @@ import pytest
 
 from edgekit import tensor as T
 from edgekit.model import EdgeDetector, ModelConfig
+from edgekit.train import TrainConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def _tuple_constant(name: str) -> tuple[str, ...]:
@@ -59,3 +65,17 @@ def test_tape_records_expose_what_the_tracer_reads():
             adjoint = rec.adjoint
             rec.adjoint = lambda g, adjoint=adjoint: adjoint(g)
             assert rec.adjoint(np.ones_like(out.data))[0].shape == x.shape
+
+
+def test_workload_train_settings_are_train_config_fields():
+    """Every keyword ``bench/workloads.py`` passes to ``TrainConfig(...)``
+    or ``replace(...)`` (its only dataclass copy) names a field."""
+    passed = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("TrainConfig", "replace"):
+                passed |= {kw.arg for kw in node.keywords}
+    assert {"crop", "iterations_stage1", "iterations_stage2"} <= passed
+    assert passed <= {f.name for f in fields(TrainConfig)}

@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 import struct
 
@@ -10,7 +11,7 @@ from edgekit.errors import ShapeError, VersionMismatch
 from edgekit.evalbench import DEFAULT_TOLERANCE
 from edgekit.model import EdgeDetector, ModelConfig
 from edgekit.rasters import (FLOAT_MAGIC, load_edge_map, load_gray, save_edge_map,
-                             save_image)
+                             save_gray, save_image)
 from edgekit.synth import write_dataset
 
 SMALL_CONFIG = """
@@ -205,6 +206,31 @@ def test_config_template_parses(capsys):
     RunConfig.parse(text)
 
 
+def test_config_template_bytes_are_pinned(capsys):
+    # the run-file format: every key, default, spelling and description
+    assert main(["config"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "5a0f855664dc5a873c132a9380550f2bd25ed1bb9eeba712a745b8046be2532c"
+
+
+@pytest.mark.parametrize("scene, sizes", [
+    ("001", {"annotator_3.pgm": 16}),  # ragged within one scene
+    ("000", {f"annotator_{k}.pgm": 64 for k in range(1, 6)}),  # all too large
+])
+def test_train_mis_sized_annotator_maps_exit_code(tmp_path, capsys, scene, sizes):
+    data = tmp_path / "data"
+    write_dataset(data, 2, seed=3, size=32)
+    for name, side in sizes.items():
+        save_gray(np.zeros((side, side)), data / "gt" / scene / name)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CONFIG.format(data=data, out=tmp_path / "run"))
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    first = min(int(name[10:-4]) for name in sizes)
+    assert f"scene {scene}: annotator map {first} " in err and "(32, 32)" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_infer_epfm_output(trained, tmp_path):
     _, data, out, _ = trained
     img = data / "images" / "000.ppm"
@@ -352,6 +378,17 @@ def test_eval_shape_mismatch_exit_code(tmp_path):
     gt[4, :] = 1.0
     args = _eval_dir(tmp_path, np.full((16, 16), 0.5), gt)
     assert main(args) == 3
+
+
+@pytest.mark.parametrize("width, height", [(0, 0), (0, 3), (3, 0)])
+def test_eval_map_without_pixels_exit_code(tmp_path, capsys, width, height):
+    empty = b"P5\n%d %d\n255\n" % (width, height)
+    args = _eval_dir(tmp_path, np.zeros((1, 1)), np.zeros((1, 1)))
+    (tmp_path / "pred" / "000.pgm").write_bytes(empty)
+    (tmp_path / "gt" / "000" / "annotator_1.pgm").write_bytes(empty)
+    assert main(args) == 3
+    assert main(args + ["--no-nms"]) == 3
+    assert "pixels" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.01"])

@@ -378,6 +378,22 @@ def test_evaluation_rejects_mismatched_shapes():
         pr_sweep(pred, [np.zeros((16, 16)), gt])
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+def test_evaluation_rejects_maps_without_pixels(shape):
+    # NMS would fail in a reflect pad and matching in an empty disk
+    pred = np.zeros(shape)
+    gt = np.zeros(shape, np.uint8)
+    for apply_nms in (True, False):
+        with pytest.raises(ShapeError, match="pixels"):
+            evaluate_predictions([pred], [[gt]], apply_nms=apply_nms)
+    with pytest.raises(ShapeError, match="pixels"):
+        nms_thin(pred)
+    with pytest.raises(ShapeError, match="pixels"):
+        pr_sweep(pred, [gt])
+    with pytest.raises(ShapeError, match="pixels"):
+        match_correspondence(pred, gt)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.01])
 def test_evaluation_rejects_bad_tolerance(tol):
     pred = rng.random((8, 8))

@@ -276,6 +276,64 @@ def test_runconfig_each_model_key_sets_exactly_its_fields():
     assert reached == {f.name for f in fields(ModelConfig)}
 
 
+# run-file lines -> the TrainConfig fields they set
+TRAIN_KEY_OVERRIDES = [
+    ("input_size=32", {"crop": 32}),
+    ("eta=0.5", {"eta": 0.5}),
+    ("lambda=0.1", {"lam": 0.1}),
+    ("lr=0.01", {"base_lr": 0.01}),
+    ("lr_power=1.0", {"lr_power": 1.0}),
+    ("momentum=0.5", {"momentum": 0.5}),
+    ("weight_decay=0", {"weight_decay": 0.0}),
+    ("iterations=3", {"iterations_stage1": 3, "iterations_stage2": 3}),
+    ("batch_size=1", {"batch_size": 1}),
+    ("seed=7", {"seed": 7}),
+    ("flip=false", {"flip": False}),
+    ("ignore_band=true", {"use_ignore_band": True}),
+]
+
+
+def test_runconfig_each_train_key_sets_exactly_its_fields():
+    for text, changed in TRAIN_KEY_OVERRIDES:
+        got = RunConfig.parse(text).train_config()
+        assert got == replace(TrainConfig(), **changed), text
+    for text, _ in MODEL_KEY_OVERRIDES[1:]:
+        assert RunConfig.parse(text).train_config() == TrainConfig(), text
+    for text in ("data_dir=d", "out_dir=o"):
+        assert RunConfig.parse(text).train_config() == TrainConfig(), text
+    reached = {name for _, changed in TRAIN_KEY_OVERRIDES for name in changed}
+    assert reached == {f.name for f in fields(TrainConfig)}
+
+
+def test_runconfig_key_defaults_are_field_defaults():
+    """Each key's default, and its type, is that of every field it sets."""
+    defaults = RunConfig.defaults()
+    for base, table in ((ModelConfig(), MODEL_KEY_OVERRIDES),
+                        (TrainConfig(), TRAIN_KEY_OVERRIDES)):
+        for text, changed in table:
+            key = text.split("=")[0]
+            for name in changed:
+                got = defaults[key]
+                got = (got, got) if name == "input_hw" else got
+                want = getattr(base, name)
+                assert got == want and type(got) is type(want), (key, name)
+    assert (defaults["data_dir"], defaults["out_dir"]) == ("data", "runs")
+
+
+@pytest.mark.parametrize("spelling,value", [
+    ("1", True), ("true", True), ("YES", True), ("On", True),
+    ("0", False), ("False", False), ("no", False), ("OFF", False)])
+def test_runconfig_boolean_spellings(spelling, value):
+    run = RunConfig.parse(f"flip={spelling}\nignore_band = {spelling} \n")
+    assert run["flip"] is value and run["ignore_band"] is value
+
+
+def test_runconfig_bad_boolean_rejected():
+    with pytest.raises(ConfigError,
+                       match="line 2: bad value for flip: not a boolean: 'maybe'"):
+        RunConfig.parse("seed=1\nflip=maybe\n")
+
+
 @pytest.mark.parametrize("text,field", [
     ("input_size=0", "input_hw"), ("input_size=-16", "input_hw"),
     ("path_channels=0", "path_channels"), ("side_channels=-1", "side_channels"),

@@ -33,7 +33,7 @@ def image():
 
 def test_partition_four_windows_row_major():
     img = np.arange(3 * 320 * 320, dtype=np.float64).reshape(1, 3, 320, 320)
-    wins = partition_windows(img)
+    wins = partition_windows(img, 2)
     assert len(wins) == 4
     assert all(w.shape == (1, 3, 160, 160) for w in wins)
     # pixel (0, W-1) lands in the top-right window at (0, W/2-1)
@@ -44,12 +44,12 @@ def test_partition_four_windows_row_major():
 
 def test_partition_round_trip_bit_exact():
     img = rng.random((2, 3, 64, 64))
-    assert np.array_equal(reassemble_windows(partition_windows(img)), img)
+    assert np.array_equal(reassemble_windows(partition_windows(img, 2)), img)
 
 
 def test_partition_odd_extent_rejected():
     with pytest.raises(PartitionError):
-        partition_windows(np.zeros((1, 3, 33, 64)))
+        partition_windows(np.zeros((1, 3, 33, 64)), 2)
 
 
 def test_stage1_shapes_and_range(net, image):
@@ -90,7 +90,7 @@ def test_window_taps_match_per_window_encoding(net, image):
     regardless of processing order."""
     with T.no_grad():
         merged, grid = net.local_stage.window_taps(image)
-        windows = partition_windows(image)
+        windows = partition_windows(image, 2)
         per_window = []
         for w in (windows[2], windows[0], windows[3], windows[1]):  # any order
             taps, g = net.local_stage.encoder(np.ascontiguousarray(w))

@@ -48,7 +48,7 @@ def test_annotator_jitter_within_one_pixel():
 
 def test_dataset_loader_derives_consensus(tmp_path):
     write_dataset(tmp_path, 2, seed=4, size=32)
-    scenes = load_dataset(tmp_path, eta=0.3)
+    scenes = load_dataset(tmp_path, eta=0.3, use_ignore_band=False)
     assert len(scenes) == 2
     for s in scenes:
         assert s.image.shape == (3, 32, 32)

@@ -146,8 +146,8 @@ def test_stage_loss_two_pixel_hand_computation():
 def test_sgd_zero_everything_keeps_params():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     p.grad = np.zeros(2)
-    opt = SGD([("p", p)], base_lr=0.1, max_iterations=10, momentum=0.0,
-              weight_decay=0.0)
+    opt = SGD([("p", p)], TrainConfig(base_lr=0.1, momentum=0.0, weight_decay=0.0),
+              max_iterations=10)
     opt.step()
     assert np.array_equal(p.data, [1.0, 2.0])
 
@@ -155,16 +155,16 @@ def test_sgd_zero_everything_keeps_params():
 def test_sgd_quadratic_hand_step():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = p.data.copy()  # gradient of p^2/2
-    opt = SGD([("p", p)], base_lr=0.1, max_iterations=10, momentum=0.0,
-              weight_decay=0.0, power=0.9)
+    opt = SGD([("p", p)], TrainConfig(base_lr=0.1, momentum=0.0, weight_decay=0.0,
+                                     lr_power=0.9), max_iterations=10)
     opt.step()
     assert np.allclose(p.data, [0.9])
 
 
 def test_sgd_momentum_and_decay_formula():
     p = Tensor(np.array([2.0]), requires_grad=True)
-    opt = SGD([("p", p)], base_lr=1.0, max_iterations=4, momentum=0.9,
-              weight_decay=2e-4, power=1.0)
+    opt = SGD([("p", p)], TrainConfig(base_lr=1.0, momentum=0.9, weight_decay=2e-4,
+                                     lr_power=1.0), max_iterations=4)
     p.grad = np.array([0.5])
     opt.step()
     v1 = 0.5 + 2e-4 * 2.0
@@ -181,8 +181,9 @@ def test_sgd_float32_parameter_steps_a_float64_master():
     start = np.array([1.0, -2.0, 0.1 + 1e-9])
     p = Tensor(np.zeros(3), requires_grad=True)
     p.data = start.astype(np.float32)
-    opt = SGD([("p", p)], base_lr=1.0, max_iterations=4, momentum=0.9,
-              weight_decay=2e-4, power=1.0, masters={"p": start.copy()})
+    opt = SGD([("p", p)], TrainConfig(base_lr=1.0, momentum=0.9, weight_decay=2e-4,
+                                     lr_power=1.0), max_iterations=4,
+              masters={"p": start.copy()})
     p.grad = np.array([0.5, 0.25, 1e-3], dtype=np.float32)
     opt.step()
     master = opt.masters["p"]
@@ -192,27 +193,27 @@ def test_sgd_float32_parameter_steps_a_float64_master():
     assert p.data.dtype == np.float32
     assert np.array_equal(p.data, master.astype(np.float32))
     # without a given master, a float32 parameter gets a float64 copy
-    own = SGD([("p", p)], base_lr=0.1, max_iterations=4)
+    own = SGD([("p", p)], TrainConfig(base_lr=0.1), max_iterations=4)
     assert own.masters["p"].dtype == np.float64
     assert own.masters["p"] is not p.data
 
 
 def test_sgd_float64_parameter_is_its_own_master():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    opt = SGD([("p", p)], base_lr=0.1, max_iterations=10)
+    opt = SGD([("p", p)], TrainConfig(base_lr=0.1), max_iterations=10)
     assert opt.masters["p"] is p.data
 
 
 def test_sgd_missing_grad_rejected():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = SGD([("p", p)], base_lr=0.1, max_iterations=10)
+    opt = SGD([("p", p)], TrainConfig(base_lr=0.1), max_iterations=10)
     with pytest.raises(UsageError):
         opt.step()
 
 
 def test_poly_lr_schedule_endpoints_and_monotone():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = SGD([("p", p)], base_lr=0.5, max_iterations=20, power=0.9)
+    opt = SGD([("p", p)], TrainConfig(base_lr=0.5, lr_power=0.9), max_iterations=20)
     assert opt.lr(0) == 0.5
     assert opt.lr(20) == 0.0
     rates = [opt.lr(i) for i in range(21)]
