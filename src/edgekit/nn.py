@@ -17,6 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
+from .errors import UsageError
 from .tensor import Tensor
 
 
@@ -183,8 +184,9 @@ class Deconv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch normalization followed by a ReLU, one ``T.batch_norm`` record;
-    ``fold`` gives the eval-mode normalization alone."""
+    """Batch normalization followed by a ReLU, one ``T.batch_norm`` record
+    in training; in eval mode the normalization is ``fold``'s per-channel
+    affine map, which the owning unit folds into its convolution."""
 
     eps = 1e-5
 
@@ -196,8 +198,11 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(channels))
 
     def forward(self, x: Tensor) -> Tensor:
+        if not self.training:
+            raise UsageError("BatchNorm2d runs only in training; in eval mode "
+                             "fold() its normalization into the convolution")
         return T.batch_norm(x, self.gain, self.bias, self.running_mean,
-                            self.running_var, training=self.training, eps=self.eps)
+                            self.running_var, eps=self.eps)
 
     def fold(self) -> tuple[Tensor, Tensor]:
         """Eval-mode normalization as a per-channel ``scale * x + shift``,

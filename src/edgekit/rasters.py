@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ParseError
+from .errors import NumericError, ParseError, ShapeError
 
 FLOAT_MAGIC = b"EPFM"
+MAX_RANK = 64  # numpy's limit on the dimensions of an array
 
 
 def _read_pnm(data: bytes) -> tuple[np.ndarray, int]:
@@ -85,6 +86,8 @@ def save_image(image: np.ndarray, path) -> None:
 def save_gray(values: np.ndarray, path) -> None:
     """Write (H, W) values in [0, 1] as binary P5 via round(255 * p)."""
     v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        raise ShapeError(f"gray map of shape {v.shape} has no pixels")
     if not np.isfinite(v).all():
         raise NumericError("gray values hold NaN or Inf")
     if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
@@ -123,6 +126,8 @@ def load_float_raster(path) -> np.ndarray:
     if len(data) < 8:
         raise ParseError("truncated header", len(data))
     (rank,) = struct.unpack_from("<I", data, 4)
+    if rank > MAX_RANK:
+        raise ParseError(f"rank {rank} exceeds the {MAX_RANK} dimensions of an array", 4)
     if len(data) < 8 + 4 * rank:
         raise ParseError("truncated dimension list", len(data))
     dims = struct.unpack_from(f"<{rank}I", data, 8)
@@ -133,6 +138,10 @@ def load_float_raster(path) -> np.ndarray:
             f"truncated payload: expected {need} bytes, got {len(data) - pos}",
             len(data),
         )
+    # numpy sizes even an empty array by the product of its nonzero dims,
+    # which must fit the address space in the float64 array returned
+    if math.prod(d for d in dims if d) * 8 > np.iinfo(np.intp).max:
+        raise ParseError(f"dims {dims} are too large for an array", 8)
     return np.frombuffer(data[pos:pos + need], dtype="<f4").reshape(dims).astype(np.float64)
 
 

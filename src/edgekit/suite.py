@@ -59,12 +59,7 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
         ("layer_norm", check_op(lambda x, g, b: T.layer_norm(x, g, b),
                                 [r(size=(4, 6)), r(size=6), r(size=6)], rng)),
         ("batch_norm_train",
-         check_op(lambda x, g, b: T.batch_norm(x, g, b, np.zeros(3), np.ones(3),
-                                               training=True),
-                  [r(size=(2, 3, 4, 4)), r(size=3), r(size=3)], rng)),
-        ("batch_norm_eval",
-         check_op(lambda x, g, b, rm=r(size=3), rv=np.abs(r(size=3)) + 0.5:
-                  T.batch_norm(x, g, b, rm, rv, training=False),
+         check_op(lambda x, g, b: T.batch_norm(x, g, b, np.zeros(3), np.ones(3)),
                   [r(size=(2, 3, 4, 4)), r(size=3), r(size=3)], rng)),
         ("relu", check_op(T.relu, [r(size=(4, 4)) + 0.05], rng)),
         ("sigmoid", check_op(T.sigmoid, [r(size=(4, 4))], rng)),

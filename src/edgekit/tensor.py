@@ -7,6 +7,8 @@ and every temporary follow it, so no op upcasts a float32 operand behind
 the caller's back. Training and inference run in float32 (inference with
 eval-mode batch norm folded into the convolution weights); evaluation and
 the gradient checks run in float64.
+:func:`batch_norm` is the training-mode op only, its adjoint a few
+per-channel coefficients of the masked gradient and the centred input.
 :func:`conv2d` is the stride-1, size-keeping convolution (odd kernels);
 :func:`deconv2d` upsamples by exactly its stride, fixed by its kernel.
 Every primitive appends one record (output, inputs, adjoint function) to the
@@ -709,71 +711,111 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return _apply(out, (x, gain, bias), adjoint)
 
 
-def batch_norm(x, gain, bias, running_mean, running_var, training: bool,
-               eps: float = 1e-5) -> Tensor:
-    """Per-channel batch normalization over (B, H, W) of an NCHW tensor,
-    followed by a ReLU, as one record.
+def _channels_last(a: np.ndarray) -> bool:
+    """Whether the channels of an NCHW array vary faster in memory than its
+    columns: the (B, H, W, C) view ``conv2d`` returns, or a slice of one."""
+    return a.strides[1] < a.strides[3]
 
-    In training mode normalizes by batch statistics and updates the running
-    moment arrays in place, with momentum ``BN_MOMENTUM``; in eval mode uses
-    the running moments. The
-    training record holds no full-size array but its output: the adjoint
-    reads the ReLU mask from the output (positive exactly where the value
-    before the ReLU is) and recomputes the normalized map from the input.
+
+def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sums over B, H and W of an NCHW array ``a``, or of
+    ``a * b`` for an array ``b`` in the same memory order, each one BLAS
+    product that reads the arrays in their own memory order.
+
+    A channels-last array is summed as ``ones @ rows`` over its (B*H*W, C)
+    pixel rows or, when those rows are not evenly spaced (a slice of a
+    padded buffer), over each image row's (W, C) rows; a product is formed
+    first. On NCHW arrays it is one dot per (image, channel) plane, of ``a``
+    with ``b`` or with ones. ``sum(axis=(0, 2, 3))`` on a channels-last
+    array, which reduces across the fast axis, is an order of magnitude
+    slower.
+    """
+    bsz, c, h, w = a.shape
+    if not _channels_last(a):
+        planes = a.reshape(bsz * c, 1, h * w)
+        other = (np.ones((h * w, 1), dtype=a.dtype) if b is None
+                 else b.reshape(bsz * c, h * w, 1))
+        return (planes @ other).reshape(bsz, c).sum(axis=0)
+    rows = a.transpose(0, 2, 3, 1) if b is None else (a * b).transpose(0, 2, 3, 1)
+    try:
+        rows = np.reshape(rows, (bsz * h * w, c), copy=False)
+    except ValueError:
+        return (np.ones(w, dtype=a.dtype) @ rows).sum(axis=(0, 1))
+    return np.ones(bsz * h * w, dtype=a.dtype) @ rows
+
+
+def _per_channel(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The per-channel vector ``v`` shaped to broadcast over the NCHW array
+    ``a`` in ``a``'s memory order. Against a channels-last array it is laid
+    out as one image row, ``v`` repeated W times, so that a ufunc's inner
+    loop runs over the W*C values of a row rather than the C of a pixel."""
+    if not _channels_last(a):
+        return v[:, None, None]
+    w = a.shape[3]
+    return np.tile(v, w).reshape(w, -1).T[None, :, None, :]
+
+
+def batch_norm(x, gain, bias, running_mean, running_var,
+               eps: float = 1e-5) -> Tensor:
+    """Training-mode batch normalization of an NCHW tensor, per channel over
+    (B, H, W), followed by a ReLU, as one record.
+
+    Normalizes by the batch moments and updates the running moment arrays
+    in place, with momentum ``BN_MOMENTUM``. Eval mode has no op: the model
+    folds the running moments into the preceding convolution
+    (``nn.BatchNorm2d.fold``). The output is ``scale * (x - mu) + bias``
+    with ``scale = gain / sigma``, then the ReLU.
+
+    The record holds ``x``, the output and per-channel vectors. Writing g_m
+    for the output gradient masked where the output is positive (where the
+    value before the ReLU is), the adjoint is
+    ``dx = scale * g_m + b * (x - mu) + c`` with per-channel coefficients
+    ``b = -scale * S2 / (n * sigma**2)`` and ``c = -scale * S1 / n`` from the
+    two centred sums ``S1 = sum(g_m)`` and ``S2 = sum(g_m * (x - mu))``; the
+    gain's gradient is ``S2 / sigma`` and the bias's ``S1``. Every
+    per-channel sum is one ``_channel_sums`` BLAS product. Each pass works
+    in the memory order of the output, which is that of ``x``: a gradient
+    laid out otherwise (a channel slice of a wider channels-last gradient,
+    beside an NCHW output) is copied into it once. The adjoint writes
+    neither ``g``, which may be a view of a sibling's gradient, nor ``x``.
     """
     x = _as_tensor(x)
     gain, bias = _as_tensor(gain), _as_tensor(bias)
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm expects NCHW input, got {x.data.shape}")
-    b, c, h, wdt = x.data.shape
-    n = b * h * wdt
-
-    if training:
-        if n < 2:
-            raise ShapeError("batch_norm training mode needs >= 2 values per channel")
-        mu = x.data.mean(axis=(0, 2, 3))
-        out = x.data - mu[None, :, None, None]
-        var = (out * out).mean(axis=(0, 2, 3))
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mu
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var * (n / max(n - 1, 1))
-        inv = 1.0 / np.sqrt(var + eps)
-        # the output is built in the centred input's buffer, and the adjoint
-        # recomputes the normalized map, so no full-size map but the output
-        # outlives the forward pass
-        out *= inv[None, :, None, None]
-        out *= gain.data[None, :, None, None]
-        out += bias.data[None, :, None, None]
-        np.maximum(out, 0.0, out=out)
-
-        def adjoint(g):
-            g = g * (out > 0.0)
-            y = x.data - mu[None, :, None, None]
-            y *= inv[None, :, None, None]
-            dy = g * gain.data[None, :, None, None]
-            mean_dy = dy.mean(axis=(0, 2, 3))
-            mean_dyy = (dy * y).mean(axis=(0, 2, 3))
-            dx = (dy - mean_dy[None, :, None, None]
-                  - y * mean_dyy[None, :, None, None]) * inv[None, :, None, None]
-            return (dx, (g * y).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3)))
-
-        return _apply(out, (x, gain, bias), adjoint)
-
-    # the buffers stay float64; a float32 input gets float32 copies of them
-    running_mean = running_mean.astype(x.data.dtype, copy=False)
-    running_var = running_var.astype(x.data.dtype, copy=False)
-    inv = 1.0 / np.sqrt(running_var + eps)
+    n = x.data.size // x.data.shape[1]
+    if n < 2:
+        raise ShapeError("batch_norm needs >= 2 values per channel")
+    mu = _channel_sums(x.data) / n
+    out = x.data - _per_channel(mu, x.data)  # a new array in x's memory order
+    var = _channel_sums(out, out) / n
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var * (n / (n - 1))
+    inv = 1.0 / np.sqrt(var + eps)
     scale = gain.data * inv
-    y = (x.data - running_mean[None, :, None, None]) * inv[None, :, None, None]
-    out = y * gain.data[None, :, None, None] + bias.data[None, :, None, None]
+    out *= _per_channel(scale, out)
+    out += _per_channel(bias.data, out)
     np.maximum(out, 0.0, out=out)
 
     def adjoint(g):
-        g = g * (out > 0.0)
-        return (g * scale[None, :, None, None],
-                (g * y).sum(axis=(0, 2, 3)),
-                g.sum(axis=(0, 2, 3)))
+        if _channels_last(g) == _channels_last(out):
+            gm = g * (out > 0.0)
+        else:
+            # compacted first, a channel slice of a wider gradient is
+            # transposed from whole cache lines
+            gm = np.empty_like(out)
+            gm[...] = g.copy(order="K")
+            gm *= out > 0.0
+        s1 = _channel_sums(gm)
+        xc = x.data - _per_channel(mu, out)
+        s2 = _channel_sums(gm, xc)
+        xc *= _per_channel(scale * (inv * inv) * s2 / -n, out)
+        xc += _per_channel(scale * s1 / -n, out)
+        gm *= _per_channel(scale, out)
+        gm += xc
+        return (gm, inv * s2, s1)
 
     return _apply(out, (x, gain, bias), adjoint)
 

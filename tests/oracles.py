@@ -11,16 +11,16 @@ by depth-first search. The evaluation's earlier non-maximum suppression,
 which tests every pixel of the map, is here to check the one that tests the
 nonzero pixels only.
 
-The convolution and training batch-norm references are the engine's
-earlier kernels: a transposed convolution scattered one kernel tap at a time
-(its padded form slices the full map), a conv2d that multiplies one im2col
-matrix (every receptive field as a row) by the flattened kernel, and a
-training batch norm that keeps its normalized map for the adjoint, and
-that batch norm followed by the ReLU as a record of its own. The
-inverses of the model's token and window layouts are here too, because only
-tests need them, and so is the model's earlier inference path: float64
-throughout, with eval-mode batch norm run by ``T.batch_norm`` after each
-convolution instead of folded in.
+The convolution and batch-norm references are the engine's earlier
+kernels: a transposed convolution scattered one kernel tap at a time (its
+padded form slices the full map), a conv2d that multiplies one im2col matrix
+(every receptive field as a row) by the flattened kernel, a training batch
+norm that keeps its normalized map for the adjoint, and the eval-mode batch
+norm + ReLU that normalized by the running moments before the model folded
+it into its convolutions. The inverses of the model's token and window
+layouts are here too, because only tests need them, and so is the model's
+earlier inference path: float64 throughout, with that eval-mode batch norm
+run after each convolution instead of folded in.
 """
 
 from __future__ import annotations
@@ -261,19 +261,16 @@ def batch_norm_storing(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     return out, dx, (g * y).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
 
 
-def batch_norm_relu_storing(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                            running_mean: np.ndarray, running_var: np.ndarray,
-                            g: np.ndarray):
-    """``batch_norm_storing`` followed by a ReLU as its own record, as the
-    engine ran them before they became one: the ReLU's output, then the
-    adjoints of x, gain and bias for the output gradient ``g``, masked where
-    the batch norm's output is not positive. Updates the running moments in
-    place, once."""
-    scratch = (running_mean.copy(), running_var.copy())
-    pre = batch_norm_storing(x, gain, bias, *scratch, g)[0]
-    _, dx, dgain, dbias = batch_norm_storing(x, gain, bias, running_mean,
-                                             running_var, g * (pre > 0.0))
-    return np.maximum(pre, 0.0), dx, dgain, dbias
+def batch_norm_relu_eval(x: Tensor, bn: nn.BatchNorm2d) -> Tensor:
+    """Eval-mode batch norm of an NCHW tensor by ``bn``'s running moments,
+    followed by a ReLU, as a constant tensor: the engine's op before the
+    model folded eval mode into its convolutions. The float64 moments are
+    cast to the input's dtype first, as that op did."""
+    mean = bn.running_mean.astype(x.data.dtype, copy=False)
+    inv = 1.0 / np.sqrt(bn.running_var.astype(x.data.dtype, copy=False) + bn.eps)
+    y = (x.data - mean[:, None, None]) * inv[:, None, None]
+    return Tensor(np.maximum(y * bn.gain.data[:, None, None]
+                             + bn.bias.data[:, None, None], 0.0))
 
 
 def flatten_map(m: Tensor) -> Tensor:
@@ -293,10 +290,11 @@ def reassemble_windows(windows: list[np.ndarray], divisor: int = 2) -> np.ndarra
 
 def unfold_batch_norm_in_float64(monkeypatch) -> None:
     """Make ``infer`` and ``infer_multiscale`` compute in float64 on the
-    float64 parameters, with every eval-mode batch norm a ``T.batch_norm``
-    call after its convolution, for the rest of the test."""
+    float64 parameters, with every eval-mode batch norm a
+    ``batch_norm_relu_eval`` call after its convolution, for the rest of the
+    test."""
     monkeypatch.setattr(nn, "float32_working_copies", lambda model: nullcontext({}))
     monkeypatch.setattr(nn.ConvBNReLU, "forward",
-                        lambda self, x: self.bn(self.conv(x)))
+                        lambda self, x: batch_norm_relu_eval(self.conv(x), self.bn))
     monkeypatch.setattr(nn.DeconvBNReLU, "forward",
-                        lambda self, x: self.bn(self.deconv(x)))
+                        lambda self, x: batch_norm_relu_eval(self.deconv(x), self.bn))

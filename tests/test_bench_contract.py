@@ -54,7 +54,7 @@ def test_tape_records_expose_what_the_tracer_reads():
     ``adjoint`` with a timed wrapper."""
     x = T.Tensor(np.ones((2, 3, 4, 4)), requires_grad=True)
     bn = lambda t: T.batch_norm(t, T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)),
-                                np.zeros(3), np.ones(3), training=True)
+                                np.zeros(3), np.ones(3))
     with T.fresh_tape():
         for op in (T.relu, bn):
             out = op(x)

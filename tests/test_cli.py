@@ -427,6 +427,19 @@ def test_eval_huge_float_raster_header_exit_code(tmp_path):
     assert main(args) == 3
 
 
+@pytest.mark.parametrize("header", [
+    struct.pack("<66I", 65, *[1] * 65) + bytes(4),  # rank above numpy's 64
+    struct.pack("<4I", 3, 0, 2**31, 2**31),  # empty, but no array that shape
+], ids=["rank65", "empty_huge"])
+def test_eval_unshapeable_float_raster_header_exit_code(tmp_path, header):
+    gt = np.zeros((8, 8))
+    gt[4, :] = 1.0
+    args = _eval_dir(tmp_path, gt, gt, suffix=".epfm")
+    (tmp_path / "pred" / "000.epfm").write_bytes(FLOAT_MAGIC + header)
+    assert main(args) == 3
+    assert main(args + ["--no-nms"]) == 3
+
+
 @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1,) * 4])
 def test_infer_huge_checkpoint_header_exit_code(tmp_path, dims):
     ckpt = tmp_path / "m.ckpt"

@@ -4,11 +4,11 @@ import pytest
 from edgekit import nn
 from edgekit import tensor as T
 from edgekit.decoder import BiMLADecoder, UpsampleBlock, reshape_tokens
-from edgekit.errors import ShapeError
+from edgekit.errors import ShapeError, UsageError
 from edgekit.gradcheck import check_gradients
 from edgekit.model import ModelConfig
 from edgekit.tensor import Tensor
-from oracles import flatten_map
+from oracles import batch_norm_relu_eval, flatten_map
 
 rng = np.random.default_rng(21)
 # (patch, path/smoothing kernel) each stage fixes
@@ -199,13 +199,22 @@ def _bn_unit_in_eval(kind: str, seed: int):
 def test_eval_fold_matches_batch_norm(kind, monkeypatch):
     for seed in range(5):
         unit, pre, x = _bn_unit_in_eval(kind, seed)
-        ref = unit.bn(pre(x)).data  # eval-mode T.batch_norm, ReLU included
+        ref = batch_norm_relu_eval(pre(x), unit.bn).data
         calls = []
         monkeypatch.setattr(T, "batch_norm", lambda *a, **k: calls.append(a))
         out = unit(x).data
         monkeypatch.undo()
         assert not calls
         assert np.abs(out - ref).max() <= FOLD_TOL * np.abs(ref).max()
+
+
+def test_batch_norm_runs_only_in_training():
+    """In eval mode a batch norm is folded into its convolution, so calling
+    it alone is a misuse that names the fold."""
+    bn = nn.BatchNorm2d(3)
+    bn.eval()
+    with pytest.raises(UsageError, match=r"fold\(\)"):
+        bn(Tensor(np.ones((2, 3, 4, 4))))
 
 
 @pytest.mark.parametrize("kind", ["conv", "deconv"])

@@ -7,7 +7,7 @@ import pytest
 from edgekit import rasters
 from edgekit.checkpoint import load_checkpoint, save_checkpoint
 from edgekit.errors import (CheckpointError, ConfigError, DigestMismatch,
-                            MagicMismatch, NumericError, ParseError,
+                            MagicMismatch, NumericError, ParseError, ShapeError,
                             TruncatedFile, VersionMismatch)
 from edgekit.model import ModelConfig
 from edgekit.runconfig import SCHEMA, RunConfig, default_config_text
@@ -71,6 +71,30 @@ def test_float_raster_huge_header_is_a_parse_error(tmp_path):
     p.write_bytes(rasters.FLOAT_MAGIC + struct.pack("<5I", 4, *[65536] * 4))
     with pytest.raises(ParseError, match="truncated payload"):
         rasters.load_float_raster(p)
+
+
+# headers that describe no array numpy can make: rank above its 64 dims,
+# and an empty shape whose nonzero dims overflow the address space
+UNSHAPEABLE_FLOAT_HEADERS = {
+    "rank65": struct.pack("<66I", 65, *[1] * 65) + bytes(4),
+    "empty_huge": struct.pack("<4I", 3, 0, 2**31, 2**31),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSHAPEABLE_FLOAT_HEADERS))
+def test_float_raster_unshapeable_header_is_a_parse_error(tmp_path, name):
+    p = tmp_path / "e.epfm"
+    p.write_bytes(rasters.FLOAT_MAGIC + UNSHAPEABLE_FLOAT_HEADERS[name])
+    with pytest.raises(ParseError):
+        rasters.load_float_raster(p)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 4)])
+def test_save_gray_rejects_an_empty_map(tmp_path, shape):
+    for save in (rasters.save_gray, rasters.save_edge_map):
+        with pytest.raises(ShapeError):
+            save(np.zeros(shape), tmp_path / "e.pgm")
+        assert not (tmp_path / "e.pgm").exists()
 
 
 @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1,) * 4])

@@ -10,6 +10,7 @@ from edgekit.errors import (ConfigError, NumericError, PartitionError, ShapeErro
 from edgekit.model import EdgeDetector, ModelConfig, partition_windows
 from edgekit.tensor import Tensor
 from edgekit.train import stage_loss
+import oracles
 from oracles import reassemble_windows, unfold_batch_norm_in_float64
 
 rng = np.random.default_rng(5)
@@ -450,13 +451,16 @@ def test_infer_restores_every_module_mode(image):
 
 
 def _conv_calls(monkeypatch, run) -> dict[str, int]:
-    """How often ``run()`` calls each convolution and batch-norm primitive."""
+    """How often ``run()`` calls each convolution primitive and a batch
+    norm: the training primitive or the eval-mode oracle."""
     counts = dict.fromkeys(("conv2d", "deconv2d", "batch_norm"), 0)
-    for op in counts:
-        def counted(*args, _op=op, _f=getattr(T, op), **kwargs):
-            counts[_op] += 1
+    for owner, op, key in ((T, "conv2d", "conv2d"), (T, "deconv2d", "deconv2d"),
+                           (T, "batch_norm", "batch_norm"),
+                           (oracles, "batch_norm_relu_eval", "batch_norm")):
+        def counted(*args, _key=key, _f=getattr(owner, op), **kwargs):
+            counts[_key] += 1
             return _f(*args, **kwargs)
-        monkeypatch.setattr(T, op, counted)
+        monkeypatch.setattr(owner, op, counted)
     run()
     monkeypatch.undo()
     return counts
