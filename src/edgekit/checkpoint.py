@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (CheckpointError, DigestMismatch, MagicMismatch, NumericError,
                      TruncatedFile, VersionMismatch)
+from .rasters import unshapeable
 
 MAGIC = b"EDTR"
 # 4: exact-size upsampling; a version-3 file (upsample then crop) has the same
@@ -112,6 +113,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         rank = r.u32()
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         payload = r.take(math.prod(dims) * 4)
+        if why := unshapeable(dims):
+            raise CheckpointError(f"checkpoint tensor {name}: {why}")
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
         _check_finite(name, arr)
         arrays[name] = arr.astype(np.float64)

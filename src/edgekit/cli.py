@@ -21,7 +21,7 @@ from .model import DEFAULT_SCALES, EdgeDetector, ModelConfig
 from .rasters import load_edge_map, load_image, save_edge_map
 from .runconfig import RunConfig, default_config_text
 from .synth import ANNOTATORS, JITTER, load_annotators, load_dataset, write_dataset
-from .train import train_two_phase, write_loss_csv
+from .train import check_training_set, train_two_phase, write_loss_csv
 
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
@@ -41,6 +41,7 @@ def _cmd_train(args) -> int:
     tcfg = run.train_config()
     scenes = load_dataset(run["data_dir"], eta=tcfg.eta,
                           use_ignore_band=tcfg.use_ignore_band)
+    check_training_set(scenes, tcfg, mcfg.input_hw)  # before the model is built
     model = EdgeDetector(mcfg, seed=tcfg.seed)
     out_dir = Path(run["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

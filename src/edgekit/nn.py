@@ -221,6 +221,17 @@ class LayerNorm(Module):
         return T.layer_norm(x, self.gain, self.bias)
 
 
+def _bn_relu_after(op, scale_shape, layer: Module, bn: BatchNorm2d, x) -> Tensor:
+    """``bn(layer(x))`` in training; in eval mode a ReLU of one ``op`` whose
+    kernel is ``layer``'s times the fold's scale, shaped ``scale_shape`` to
+    its output-channel axis, and whose bias is the fold's shift."""
+    if bn.training:
+        return bn(layer(x))
+    scale, shift = bn.fold()
+    w = T.mul(layer.weight, T.reshape(scale, scale_shape))
+    return T.relu(op(x, w, shift))
+
+
 class ConvBNReLU(Module):
     """Conv -> BatchNorm -> ReLU, the decoder's standard smoothing unit; in
     eval mode one convolution with the normalization folded into it."""
@@ -232,11 +243,7 @@ class ConvBNReLU(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor | list[Tensor]) -> Tensor:
-        if self.bn.training:
-            return self.bn(self.conv(x))
-        scale, shift = self.bn.fold()
-        w = T.mul(self.conv.weight, T.reshape(scale, (-1, 1, 1, 1)))
-        return T.relu(T.conv2d(x, w, shift))
+        return _bn_relu_after(T.conv2d, (-1, 1, 1, 1), self.conv, self.bn, x)
 
 
 class DeconvBNReLU(Module):
@@ -250,8 +257,4 @@ class DeconvBNReLU(Module):
         self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.bn.training:
-            return self.bn(self.deconv(x))
-        scale, shift = self.bn.fold()
-        w = T.mul(self.deconv.weight, T.reshape(scale, (1, -1, 1, 1)))
-        return T.relu(T.deconv2d(x, w, shift))
+        return _bn_relu_after(T.deconv2d, (1, -1, 1, 1), self.deconv, self.bn, x)

@@ -119,6 +119,16 @@ def save_float_raster(values: np.ndarray, path) -> None:
         fh.write(v.tobytes())
 
 
+def unshapeable(dims: tuple[int, ...]) -> str | None:
+    """Why numpy cannot make a float64 array of shape ``dims`` (it sizes even
+    an empty one by the product of its nonzero dims), or None."""
+    if len(dims) > MAX_RANK:
+        return f"rank {len(dims)} exceeds the {MAX_RANK} dimensions of an array"
+    if math.prod(d for d in dims if d) * 8 > np.iinfo(np.intp).max:
+        return f"dims {dims} are too large for an array"
+    return None
+
+
 def load_float_raster(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:4] != FLOAT_MAGIC:
@@ -126,8 +136,6 @@ def load_float_raster(path) -> np.ndarray:
     if len(data) < 8:
         raise ParseError("truncated header", len(data))
     (rank,) = struct.unpack_from("<I", data, 4)
-    if rank > MAX_RANK:
-        raise ParseError(f"rank {rank} exceeds the {MAX_RANK} dimensions of an array", 4)
     if len(data) < 8 + 4 * rank:
         raise ParseError("truncated dimension list", len(data))
     dims = struct.unpack_from(f"<{rank}I", data, 8)
@@ -138,10 +146,8 @@ def load_float_raster(path) -> np.ndarray:
             f"truncated payload: expected {need} bytes, got {len(data) - pos}",
             len(data),
         )
-    # numpy sizes even an empty array by the product of its nonzero dims,
-    # which must fit the address space in the float64 array returned
-    if math.prod(d for d in dims if d) * 8 > np.iinfo(np.intp).max:
-        raise ParseError(f"dims {dims} are too large for an array", 8)
+    if why := unshapeable(dims):
+        raise ParseError(why, 4)
     return np.frombuffer(data[pos:pos + need], dtype="<f4").reshape(dims).astype(np.float64)
 
 

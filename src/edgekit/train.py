@@ -191,30 +191,6 @@ class Scene:
 @dataclass
 class TrainResult:
     history: list[tuple[int, int, float]] = field(default_factory=list)
-    stage1_digest_after_phase1: str = ""
-    stage1_digest_final: str = ""
-
-
-def stage1_digest(model: EdgeDetector,
-                  masters: dict[str, np.ndarray] | None = None) -> str:
-    """SHA-256 over stage-one parameters and buffers, in name order.
-
-    ``masters`` maps model parameter names to the arrays hashed in place of
-    the parameters' data (their float64 masters during training). Each
-    array's buffer is hashed in place: the bytes are those of ``tobytes()``,
-    without the copy.
-    """
-    import hashlib
-
-    h = hashlib.sha256()
-    for name, p in sorted(model.global_stage.named_parameters()):
-        data = p.data if masters is None else masters["global_stage." + name]
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(data))
-    for name, b in sorted(model.global_stage.named_buffers()):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(b))
-    return h.hexdigest()
 
 
 def _sample_batch(scenes: list[Scene], cfg: TrainConfig,
@@ -244,9 +220,10 @@ def _sample_batch(scenes: list[Scene], cfg: TrainConfig,
     return x, y, None
 
 
-def train_two_phase(model: EdgeDetector, scenes: list[Scene],
-                    cfg: TrainConfig) -> TrainResult:
-    """Optimize stage one, freeze it bit-exactly, then optimize stage two."""
+def check_training_set(scenes: list[Scene], cfg: TrainConfig,
+                       input_hw: tuple[int, int]) -> None:
+    """Raise unless ``cfg`` can train a model of input ``input_hw`` on
+    ``scenes``; it needs no model, so a caller can check before building one."""
     if not scenes:
         raise InputError("training set is empty")
     for i, s in enumerate(scenes):
@@ -257,20 +234,22 @@ def train_two_phase(model: EdgeDetector, scenes: list[Scene],
         if cfg.use_ignore_band and s.ignore is None:
             raise InputError(f"use_ignore_band is set but scene {i} has no "
                              f"ignore band")
-    if (cfg.crop, cfg.crop) != model.cfg.input_hw:
-        raise ConfigError(
-            f"crop {cfg.crop} must match model input {model.cfg.input_hw}"
-        )
+    if (cfg.crop, cfg.crop) != input_hw:
+        raise ConfigError(f"crop {cfg.crop} must match model input {input_hw}")
 
+
+def train_two_phase(model: EdgeDetector, scenes: list[Scene],
+                    cfg: TrainConfig) -> TrainResult:
+    """Optimize stage one, freeze it bit-exactly (the tests compare each of
+    its masters and buffers), then optimize stage two."""
+    check_training_set(scenes, cfg, model.cfg.input_hw)
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult()
     model.train()
     with nn.float32_working_copies(model) as masters:
         _train_phase(model, scenes, cfg, rng, 1, result, masters)
         model.freeze_stage1()
-        result.stage1_digest_after_phase1 = stage1_digest(model, masters)
         _train_phase(model, scenes, cfg, rng, 2, result, masters)
-    result.stage1_digest_final = stage1_digest(model)
     return result
 
 

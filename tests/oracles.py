@@ -20,7 +20,9 @@ norm + ReLU that normalized by the running moments before the model folded
 it into its convolutions. The inverses of the model's token and window
 layouts are here too, because only tests need them, and so is the model's
 earlier inference path: float64 throughout, with that eval-mode batch norm
-run after each convolution instead of folded in.
+run after each convolution instead of folded in. The copies of stage one
+that check the two-phase freeze are taken here, through a spy on phase
+two's optimizer, so that training itself keeps none.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from edgekit import evalbench, nn
+from edgekit import evalbench, nn, train
 from edgekit import tensor as T
 from edgekit.tensor import Tensor
 
@@ -298,3 +300,41 @@ def unfold_batch_norm_in_float64(monkeypatch) -> None:
                         lambda self, x: batch_norm_relu_eval(self.conv(x), self.bn))
     monkeypatch.setattr(nn.DeconvBNReLU, "forward",
                         lambda self, x: batch_norm_relu_eval(self.deconv(x), self.bn))
+
+
+def stage1_state(model, masters: dict[str, np.ndarray] | None = None
+                 ) -> dict[str, np.ndarray]:
+    """Copies of every stage-one parameter and buffer of ``model`` by model
+    name; a parameter's copy is of its entry in ``masters`` when given."""
+    state = {n: (p.data if masters is None else masters[n]).copy()
+             for n, p in model.stage1_parameters()}
+    state.update(("global_stage." + n, b.copy())
+                 for n, b in model.global_stage.named_buffers())
+    return state
+
+
+def spy_stage1_at_phase_two(monkeypatch, model) -> list[dict[str, np.ndarray]]:
+    """A list that gets the ``stage1_state`` of ``model``, of the float64
+    masters, whenever ``train_two_phase`` builds phase two's optimizer, for
+    the rest of the test: the state phase one left, which phase two keeps."""
+    states = []
+    sgd = train.SGD
+    stage2 = [n for n, _ in model.stage2_parameters()]
+
+    def spy(params, cfg, max_iterations, masters=None):
+        if [n for n, _ in params] == stage2:
+            states.append(stage1_state(model, masters))
+        return sgd(params, cfg, max_iterations, masters)
+
+    monkeypatch.setattr(train, "SGD", spy)
+    return states
+
+
+def stage1_changes(model, before: dict[str, np.ndarray]) -> list[str]:
+    """Names of the stage-one arrays of ``model`` that are missing, not
+    float64, or not equal value for value to their copies in ``before``."""
+    after = stage1_state(model)
+    return sorted(n for n in after.keys() | before.keys()
+                  if n not in after or n not in before
+                  or not before[n].dtype == after[n].dtype == np.float64
+                  or not np.array_equal(before[n], after[n]))

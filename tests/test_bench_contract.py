@@ -4,11 +4,14 @@
 and reads and rewraps the tape records of the ops it wraps, so renaming or
 deleting one breaks ``bench/run.py --trace 1``. ``bench/workloads.py``
 builds its training settings by ``TrainConfig`` field name, so renaming a
-field breaks ``train-64``. Both files are read here with ``ast``, without
-importing the benchmark.
+field breaks ``train-64``. Every ``bench/*.py`` file is read here with
+``ast``, without importing the benchmark, so that a name the benchmark
+reads cannot be renamed or deleted without failing here.
 """
 
 import ast
+import importlib
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
@@ -79,3 +82,58 @@ def test_workload_train_settings_are_train_config_fields():
                 passed |= {kw.arg for kw in node.keywords}
     assert {"crop", "iterations_stage1", "iterations_stage2"} <= passed
     assert passed <= {f.name for f in fields(TrainConfig)}
+
+
+def _bench_reads() -> set[tuple[str, str]]:
+    """(file, dotted name) for each name a ``bench/*.py`` file reads from
+    edgekit: the names it imports from an edgekit module, the attribute
+    chains on the modules it imports, and the ``(owner, "attr", ...)``
+    pairs by which it patches. A module's name stands for its alias."""
+    reads = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "edgekit":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").startswith("edgekit.")):
+                reads |= {(path.name, f"{node.module[8:]}.{a.name}") for a in node.names}
+
+        def dotted(node):
+            if isinstance(node, ast.Name):
+                return modules.get(node.id)
+            if isinstance(node, ast.Attribute) and (base := dotted(node.value)):
+                return f"{base}.{node.attr}"
+            return None
+
+        for node in ast.walk(tree):
+            if name := dotted(node):
+                reads.add((path.name, name))
+            pair = (node.elts if isinstance(node, ast.Tuple)
+                    else node.args if isinstance(node, ast.Call) else [])
+            if (len(pair) > 1 and (owner := dotted(pair[0]))
+                    and isinstance(pair[1], ast.Constant) and isinstance(pair[1].value, str)):
+                reads.add((path.name, f"{owner}.{pair[1].value}"))
+    return reads
+
+
+def _exists(dotted: str) -> bool:
+    """Whether each step of ``dotted`` below ``edgekit`` names an attribute,
+    as far as the steps go through modules and classes."""
+    first, *rest = dotted.split(".")
+    obj = importlib.import_module(f"edgekit.{first}")
+    for part in rest:
+        if not (inspect.ismodule(obj) or inspect.isclass(obj)):
+            break
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_name_the_benchmark_reads_exists():
+    reads = _bench_reads()
+    assert {name.split(".")[0] for _, name in reads} >= {
+        "model", "train", "evalbench", "checkpoint", "rasters", "synth", "tensor"}
+    assert sorted(f"{file}: {name}" for file, name in reads if not _exists(name)) == []

@@ -1,10 +1,12 @@
 import hashlib
+import math
 import shutil
 import struct
 
 import numpy as np
 import pytest
 
+from edgekit import cli
 from edgekit.checkpoint import load_checkpoint, save_checkpoint
 from edgekit.cli import build_parser, main
 from edgekit.errors import ShapeError, VersionMismatch
@@ -143,6 +145,24 @@ def test_train_size_below_minimum_exit_code(trained, tmp_path, line):
                    .replace("iterations=3", "iterations=1") + line + "\n")
     assert main(["train", "--config", str(cfg)]) == 3
     assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("size", [160000000000000000000, 64])
+def test_train_crop_beyond_the_scenes_exit_code(trained, tmp_path, monkeypatch,
+                                                capsys, size):
+    """The crop is checked against the 32 x 32 scenes before the model is
+    built: the first size once failed in the encoder's allocation with a
+    traceback, and any size too large built the whole model first."""
+    _, data, _, _ = trained
+    built = []
+    monkeypatch.setattr(cli, "EdgeDetector", lambda *a, **kw: built.append(a))
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(SMALL_CONFIG.format(data=data, out=tmp_path / "run")
+                   .replace("input_size=32", f"input_size={size}"))
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert f"crop {size} exceeds image (32, 32)" in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -446,6 +466,18 @@ def test_infer_huge_checkpoint_header_exit_code(tmp_path, dims):
     save_checkpoint(ckpt, {"w": np.zeros((1,) * len(dims))}, "k=v\n")
     ckpt.write_bytes(ckpt.read_bytes()[:-4 * len(dims) - 4]
                      + struct.pack(f"<{len(dims)}I", *dims))
+    assert main(["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "x.ppm"),
+                 "--out", str(tmp_path / "e.pgm")]) == 3
+
+
+@pytest.mark.parametrize("dims", [(1,) * 65, (0, 2**31, 2**31)],
+                         ids=["rank65", "empty_huge"])
+def test_infer_unshapeable_checkpoint_header_exit_code(tmp_path, dims):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, {"w": np.zeros(1)}, "k=v\n")
+    ckpt.write_bytes(ckpt.read_bytes()[:-12]
+                     + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
+                     + bytes(4 * math.prod(dims)))
     assert main(["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "x.ppm"),
                  "--out", str(tmp_path / "e.pgm")]) == 3
 

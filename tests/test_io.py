@@ -1,3 +1,4 @@
+import math
 import struct
 from dataclasses import fields, replace
 
@@ -105,6 +106,19 @@ def test_checkpoint_huge_header_is_truncated(tmp_path, dims):
     p.write_bytes(p.read_bytes()[:-4 * len(dims) - 4]
                   + struct.pack(f"<{len(dims)}I", *dims))
     with pytest.raises(TruncatedFile):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("dims", [(1,) * 65, (0, 2**31, 2**31)],
+                         ids=["rank65", "empty_huge"])
+def test_checkpoint_unshapeable_header_is_a_checkpoint_error(tmp_path, dims):
+    # the float-raster headers above, as the last tensor of a checkpoint
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, {"w": np.zeros(1)}, "k=v\n")
+    p.write_bytes(p.read_bytes()[:-12]
+                  + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
+                  + bytes(4 * math.prod(dims)))
+    with pytest.raises(CheckpointError, match="tensor w"):
         load_checkpoint(p)
 
 

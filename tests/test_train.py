@@ -11,8 +11,10 @@ from edgekit.model import EdgeDetector, ModelConfig
 from edgekit.synth import generate_scene
 from edgekit.tensor import Tensor
 from edgekit.train import (SGD, AnnotationStack, Scene, TrainConfig,
-                           consensus_labels, ignore_band, stage1_digest,
-                           stage_loss, train_two_phase, weighted_bce)
+                           consensus_labels, ignore_band, stage_loss,
+                           train_two_phase, weighted_bce)
+
+from oracles import spy_stage1_at_phase_two, stage1_changes, stage1_state
 
 rng = np.random.default_rng(17)
 
@@ -231,56 +233,38 @@ def _tiny_scenes(n=2, size=32, seed=8):
     return scenes
 
 
-def _tiny_train(seed=0, iters=3):
+def _tiny_model(seed=0):
+    return EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=seed)
+
+
+def _tiny_train(seed=0, iters=3, model=None):
     scenes = _tiny_scenes()
-    cfg = ModelConfig.toy(input_hw=(32, 32))
-    model = EdgeDetector(cfg, seed=seed)
+    model = _tiny_model(seed) if model is None else model
     tcfg = TrainConfig(iterations_stage1=iters, iterations_stage2=iters,
                        batch_size=1, crop=32, seed=seed, flip=True)
     result = train_two_phase(model, scenes, tcfg)
     return model, result
 
 
-def test_two_phase_freezes_stage1_bit_exact():
-    model, result = _tiny_train()
-    assert result.stage1_digest_after_phase1 == result.stage1_digest_final
-    assert result.stage1_digest_final == stage1_digest(model)
+def test_two_phase_freezes_stage1_bit_exact(monkeypatch):
+    """Every stage-one float64 master and running moment keeps, through
+    phase two, the value phase one left it, bit for bit."""
+    model = _tiny_model()
+    phase_one = spy_stage1_at_phase_two(monkeypatch, model)
+    _tiny_train(model=model)
+    assert len(phase_one) == 1
+    assert stage1_changes(model, phase_one[0]) == []
     assert all(not p.requires_grad for p in model.global_stage.parameters())
-
-
-def test_stage1_digest_hashes_the_bytes_tobytes_gives():
-    """Each array's buffer is hashed in place: the digest is the SHA-256 of
-    the names and ``tobytes()`` copies, also for masters that are
-    transposed views or another dtype."""
-    import hashlib
-
-    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=2)
-    r = np.random.default_rng(3)
-    masters = {"global_stage." + n: r.normal(size=p.shape[::-1]).T
-               for n, p in model.global_stage.named_parameters()}
-    masters32 = {n: a.astype(np.float32) for n, a in masters.items()}
-
-    def by_copies(masters):
-        h = hashlib.sha256()
-        for name, p in sorted(model.global_stage.named_parameters()):
-            data = p.data if masters is None else masters["global_stage." + name]
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(data).tobytes())
-        for name, b in sorted(model.global_stage.named_buffers()):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(b).tobytes())
-        return h.hexdigest()
-
-    digests = [stage1_digest(model, m) for m in (None, masters, masters32)]
-    assert digests == [by_copies(m) for m in (None, masters, masters32)]
-    assert len(set(digests)) == 3
+    # the spy saw phase one's result, not the initial state
+    assert len(stage1_changes(_tiny_model(), phase_one[0])) > len(phase_one[0]) // 2
 
 
 def test_two_phase_reproducible():
-    _, r1 = _tiny_train(seed=4)
-    _, r2 = _tiny_train(seed=4)
+    m1, r1 = _tiny_train(seed=4)
+    m2, r2 = _tiny_train(seed=4)
     assert abs(r1.history[-1][2] - r2.history[-1][2]) < 1e-9
-    assert r1.stage1_digest_final == r2.stage1_digest_final
+    s1, s2 = m1.state_arrays(), m2.state_arrays()
+    assert all(np.array_equal(s1[n], s2[n]) for n in s1)
 
 
 def test_two_phase_history_stages():
@@ -289,22 +273,23 @@ def test_two_phase_history_stages():
     assert all(np.isfinite(l) for _, _, l in result.history)
 
 
-def test_two_phase_as_separate_one_phase_calls():
+def test_two_phase_as_separate_one_phase_calls(monkeypatch):
     """Each phase in its own call, the other at zero iterations."""
     scenes = _tiny_scenes()
-    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
+    model = _tiny_model()
+    phase_one = spy_stage1_at_phase_two(monkeypatch, model)
     tcfg = TrainConfig(iterations_stage1=2, iterations_stage2=0, batch_size=1,
                        crop=32, seed=0)
     r1 = train_two_phase(model, scenes, tcfg)
     assert [(i, s) for i, s, _ in r1.history] == [(0, 1), (1, 1)]
-    assert r1.stage1_digest_after_phase1 == r1.stage1_digest_final
-    assert r1.stage1_digest_final == stage1_digest(model)
+    assert stage1_changes(model, phase_one[0]) == []
     model.global_stage.set_requires_grad(True)
     r2 = train_two_phase(model, scenes,
                          replace(tcfg, iterations_stage1=0, iterations_stage2=2))
     assert [(i, s) for i, s, _ in r2.history] == [(0, 2), (1, 2)]
-    assert r2.stage1_digest_after_phase1 == r2.stage1_digest_final
-    assert r2.stage1_digest_final == r1.stage1_digest_final
+    assert len(phase_one) == 2
+    assert stage1_changes(model, phase_one[1]) == []
+    assert stage1_changes(model, phase_one[0]) == []
     assert all(np.isfinite(l) for _, _, l in r1.history + r2.history)
 
 
@@ -324,12 +309,12 @@ def test_ignore_band_missing_from_a_scene_rejected():
     scenes = _tiny_scenes()
     scenes[0].ignore = np.zeros((32, 32), dtype=bool)
     model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
-    before = stage1_digest(model)
+    before = stage1_state(model)
     tcfg = TrainConfig(iterations_stage1=1, iterations_stage2=1, crop=32,
                        batch_size=2, seed=0, use_ignore_band=True)
     with pytest.raises(InputError, match="scene 1"):
         train_two_phase(model, scenes, tcfg)
-    assert stage1_digest(model) == before
+    assert stage1_changes(model, before) == []
     scenes[1].ignore = np.zeros((32, 32), dtype=bool)
     result = train_two_phase(model, scenes, tcfg)
     assert [s for _, s, _ in result.history] == [1, 2]
