@@ -19,6 +19,7 @@ from . import tensor as T
 from .decoder import BiMLADecoder, UpsampleBlock
 from .encoder import Encoder
 from .errors import ConfigError, NumericError, PartitionError, ShapeError, UsageError
+from .rasters import unshapeable
 from .tensor import Tensor
 
 DEFAULT_SCALES = (0.5, 1.0, 1.5)  # multi-scale inference factors
@@ -73,6 +74,11 @@ class ModelConfig:
         if h % cell or w % cell:
             raise ConfigError(
                 f"input {h}x{w} not divisible by window_divisor*fine patch {cell}")
+        for side in (GLOBAL_PATCH, cell):
+            gh, gw = _native_grid(self, side)
+            if why := unshapeable((gh * gw, self.embed_dim)):
+                raise ConfigError(f"input {h}x{w} gives a {gh}x{gw} token grid "
+                                  f"whose position embedding cannot be made: {why}")
 
     @staticmethod
     def toy(**overrides) -> "ModelConfig":

@@ -11,6 +11,9 @@ the gradient checks run in float64.
 per-channel coefficients of the masked gradient and the centred input.
 :func:`conv2d` is the stride-1, size-keeping convolution (odd kernels);
 :func:`deconv2d` upsamples by exactly its stride, fixed by its kernel.
+Maps are (B, C, H, W) in shape and channels-last in memory: these three
+ops return, and their adjoints pass back, the NCHW view of (B, H, W, C)
+rows, so every tap product and per-channel sum reads whole pixel rows.
 Every primitive appends one record (output, inputs, adjoint function) to the
 active tape during the forward pass, and ``backward`` replays the records in
 reverse to populate ``.grad`` on the leaves: the tracked tensors that no
@@ -418,78 +421,81 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution family (NCHW, cross-correlation convention)
+# convolution family (NCHW shapes, channels-last memory, cross-correlation)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, s: int):
-    b, c, hp, wp = xp.shape
-    ho = (hp - kh) // s + 1
-    wo = (wp - kw) // s + 1
-    s0, s1, s2, s3 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(b, c, ho, wo, kh, kw),
-        strides=(s0, s1, s2 * s, s3 * s, s2, s3),
-        writeable=False,
-    )
-    return view.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * kh * kw)
+def _subpixel_taps(w: np.ndarray, wdt: int):
+    """Each tap (a, c) of a (C_in, C_out, 2s, 2s) transposed-convolution
+    kernel, its rows [a*s, (a+1)*s) by columns [c*s, (c+1)*s), as a
+    (C_in, s*s*C_out) matrix, columns ordered (py, px, c_out), after its
+    row offset a*(wdt + 1) + c in the cells of a wdt-wide input."""
+    s = w.shape[2] // 2
+    for a in range(2):
+        for c in range(2):
+            tap = w[:, :, a * s:(a + 1) * s, c * s:(c + 1) * s]
+            yield (a, c, a * (wdt + 1) + c,
+                   tap.transpose(0, 2, 3, 1).reshape(w.shape[0], -1))
+
+
+def _cell_runs(cells: np.ndarray, image: np.ndarray, s: int):
+    """Matching views of the cropped map ``image`` (B, s*h, s*w, C) and of
+    the sub-pixel ``cells`` (B, h + 1, w + 1, s*s*C) that hold its pixels,
+    so that one assignment per pair copies the map into its cells or the
+    cells into the map. Along each axis the s*n kept rows of n + 1 cells of
+    s rows, cropped by s/2 at each end, are three runs of (map rows, cells,
+    phases): the first cell's lower half, the whole middle cells (an empty
+    run when n = 1) and the last cell's upper half."""
+    b, h1, w1, _ = cells.shape
+    t = s // 2
+    runs = [[(slice(0, t), slice(0, 1), slice(t, s)),
+             (slice(t, s * n - t), slice(1, n), slice(0, s)),
+             (slice(s * n - t, s * n), slice(n, n + 1), slice(0, t))]
+            for n in (h1 - 1, w1 - 1)]
+    grid = cells.reshape(b, h1, w1, s, s, -1).transpose(0, 1, 3, 2, 4, 5)
+    for oy, my, ry in runs[0]:
+        for ox, mx, rx in runs[1]:
+            part = grid[:, my, ry, mx, rx]
+            yield np.reshape(image[:, oy, ox], part.shape, copy=False), part
 
 
 def _deconv_raw(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Transposed convolution of y by a kernel of side 2s at stride s,
-    cropped by s/2 on each side: the s*h x s*w map.
+    cropped by s/2 on each side: the s*h x s*w map, as the NCHW view of
+    new (B, H, W, C) rows.
 
     Sub-pixel layout (Shi et al., CVPR 2016): the uncropped (h + 1)*s x
     (w + 1)*s map is a grid of cells of s x s pixels, and cell (m, n) holds
-    the s*s output phases of its pixels as one row of ci*s*s values. Tap
-    (a, c), kernel rows [a*s, (a+1)*s) by columns [c*s, (c+1)*s), carries
-    input pixel (m - a, n - c) to cell (m, n). Each of the four taps is one
-    matmul of the NHWC input rows by its (co, ci*s*s) matrix, added into the
-    part of one (b, h + 1, w + 1, ci*s*s) accumulator it reaches, and one
-    depth-to-space copy writes the cropped map as a new array. Every output
-    pixel sums the same per-tap products as the per-tap scatter, in (a, c)
-    order from zero, so the result equals that scatter, cropped, bit for bit.
+    its pixels as one row of s*s*c_out values. Tap (a, c) carries input
+    pixel (m - a, n - c) to cell (m, n). Each of the four taps is one
+    matmul of the NHWC input rows by its ``_subpixel_taps`` matrix, added
+    into the part of one (b, h + 1, w + 1, s*s*c_out) accumulator it
+    reaches, and one depth-to-space copy writes the cropped map. Every
+    output pixel sums the same per-tap products as the per-tap scatter, in
+    (a, c) order from zero, so the result equals that scatter, cropped, bit
+    for bit.
     """
-    b, co, h, wdt = y.shape
-    _, ci, k, _ = w.shape
-    s = k // 2
-    rows = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, co)
-    acc = np.zeros((b, h + 1, wdt + 1, ci * s * s), dtype=_state.dtype)
-    for a in range(2):
-        for c in range(2):
-            tap = w[:, :, a * s:(a + 1) * s, c * s:(c + 1) * s]
-            # all b*h*w rows, as the per-tap scatter multiplies them: a product
-            # of fewer rows (one row goes to gemv) can round differently
-            acc[:, a:a + h, c:c + wdt] += (rows @ tap.reshape(co, -1)).reshape(
-                b, h, wdt, -1)
-    cells = acc.reshape(b, h + 1, wdt + 1, ci, s, s).transpose(0, 3, 1, 4, 2, 5)
-    out = np.empty((b, ci, s * h, s * wdt), dtype=_state.dtype)
-    for oy, my, ry in _phase_runs(h, s):
-        for ox, mx, rx in _phase_runs(wdt, s):
-            src = cells[:, :, my, ry, mx, rx]
-            np.reshape(out[:, :, oy, ox], src.shape, copy=False)[...] = src
-    return out
-
-
-def _phase_runs(n: int, s: int):
-    """The s*n kept rows of n + 1 cells of s rows, cropped by s/2 at each
-    end, as (map rows, cells, phases) slices: the first cell's lower half,
-    the whole middle cells (an empty run when n = 1) and the last cell's
-    upper half."""
-    t = s // 2
-    yield slice(0, t), slice(0, 1), slice(t, s)
-    yield slice(t, s * n - t), slice(1, n), slice(0, s)
-    yield slice(s * n - t, s * n), slice(n, n + 1), slice(0, t)
+    b, ci, h, wdt = y.shape
+    co, s = w.shape[1], w.shape[2] // 2
+    rows = y.transpose(0, 2, 3, 1).reshape(b * h * wdt, ci)
+    acc = np.zeros((b, h + 1, wdt + 1, s * s * co), dtype=_state.dtype)
+    for a, c, _, tap in _subpixel_taps(w, wdt):
+        # all b*h*w rows, as the per-tap scatter multiplies them: a product
+        # of fewer rows (one row goes to gemv) can round differently
+        acc[:, a:a + h, c:c + wdt] += (rows @ tap).reshape(b, h, wdt, -1)
+    out = np.empty((b, s * h, s * wdt, co), dtype=_state.dtype)
+    for dst, src in _cell_runs(acc, out, s):
+        dst[...] = src
+    return out.transpose(0, 3, 1, 2)
 
 
 # A conv is k*k shifted matmuls of one NHWC copy of its padded input: row
 # r + i*wp + j of that copy is tap (i, j) of output row r, so each tap is a
 # contiguous slice. Its temporaries are that copy (N x c_in) and the
-# accumulator (N x c_out), where im2col copies an N x c_in*k*k matrix. When
-# c_in < c_out the k*k passes over the accumulator cost more than the im2col
-# copy saves, so those convs keep im2col. In the model only input gradients
-# take that branch: no model conv widens the channels, so every weight
-# gradient is per tap.
+# accumulator (N x c_out). When c_in < c_out the k*k passes over the
+# accumulator cost more than one product of the k*k shifted windows of those
+# rows side by side (H*W x c_in*k*k), so those convs make that one product.
+# In the model only input gradients take that branch: no model conv widens
+# the channels, so every weight gradient is per tap.
 def _tap_rows(xs: list[np.ndarray], kh: int, kw: int):
     """NHWC rows of the channel concatenation of the NCHW maps ``xs``,
     zero-padded by half the odd kernel; the rows every tap can shift over;
@@ -517,15 +523,10 @@ def _tap_rows(xs: list[np.ndarray], kh: int, kw: int):
     return rows, m, [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
 
 
-def _pad_half(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """``x`` zero-padded by half an odd kernel on each side."""
-    ph, pw = kh // 2, kw // 2
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-
-
 def _conv_forward(xs: list[np.ndarray], w: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation of the channel concatenation of the NCHW
-    maps xs, padded by half the odd kernel w, at the maps' size."""
+    maps xs, padded by half the odd kernel w, at the maps' size: the NCHW
+    view of (B, H, W, C) rows."""
     b, _, h, wdt = xs[0].shape
     c = sum(x.shape[1] for x in xs)
     co, ci, kh, kw = w.shape
@@ -538,13 +539,16 @@ def _conv_forward(xs: list[np.ndarray], w: np.ndarray) -> np.ndarray:
             f"conv2d input {h}x{wdt} is empty: kernel {kh}x{kw} larger than "
             f"padded input {h + kh - 1}x{wdt + kw - 1}"
         )
-    if c < co:  # im2col; see the per-tap note above
-        x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
-        cols = _im2col(_pad_half(x, kh, kw), kh, kw, 1)
-        out = cols @ w.reshape(co, -1).T
-        return out.reshape(b, h, wdt, co).transpose(0, 3, 1, 2)
     rows, m, taps = _tap_rows(xs, kh, kw)
     wt = w.transpose(2, 3, 1, 0).copy()
+    if c < co:  # one product of the taps side by side; see the note above
+        padded = rows.reshape(b, h + kh - 1, wdt + kw - 1, c)
+        cols = np.empty((b, h, wdt, kh * kw * c), dtype=_state.dtype)
+        for t, (i, j, _) in enumerate(taps):
+            cols[..., t * c:(t + 1) * c] = padded[:, i:i + h, j:j + wdt]
+        del rows, padded  # not held through the product
+        out = cols.reshape(-1, kh * kw * c) @ wt.reshape(-1, co)
+        return out.reshape(b, h, wdt, co).transpose(0, 3, 1, 2)
     acc = np.zeros((rows.shape[0], co), dtype=_state.dtype)
     for i, j, o in taps:
         acc[:m] += rows[o:o + m] @ wt[i, j]
@@ -613,7 +617,7 @@ def conv2d(x, w, bias=None) -> Tensor:
     b = _check_bias("conv2d", bias, co)
     out = _conv_forward([t.data for t in xs], w.data)
     if b is not None:
-        out = out + b.data[None, :, None, None]
+        out += _per_channel(b.data, out)
     splits = np.cumsum([t.data.shape[1] for t in xs])[:-1]
 
     def adjoint(g):
@@ -623,12 +627,11 @@ def conv2d(x, w, bias=None) -> Tensor:
         if any(t.requires_grad for t in xs):
             # the adjoint of a same-size conv is the same-size conv with the
             # flipped, transposed kernel
-            wf = np.ascontiguousarray(
-                w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gxs = np.split(_conv_forward([g], wf), splits, axis=1)
         if b is None:
             return (*gxs, gw)
-        return (*gxs, gw, g.sum(axis=(0, 2, 3)))
+        return (*gxs, gw, _channel_sums(g))
 
     inputs = (*xs, w) if b is None else (*xs, w, b)
     return _apply(out, inputs, adjoint)
@@ -660,25 +663,37 @@ def deconv2d(x, w, bias=None) -> Tensor:
     b = _check_bias("deconv2d", bias, co)
     out = _deconv_raw(x.data, w.data)
     if b is not None:
-        out = out + b.data[None, :, None, None]
+        out += _per_channel(b.data, out)
 
     def adjoint(g):
-        # one im2col of g, zero-padded back to the full map, serves both the
-        # x-adjoint (the strided correlation of g) and the w-adjoint
-        t = s // 2
-        gp = np.zeros((bsz, co, s * (h + 1), s * (wdt + 1)), dtype=_state.dtype)
-        gp[:, :, t:t + s * h, t:t + s * wdt] = g
-        cols = _im2col(gp, k, k, s)
+        # g scattered into the forward's cells, zero where the crop cut
+        # them; each tap's product, transposed, then reads them as rows:
+        # row r + a*(w + 1) + c is tap (a, c)'s cell of input pixel row r
+        cells = np.zeros((bsz, h + 1, wdt + 1, s * s * co), dtype=_state.dtype)
+        for src, dst in _cell_runs(cells, g.transpose(0, 2, 3, 1), s):
+            dst[...] = src
+        rows = cells.reshape(-1, s * s * co)
+        m = rows.shape[0] - wdt - 2
         gx = gw = None
         if x.requires_grad:
-            gx = (cols @ w.data.reshape(ci, -1).T).reshape(bsz, h, wdt, ci)
-            gx = gx.transpose(0, 3, 1, 2)
+            acc = np.zeros((rows.shape[0], ci), dtype=_state.dtype)
+            for _, _, o, tap in _subpixel_taps(w.data, wdt):
+                acc[:m] += rows[o:o + m] @ tap.T
+            gx = acc.reshape(bsz, h + 1, wdt + 1, ci)[:, :h, :wdt].transpose(
+                0, 3, 1, 2)
         if w.requires_grad:
-            xm = x.data.transpose(1, 0, 2, 3).reshape(ci, -1)
-            gw = (xm @ cols).reshape(ci, co, k, k)
+            # x's rows on the same (h + 1) x (w + 1) grid, zero in the last
+            # row and column, so that no shift reads across an image edge
+            xp = np.zeros((bsz, h + 1, wdt + 1, ci), dtype=_state.dtype)
+            xp[:, :h, :wdt] = x.data.transpose(0, 2, 3, 1)
+            xm = xp.reshape(-1, ci)[:m].T
+            gw = np.empty(w.data.shape, dtype=_state.dtype)
+            for a, c, o, _ in _subpixel_taps(w.data, wdt):
+                gw[:, :, a * s:(a + 1) * s, c * s:(c + 1) * s] = (
+                    xm @ rows[o:o + m]).reshape(ci, s, s, co).transpose(0, 3, 1, 2)
         if b is None:
             return (gx, gw)
-        return (gx, gw, g.sum(axis=(0, 2, 3)))
+        return (gx, gw, _channel_sums(g))
 
     inputs = (x, w) if b is None else (x, w, b)
     return _apply(out, inputs, adjoint)
@@ -711,31 +726,17 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return _apply(out, (x, gain, bias), adjoint)
 
 
-def _channels_last(a: np.ndarray) -> bool:
-    """Whether the channels of an NCHW array vary faster in memory than its
-    columns: the (B, H, W, C) view ``conv2d`` returns, or a slice of one."""
-    return a.strides[1] < a.strides[3]
-
-
 def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel sums over B, H and W of an NCHW array ``a``, or of
-    ``a * b`` for an array ``b`` in the same memory order, each one BLAS
-    product that reads the arrays in their own memory order.
-
-    A channels-last array is summed as ``ones @ rows`` over its (B*H*W, C)
+    """Per-channel sums over B, H and W of a channels-last NCHW array ``a``
+    (the NCHW view of (B, H, W, C) rows, or a slice of one), or of
+    ``a * b``, as one BLAS product: ``ones @ rows`` over its (B*H*W, C)
     pixel rows or, when those rows are not evenly spaced (a slice of a
     padded buffer), over each image row's (W, C) rows; a product is formed
-    first. On NCHW arrays it is one dot per (image, channel) plane, of ``a``
-    with ``b`` or with ones. ``sum(axis=(0, 2, 3))`` on a channels-last
-    array, which reduces across the fast axis, is an order of magnitude
-    slower.
+    first. ``sum(axis=(0, 2, 3))``, which reduces across the fast axis, is
+    an order of magnitude slower. Any other layout gives the same sums,
+    only slower.
     """
     bsz, c, h, w = a.shape
-    if not _channels_last(a):
-        planes = a.reshape(bsz * c, 1, h * w)
-        other = (np.ones((h * w, 1), dtype=a.dtype) if b is None
-                 else b.reshape(bsz * c, h * w, 1))
-        return (planes @ other).reshape(bsz, c).sum(axis=0)
     rows = a.transpose(0, 2, 3, 1) if b is None else (a * b).transpose(0, 2, 3, 1)
     try:
         rows = np.reshape(rows, (bsz * h * w, c), copy=False)
@@ -745,12 +746,10 @@ def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 
 def _per_channel(v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The per-channel vector ``v`` shaped to broadcast over the NCHW array
-    ``a`` in ``a``'s memory order. Against a channels-last array it is laid
-    out as one image row, ``v`` repeated W times, so that a ufunc's inner
-    loop runs over the W*C values of a row rather than the C of a pixel."""
-    if not _channels_last(a):
-        return v[:, None, None]
+    """The per-channel vector ``v`` laid out as one image row of the
+    channels-last NCHW array ``a``, ``v`` repeated W times, so that a ufunc
+    broadcasting it over ``a`` runs its inner loop over the W*C values of a
+    row rather than the C of a pixel. It broadcasts over any layout."""
     w = a.shape[3]
     return np.tile(v, w).reshape(w, -1).T[None, :, None, :]
 
@@ -773,11 +772,10 @@ def batch_norm(x, gain, bias, running_mean, running_var,
     ``b = -scale * S2 / (n * sigma**2)`` and ``c = -scale * S1 / n`` from the
     two centred sums ``S1 = sum(g_m)`` and ``S2 = sum(g_m * (x - mu))``; the
     gain's gradient is ``S2 / sigma`` and the bias's ``S1``. Every
-    per-channel sum is one ``_channel_sums`` BLAS product. Each pass works
-    in the memory order of the output, which is that of ``x``: a gradient
-    laid out otherwise (a channel slice of a wider channels-last gradient,
-    beside an NCHW output) is copied into it once. The adjoint writes
-    neither ``g``, which may be a view of a sibling's gradient, nor ``x``.
+    per-channel sum is one ``_channel_sums`` BLAS product. ``x``, the
+    output and ``g`` are channels-last in the model (``g`` may be a channel
+    slice of a sibling's gradient); each pass is correct, only slower, in
+    any other layout. The adjoint writes neither ``g`` nor ``x``.
     """
     x = _as_tensor(x)
     gain, bias = _as_tensor(gain), _as_tensor(bias)
@@ -800,14 +798,7 @@ def batch_norm(x, gain, bias, running_mean, running_var,
     np.maximum(out, 0.0, out=out)
 
     def adjoint(g):
-        if _channels_last(g) == _channels_last(out):
-            gm = g * (out > 0.0)
-        else:
-            # compacted first, a channel slice of a wider gradient is
-            # transposed from whole cache lines
-            gm = np.empty_like(out)
-            gm[...] = g.copy(order="K")
-            gm *= out > 0.0
+        gm = g * (out > 0.0)
         s1 = _channel_sums(gm)
         xc = x.data - _per_channel(mu, out)
         s2 = _channel_sums(gm, xc)

@@ -147,12 +147,18 @@ def test_train_size_below_minimum_exit_code(trained, tmp_path, line):
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
-@pytest.mark.parametrize("size", [160000000000000000000, 64])
+@pytest.mark.parametrize("size, error", [
+    (160000000000000000000, "gives a 10000000000000000000x10000000000000000000 "
+                            "token grid"),
+    (64, "crop 64 exceeds image (32, 32)"),
+], ids=["160000000000000000000", "64"])
 def test_train_crop_beyond_the_scenes_exit_code(trained, tmp_path, monkeypatch,
-                                                capsys, size):
-    """The crop is checked against the 32 x 32 scenes before the model is
-    built: the first size once failed in the encoder's allocation with a
-    traceback, and any size too large built the whole model first."""
+                                                capsys, size, error):
+    """Each size is refused before the model is built. ``ModelConfig``
+    refuses the first, whose token grid no array can hold; it once failed
+    in the encoder's allocation with a traceback. The crop check against
+    the 32 x 32 scenes refuses the second; any size too large once built
+    the whole model first."""
     _, data, _, _ = trained
     built = []
     monkeypatch.setattr(cli, "EdgeDetector", lambda *a, **kw: built.append(a))
@@ -160,7 +166,7 @@ def test_train_crop_beyond_the_scenes_exit_code(trained, tmp_path, monkeypatch,
     cfg.write_text(SMALL_CONFIG.format(data=data, out=tmp_path / "run")
                    .replace("input_size=32", f"input_size={size}"))
     assert main(["train", "--config", str(cfg)]) == 3
-    assert f"crop {size} exceeds image (32, 32)" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert built == []
     assert not (tmp_path / "run").exists()
 
@@ -478,6 +484,18 @@ def test_infer_unshapeable_checkpoint_header_exit_code(tmp_path, dims):
     ckpt.write_bytes(ckpt.read_bytes()[:-12]
                      + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
                      + bytes(4 * math.prod(dims)))
+    assert main(["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "x.ppm"),
+                 "--out", str(tmp_path / "e.pgm")]) == 3
+
+
+def test_infer_checkpoint_config_with_an_unshapeable_token_grid_exit_code(tmp_path):
+    """The config digest matches, but no array can hold the position
+    embedding of its token grid: exit 3 before a model is built."""
+    side = 160000000000000000000  # a multiple of 16 and 32
+    text = ModelConfig().canonical_text().replace("input_hw=64,64",
+                                                  f"input_hw={side},{side}")
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, {"w": np.zeros(1)}, text)
     assert main(["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "x.ppm"),
                  "--out", str(tmp_path / "e.pgm")]) == 3
 

@@ -346,6 +346,30 @@ def test_config_rejects_sizes_below_their_minimum(field, value):
         ModelConfig(**{field: value})
 
 
+# a multiple of 16 and 32 whose token grids no array can hold
+HUGE_SIDE = 160000000000000000000
+
+
+@pytest.mark.parametrize("fields", [
+    dict(input_hw=(HUGE_SIDE, HUGE_SIDE)),
+    dict(input_hw=(64, 2**64)),
+    # 2**26 x 2**26 coarse tokens fit; the 2**27 x 2**27 fine ones do not
+    dict(input_hw=(2**30, 2**30), window_divisor=1),
+], ids=["huge", "wide", "fine_only"])
+def test_config_rejects_a_token_grid_no_array_can_hold(fields):
+    """A native token grid whose (cells, embed_dim) position embedding numpy
+    cannot shape is a ConfigError, from the constructor and from a
+    checkpoint's config text, before any model is built."""
+    with pytest.raises(ConfigError, match="token grid"):
+        ModelConfig(**fields)
+    (h, w), d = fields["input_hw"], fields.get("window_divisor", 2)
+    text = (ModelConfig().canonical_text()
+            .replace("input_hw=64,64", f"input_hw={h},{w}")
+            .replace("window_divisor=2", f"window_divisor={d}"))
+    with pytest.raises(ConfigError, match="token grid"):
+        ModelConfig.from_canonical_text(text)
+
+
 @pytest.mark.parametrize("field,value", [
     ("input_hw", 64), ("input_hw", [64, 64]), ("input_hw", (64.0, 64)),
     ("input_hw", (True, 64)), ("embed_dim", 8.0), ("heads", 1.5),

@@ -259,13 +259,14 @@ def test_deconv2d_model_triples_equal_tap_loop(kernel, stride, padding, hw):
 
 @pytest.mark.parametrize("kernel, stride, padding", [(4, 2, 1), (16, 8, 4), (8, 4, 2)])
 def test_deconv2d_output_owns_a_contiguous_map(kernel, stride, padding):
-    """The output is a new C-contiguous array, not a view that keeps the
-    cropped border of a larger buffer alive."""
+    """The output is the NCHW view of a new channels-last array of exactly
+    its own size, not a view that keeps the cropped border of a larger
+    buffer alive."""
     out = T.deconv2d(Tensor(rng.normal(size=(2, 3, 3, 4))),
                      Tensor(rng.normal(size=(3, 2, kernel, kernel)))).data
     assert out.shape == (2, 2, 3 * stride, 4 * stride)
-    assert out.flags.c_contiguous
-    assert out.base is None or out.base.nbytes <= out.nbytes
+    assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert out.base is not None and out.base.nbytes == out.nbytes
 
 
 @pytest.mark.parametrize("kernel, stride, padding, hw", [
@@ -536,21 +537,23 @@ def test_batch_norm_training_matches_storing_formula(dtype, layout):
 
 
 def _in_layout(a: np.ndarray, layout: str) -> np.ndarray:
-    """An NCHW view of the values ``a`` in one of the layouts the model feeds
-    batch norm: a contiguous NCHW array (a deconv output), the transposed
-    view of a channels-last array (a 1x1 conv output), the interior of a
-    padded channels-last buffer (a padded conv output) or a channel slice of
-    a wider channels-last array (one input's share of a conv-list gradient)."""
+    """An NCHW view of the values ``a``, in its dtype, in one of four
+    layouts: a contiguous NCHW array, which no model op hands batch norm
+    (conv and deconv outputs and gradients are channels-last); the
+    transposed view of a channels-last array (a deconv or 1x1 conv output);
+    the interior of a padded channels-last buffer (a padded conv output); or
+    a channel slice of a wider channels-last array (one input's share of a
+    conv-list gradient)."""
     b, c, h, w = a.shape
     if layout == "nchw":
         return a.copy()
     if layout == "channels_last":
         return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     if layout == "padded_slice":
-        buf = np.full((b, h + 2, w + 2, c), 7.0)
+        buf = np.full((b, h + 2, w + 2, c), 7.0, dtype=a.dtype)
         buf[:, 1:-1, 1:-1] = a.transpose(0, 2, 3, 1)
         return buf[:, 1:-1, 1:-1].transpose(0, 3, 1, 2)
-    wide = np.full((b, h, w, 3 * c), 7.0)
+    wide = np.full((b, h, w, 3 * c), 7.0, dtype=a.dtype)
     wide[..., c:2 * c] = a.transpose(0, 2, 3, 1)
     return wide[..., c:2 * c].transpose(0, 3, 1, 2)
 
@@ -572,6 +575,31 @@ def test_batch_norm_adjoint_in_every_layout(x_layout, g_layout):
     got, want = _batch_norm_case(x, gain, bias, g, [np.zeros(3), np.ones(3)])
     assert _largest_rel_diff(got, want) <= 1e-13
     assert all(np.array_equal(o, b) for o, b in zip(owners, before))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["channels_last", "padded_slice"])
+@pytest.mark.parametrize("op, x_shape, w_shape", [
+    (T.conv2d, (2, 3, 6, 5), (4, 3, 3, 3)),
+    (T.deconv2d, (2, 3, 3, 4), (3, 4, 8, 8)),
+], ids=["conv2d", "deconv2d"])
+def test_bias_gradient_is_the_channel_sum_of_g(op, x_shape, w_shape, layout, dtype):
+    """A bias's gradient is the float64 sum of the output gradient over B, H
+    and W, to the rounding of a sum of n terms in the compute dtype:
+    n * eps times the sum of their magnitudes."""
+    r = np.random.default_rng(5)
+    with T.compute_dtype(dtype):
+        x, w = Tensor(r.normal(size=x_shape)), Tensor(r.normal(size=w_shape))
+        bias = Tensor(r.normal(size=4), requires_grad=True)
+        with T.fresh_tape() as tape:
+            out = op(x, w, bias)
+        g = _in_layout(r.normal(size=out.shape).astype(dtype), layout)
+        got = tape.records[-1].adjoint(g)[-1]
+    g64 = g.astype(np.float64)
+    n = g.size // g.shape[1]
+    assert got.dtype == dtype and got.shape == (4,)
+    err = np.abs(got - g64.sum(axis=(0, 2, 3)))
+    assert (err <= n * np.finfo(dtype).eps * np.abs(g64).sum(axis=(0, 2, 3))).all()
 
 
 def test_batch_norm_training_record_keeps_no_full_size_array():

@@ -339,6 +339,39 @@ def test_tape_records_per_iteration(monkeypatch):
     assert counts == [396, 328]
 
 
+def test_one_layout_through_a_training_iteration(monkeypatch):
+    """One 64x64 iteration of each stage of the toy model at batch 2: every
+    conv2d, deconv2d and batch_norm output with more than one channel, and
+    every gradient handed to a batch_norm adjoint, is channels-last, the
+    NCHW view of (B, H, W, C) rows."""
+    bad, seen = [], set()
+
+    def check(what, a):
+        seen.add(what)
+        if a.shape[1] > 1 and a.strides[1] != a.itemsize:
+            bad.append((what, a.shape, a.strides))
+
+    def spy(name, op):
+        def run(*args, **kwargs):
+            out = op(*args, **kwargs)
+            check(name, out.data)
+            records = T.active_tape().records
+            if name == "batch_norm" and records and records[-1].out is out:
+                adjoint = records[-1].adjoint
+                records[-1].adjoint = lambda g: (check("bn_grad", g), adjoint(g))[1]
+            return out
+        return run
+
+    for name in ("conv2d", "deconv2d", "batch_norm"):
+        monkeypatch.setattr(T, name, spy(name, getattr(T, name)))
+    model = EdgeDetector(ModelConfig.toy(), seed=0)
+    train_two_phase(model, _tiny_scenes(size=64),
+                    TrainConfig(iterations_stage1=1, iterations_stage2=1,
+                                batch_size=2, crop=64, seed=0))
+    assert seen == {"conv2d", "deconv2d", "batch_norm", "bn_grad"}
+    assert bad == []
+
+
 def test_side_outputs_count_range_and_gradient_reach():
     cfg = ModelConfig.toy(input_hw=(32, 32))
     model = EdgeDetector(cfg, seed=2)
