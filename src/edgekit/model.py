@@ -1,10 +1,12 @@
 """Two-stage edge detector: coarse context stage, windowed fine stage, fusion.
 
 Stage one encodes the whole image on coarse patches and decodes pixel-level
-context features plus a sigmoid edge head. Stage two splits the image into
+context features plus an edge head. Stage two splits the image into
 non-overlapping windows, runs a shared fine-patch encoder per window,
 reassembles the window token grids into whole-image grids, decodes, fuses
-with the stage-one features, and predicts the final edge map.
+with the stage-one features, and predicts the final edge map. Every head,
+the side heads included, emits logits, which the loss takes as they are;
+:meth:`EdgeDetector.infer` turns stage two's into probabilities.
 """
 
 from __future__ import annotations
@@ -66,6 +68,17 @@ class ModelConfig:
                     and list(taps) == sorted(set(taps))):
                 raise ConfigError(f"{name} must be a tuple of 4 strictly "
                                   f"increasing integers >= 1, got {taps!r}")
+        c, pc, side = self.embed_dim, self.path_channels, self.side_channels
+        largest_weights = {  # by the widths that size them
+            "embed_dim, heads, head_dim": (self.heads, c, self.head_dim),
+            "embed_dim, mlp_ratio": (c, self.mlp_ratio * c),
+            "path_channels": (pc, pc, GLOBAL_PATCH, GLOBAL_PATCH),
+            "path_channels, smooth_channels": (self.smooth_channels, 8 * pc, 3, 3),
+            "side_channels": (side, side, GLOBAL_PATCH, GLOBAL_PATCH),
+        }
+        for names, shape in largest_weights.items():
+            if why := unshapeable(shape):
+                raise ConfigError(f"{names} give a weight that cannot be made: {why}")
         (h, w), d = self.input_hw, self.window_divisor
         if h % GLOBAL_PATCH or w % GLOBAL_PATCH:
             raise ConfigError(
@@ -163,7 +176,7 @@ def partition_windows(image: np.ndarray, divisor: int) -> list[np.ndarray]:
 
 
 class SideHead(UpsampleBlock):
-    """Upsamples one path feature to an auxiliary full-resolution edge map."""
+    """Upsamples one path feature to auxiliary full-resolution edge logits."""
 
     def __init__(self, path_channels: int, side_channels: int, patch: int,
                  rng: np.random.Generator):
@@ -171,7 +184,7 @@ class SideHead(UpsampleBlock):
         self.out = nn.Conv2d(side_channels, 1, 1, rng)
 
     def forward(self, path: Tensor) -> Tensor:
-        return T.sigmoid(self.out(super().forward(path)))
+        return self.out(super().forward(path))
 
 
 def _side_heads(cfg: ModelConfig, patch: int,
@@ -228,8 +241,7 @@ class GlobalStage(nn.Module):
     def forward(self, image: np.ndarray):
         taps, grid = self.encoder(image)
         f_g, paths = self.decoder(taps, grid)
-        e_g = T.sigmoid(self.head(f_g))
-        return f_g, e_g, paths
+        return f_g, self.head(f_g), paths
 
 
 class LocalStage(nn.Module):
@@ -270,8 +282,7 @@ class LocalStage(nn.Module):
         taps, grid = self.window_taps(image)
         f_r, paths = self.decoder(taps, grid)
         fused = self.fusion(f_g, f_r)
-        e_r = T.sigmoid(self.head(fused))
-        return f_r, e_r, paths, fused
+        return f_r, self.head(fused), paths, fused
 
 
 class EdgeDetector(nn.Module):
@@ -296,7 +307,7 @@ class EdgeDetector(nn.Module):
 
     def side_outputs(self, paths: list[Tensor], stage: str,
                      out_hw: tuple[int, int]) -> list[Tensor]:
-        """One sigmoid edge map per path feature, each exactly ``out_hw``."""
+        """One map of edge logits per path feature, each exactly ``out_hw``."""
         heads = self.global_stage.sides if stage == "global" else self.local_stage.sides
         if len(paths) != len(heads):
             raise ShapeError(f"expected {len(heads)} path features, got {len(paths)}")
@@ -367,7 +378,7 @@ class EdgeDetector(nn.Module):
         try:
             with T.no_grad(), nn.float32_working_copies(self):
                 f_g, _, _ = self.run_stage1(image)
-                out = self.run_stage2(image, f_g)[1].data
+                out = T.sigmoid(self.run_stage2(image, f_g)[1]).data
         finally:
             for m, training in modes:
                 m.training = training

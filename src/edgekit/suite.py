@@ -85,12 +85,11 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
                                      [r(size=(1, 2, 4, 4))], rng)),
     ]
 
-    # bce with respect to the prediction, away from the clamp boundaries
+    # the class-balanced loss with respect to the logits
     y = (rng.random((6, 6)) < 0.3).astype(np.float64)
-    e0 = rng.uniform(0.05, 0.95, size=(6, 6))
-    e = Tensor(e0, requires_grad=True)
+    z = Tensor(rng.uniform(-4.0, 4.0, size=(6, 6)), requires_grad=True)
     checks.append(("weighted_bce", check_gradients(
-        lambda: weighted_bce(e, y), [("edge", e)], rng, probes_per_tensor=8)))
+        lambda: weighted_bce(z, y), [("logits", z)], rng, probes_per_tensor=8)))
 
     from .encoder import TransformerBlock
 
@@ -119,6 +118,15 @@ def layer_checks(rng: np.random.Generator) -> list[tuple[str, GradcheckReport]]:
                             [r(size=(2, 2, 5, 5)), r(size=(2, 3, 5, 5)),
                              r(size=(2, 1, 5, 5)), r(size=(4, 6, 3, 3)),
                              r(size=4)], rng)))
+
+    # saturated logits (|z| > 17) in the first row, right and wrong
+    logits = np.vstack([[-20.0, -18.0, 18.0, 20.0], 3.0 * r(size=(2, 4))])
+    pos = (rng.random(logits.shape) < 0.5).astype(np.float64)
+    pos[0] = (1.0, 0.0, 1.0, 0.0)
+    scale = rng.uniform(0.2, 1.0, size=logits.shape)
+    checks.append(("bce_with_logits", check_op(
+        lambda z: T.bce_with_logits(z, scale * pos, scale * (1.0 - pos)),
+        [logits], rng, probes_per_tensor=logits.size)))
     return checks
 
 

@@ -14,6 +14,8 @@ per-channel coefficients of the masked gradient and the centred input.
 Maps are (B, C, H, W) in shape and channels-last in memory: these three
 ops return, and their adjoints pass back, the NCHW view of (B, H, W, C)
 rows, so every tap product and per-channel sum reads whole pixel rows.
+:func:`bce_with_logits` is one head's loss in one record, weighted sigmoid
+cross-entropy summed from logits.
 Every primitive appends one record (output, inputs, adjoint function) to the
 active tape during the forward pass, and ``backward`` replays the records in
 reverse to populate ``.grad`` on the leaves: the tracked tensors that no
@@ -40,8 +42,8 @@ __all__ = [
     "compute_dtype", "current_dtype",
     "add", "sub", "mul", "div", "matmul", "concat", "reshape", "transpose",
     "crop2d", "relu", "sigmoid", "gelu", "exp", "log", "sqrt", "clip",
-    "softmax", "tensor_sum", "tensor_mean", "conv2d", "deconv2d",
-    "layer_norm", "batch_norm", "bilinear_resize",
+    "bce_with_logits", "softmax", "tensor_sum", "tensor_mean", "conv2d",
+    "deconv2d", "layer_norm", "batch_norm", "bilinear_resize",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -279,13 +281,16 @@ def relu(x) -> Tensor:
     return _apply(out, (x,), lambda g: (g * (x.data > 0.0),))
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """σ(x): 1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, so no
+    exponent is of a positive number."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _logistic(x.data)
     return _apply(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -308,6 +313,31 @@ def clip(x, lo: float, hi: float) -> Tensor:
     out = np.clip(x.data, lo, hi)
     inside = (x.data > lo) & (x.data < hi)
     return _apply(out, (x,), lambda g: (g * inside,))
+
+
+def bce_with_logits(z, w_pos, w_neg) -> Tensor:
+    """Weighted sigmoid cross-entropy of the logits ``z``, summed to a
+    scalar: Σ w_pos·softplus(−z) + w_neg·softplus(z), which is
+    −w_pos·log σ(z) − w_neg·log(1 − σ(z)) without forming σ(z). The weights
+    are constants of ``z``'s shape. The adjoint is g·(w_neg·σ(z) −
+    w_pos·σ(−z)), so a saturated logit keeps its gradient.
+
+    softplus(±z) is max(±z, 0) + log1p(e^-|z|), the formula of
+    ``np.logaddexp(0, ±z)``, whose float32 loop is about 7 times slower."""
+    z = _as_tensor(z)
+    w_pos = np.asarray(w_pos, dtype=_state.dtype)
+    w_neg = np.asarray(w_neg, dtype=_state.dtype)
+    if w_pos.shape != z.data.shape or w_neg.shape != z.data.shape:
+        raise ShapeError(f"weights {w_pos.shape} and {w_neg.shape} vs logits "
+                         f"{z.data.shape}")
+    tail = np.log1p(np.exp(-np.abs(z.data)))
+    out = (w_pos * (np.maximum(-z.data, 0.0) + tail)
+           + w_neg * (np.maximum(z.data, 0.0) + tail)).sum()
+
+    def adjoint(g):
+        return (g * (w_neg * _logistic(z.data) - w_pos * _logistic(-z.data)),)
+
+    return _apply(out, (z,), adjoint)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Phase one optimizes the coarse context stage against the consensus labels
 (main head plus weighted side outputs). Phase two freezes every stage-one
 parameter, including batch-norm running statistics, and optimizes the
-windowed refinement stage the same way.
+windowed refinement stage the same way. The heads emit logits; each head's
+loss is one class-balanced sigmoid cross-entropy record taken from them.
 
 Training computes in float32 while the optimizer steps float64 master
 copies of the parameters; every parameter is its float64 master again when
@@ -23,8 +24,6 @@ from . import tensor as T
 from .errors import ConfigError, InputError, NumericError, ShapeError, UsageError
 from .model import EdgeDetector
 from .tensor import Tensor
-
-CLAMP_EPS = 1e-7
 
 
 @dataclass
@@ -51,9 +50,10 @@ def ignore_band(annotator_maps: list[np.ndarray], eta: float) -> np.ndarray:
     return (prob > 0.0) & (prob < eta)
 
 
-def weighted_bce(edge: Tensor, labels: np.ndarray,
+def weighted_bce(logits: Tensor, labels: np.ndarray,
                  ignore: np.ndarray | None = None) -> Tensor:
-    """Class-balanced binary cross entropy, summed over pixels.
+    """Class-balanced binary cross entropy of edge logits, summed over
+    pixels: one :func:`tensor.bce_with_logits` record.
 
     Positives are weighted by the negative-pixel fraction and vice versa, so
     the two classes contribute comparably despite edge sparsity. Inputs with
@@ -62,8 +62,8 @@ def weighted_bce(edge: Tensor, labels: np.ndarray,
     and the balance weight.
     """
     y = np.asarray(labels, dtype=T.current_dtype())
-    if tuple(edge.shape) != y.shape:
-        raise ShapeError(f"prediction {tuple(edge.shape)} vs labels {y.shape}")
+    if tuple(logits.shape) != y.shape:
+        raise ShapeError(f"prediction {tuple(logits.shape)} vs labels {y.shape}")
 
     batched = y.ndim > 2
     items = y.shape[0] if batched else 1
@@ -75,19 +75,51 @@ def weighted_bce(edge: Tensor, labels: np.ndarray,
     total = pos + neg
     alpha = np.divide(neg, total, out=np.zeros_like(neg), where=total > 0)
 
-    w_pos = alpha * y * valid
-    w_neg = (1.0 - alpha) * (1.0 - y) * valid
-    e = T.clip(edge, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    ll = T.add(T.mul(T.log(e), w_pos), T.mul(T.log(T.sub(1.0, e)), w_neg))
-    return T.mul(T.tensor_sum(ll), -1.0 / items)
+    w_pos = alpha / items * y * valid
+    w_neg = (1.0 - alpha) / items * (1.0 - y) * valid
+    return T.bce_with_logits(logits, w_pos, w_neg)
 
 
-def stage_loss(edge: Tensor, sides: list[Tensor], labels: np.ndarray,
-               lam: float = 0.4, ignore: np.ndarray | None = None) -> Tensor:
-    """Main-head loss plus ``lam`` times the summed side-output losses. The
-    ``TrainConfig.lam`` default is repeated for the gradient suite and the
-    benchmark's gradient check, which call this without ``lam``."""
-    loss = weighted_bce(edge, labels, ignore)
+@dataclass
+class TrainConfig:
+    eta: float = 0.3
+    lam: float = 0.4
+    base_lr: float = 5e-4
+    iterations_stage1: int = 600
+    iterations_stage2: int = 600
+    batch_size: int = 2
+    crop: int = 64
+    seed: int = 0
+    flip: bool = True
+    use_ignore_band: bool = False
+    momentum: float = 0.9
+    weight_decay: float = 2e-4
+    lr_power: float = 0.9
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if min(self.iterations_stage1, self.iterations_stage2) < 0:
+            raise ConfigError("iteration counts must be >= 0, got "
+                              f"{self.iterations_stage1}, {self.iterations_stage2}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, v in (("base_lr", self.base_lr), ("lr_power", self.lr_power)):
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {v}")
+        for name, v in (("weight_decay", self.weight_decay), ("lam", self.lam)):
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+
+
+def stage_loss(logits: Tensor, sides: list[Tensor], labels: np.ndarray,
+               lam: float = TrainConfig.lam,
+               ignore: np.ndarray | None = None) -> Tensor:
+    """Main-head loss plus ``lam`` times the summed side-output losses, all
+    from logits."""
+    loss = weighted_bce(logits, labels, ignore)
     for s in sides:
         loss = T.add(loss, T.mul(weighted_bce(s, labels, ignore), lam))
     return loss
@@ -139,40 +171,6 @@ class SGD:
     def zero_grad(self) -> None:
         for _, p in self.params:
             p.grad = None
-
-
-@dataclass
-class TrainConfig:
-    eta: float = 0.3
-    lam: float = 0.4
-    base_lr: float = 5e-4
-    iterations_stage1: int = 600
-    iterations_stage2: int = 600
-    batch_size: int = 2
-    crop: int = 64
-    seed: int = 0
-    flip: bool = True
-    use_ignore_band: bool = False
-    momentum: float = 0.9
-    weight_decay: float = 2e-4
-    lr_power: float = 0.9
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if min(self.iterations_stage1, self.iterations_stage2) < 0:
-            raise ConfigError("iteration counts must be >= 0, got "
-                              f"{self.iterations_stage1}, {self.iterations_stage2}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name, v in (("base_lr", self.base_lr), ("lr_power", self.lr_power)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ConfigError(f"{name} must be finite and > 0, got {v}")
-        for name, v in (("weight_decay", self.weight_decay), ("lam", self.lam)):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 @dataclass
@@ -267,11 +265,11 @@ def _train_phase(model: EdgeDetector, scenes: list[Scene], cfg: TrainConfig,
         x, y, ign = _sample_batch(scenes, cfg, rng)
         try:
             with T.fresh_tape():
-                f_g, edge, paths = model.run_stage1(x)
+                f_g, logits, paths = model.run_stage1(x)
                 if stage == 2:
-                    _, edge, paths, _ = model.run_stage2(x, f_g)
+                    _, logits, paths, _ = model.run_stage2(x, f_g)
                 sides = model.side_outputs(paths, "global" if stage == 1 else "local", out_hw)
-                loss = stage_loss(edge, sides, y, cfg.lam, ign)
+                loss = stage_loss(logits, sides, y, cfg.lam, ign)
                 T.backward(loss)
             value = loss.item()
             _check_finite(model, params, value)

@@ -17,10 +17,13 @@ padded form slices the full map), a conv2d that multiplies one im2col matrix
 (every receptive field as a row) by the flattened kernel, a training batch
 norm that keeps its normalized map for the adjoint, and the eval-mode batch
 norm + ReLU that normalized by the running moments before the model folded
-it into its convolutions. The inverses of the model's token and window
-layouts are here too, because only tests need them, and so is the model's
-earlier inference path: float64 throughout, with that eval-mode batch norm
-run after each convolution instead of folded in. The copies of stage one
+it into its convolutions. The class-balanced loss as the engine computed
+it from probabilities, through a sigmoid, a clamp and two logs, checks the
+weighted sigmoid cross-entropy of logits that replaced it. The inverses of
+the model's token and window layouts are here too, because only tests need
+them, and so is the model's earlier inference path: float64 throughout,
+with that eval-mode batch norm run after each convolution instead of
+folded in. The copies of stage one
 that check the two-phase freeze are taken here, through a spy on phase
 two's optimizer, so that training itself keeps none.
 """
@@ -261,6 +264,17 @@ def batch_norm_storing(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     dx = (dy - mean_dy[None, :, None, None]
           - y * mean_dyy[None, :, None, None]) * inv[None, :, None, None]
     return out, dx, (g * y).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+def probability_chain_bce(z: Tensor, w_pos: np.ndarray, w_neg: np.ndarray,
+                          eps: float = 1e-7) -> Tensor:
+    """Σ −w_pos·log e − w_neg·log(1 − e) for e = σ(z) clamped to [eps,
+    1 − eps]: the heads' sigmoid and the loss's nine ops before
+    ``tensor.bce_with_logits``. The clamp cuts the gradient of a logit
+    beyond about ±16."""
+    e = T.clip(T.sigmoid(z), eps, 1.0 - eps)
+    ll = T.add(T.mul(T.log(e), w_pos), T.mul(T.log(T.sub(1.0, e)), w_neg))
+    return T.mul(T.tensor_sum(ll), -1.0)
 
 
 def batch_norm_relu_eval(x: Tensor, bn: nn.BatchNorm2d) -> Tensor:

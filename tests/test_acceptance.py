@@ -97,7 +97,7 @@ def test_shape_and_normalization_suite():
 # -- criterion 3: loss arithmetic ----------------------------------------------
 
 def test_loss_arithmetic():
-    hand = weighted_bce(Tensor([0.5, 0.5]), np.array([1.0, 0.0])).item()
+    hand = weighted_bce(Tensor([0.0, 0.0]), np.array([1.0, 0.0])).item()
     log2_ok = abs(hand - math.log(2.0)) < 1e-12
 
     rng = np.random.default_rng(2)
@@ -110,13 +110,13 @@ def test_loss_arithmetic():
         ref = ref + lam * weighted_bce(s, y).item()
     linear_ok = stage_loss(e, sides, y, lam).item() == ref
 
-    # at a constant 0.5 each class weighs the other's share of the pixels,
-    # so the loss is log 2 * 2 * pos * neg / total
+    # at a constant logit 0 (probability 0.5) each class weighs the other's
+    # share of the pixels, so the loss is log 2 * 2 * pos * neg / total
     balance_err = 0.0
     for pos in (0, 1, 7, 35):
         yy = np.zeros(36)
         yy[:pos] = 1.0
-        got = weighted_bce(Tensor(np.full(36, 0.5)), yy).item()
+        got = weighted_bce(Tensor(np.zeros(36)), yy).item()
         want = math.log(2.0) * 2.0 * pos * (36 - pos) / 36
         balance_err = max(balance_err, abs(got - want))
     balance_ok = balance_err < 1e-12
@@ -152,7 +152,7 @@ def overfit_run():
         preds_one = []
         for s in scenes:
             _, e_g, _ = model.run_stage1(s.image[None])
-            preds_one.append(e_g.data[0, 0])
+            preds_one.append(T.sigmoid(e_g).data[0, 0])
     rep_two = evaluate_predictions(preds_two, gts, tol=EVAL_TOL)
     rep_one = evaluate_predictions(preds_one, gts, tol=EVAL_TOL)
     return dict(model=model, result=result, train_seconds=train_seconds,

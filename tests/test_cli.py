@@ -171,6 +171,22 @@ def test_train_crop_beyond_the_scenes_exit_code(trained, tmp_path, monkeypatch,
     assert not (tmp_path / "run").exists()
 
 
+def test_train_width_no_weight_can_hold_exit_code(trained, tmp_path,
+                                                  monkeypatch, capsys):
+    """A side-head width of 10**20 once built the detector and died in
+    numpy's allocation with a traceback; the config now refuses it."""
+    _, data, _, _ = trained
+    built = []
+    monkeypatch.setattr(cli, "EdgeDetector", lambda *a, **kw: built.append(a))
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(SMALL_CONFIG.format(data=data, out=tmp_path / "run")
+                   + f"side_channels={10**20}\n")
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert "side_channels give a weight that cannot be made" in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--n", "1", "--seed", "-3"],
     ["synth", "--n", "-2"],

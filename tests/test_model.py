@@ -56,8 +56,9 @@ def test_partition_odd_extent_rejected():
 def test_stage1_shapes_and_range(net, image):
     with T.no_grad():
         f_g, e_g, paths = net.run_stage1(image)
+        p = T.sigmoid(e_g).data  # the head emits logits
     assert e_g.shape == (1, 1, 32, 32)
-    assert 0.0 < e_g.data.min() and e_g.data.max() < 1.0
+    assert 0.0 < p.min() and p.max() < 1.0
     assert f_g.shape[2:] == (32, 32)
     assert len(paths) == 8
     # the coarse stage fixes 16 px patches and 3x3 decoder convolutions
@@ -367,6 +368,21 @@ def test_config_rejects_a_token_grid_no_array_can_hold(fields):
             .replace("input_hw=64,64", f"input_hw={h},{w}")
             .replace("window_divisor=2", f"window_divisor={d}"))
     with pytest.raises(ConfigError, match="token grid"):
+        ModelConfig.from_canonical_text(text)
+
+
+@pytest.mark.parametrize("field", ["heads", "head_dim", "mlp_ratio",
+                                   "path_channels", "smooth_channels",
+                                   "side_channels"])
+def test_config_rejects_a_width_no_weight_can_hold(field):
+    """A width of 10**20 once passed the config and died in numpy's
+    allocation when the detector was built; its weights' shapes are now
+    refused, naming the width, before any model is built."""
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{field: 10**20})
+    text = ModelConfig().canonical_text().replace(
+        f"{field}={getattr(ModelConfig(), field)}\n", f"{field}={10**20}\n")
+    with pytest.raises(ConfigError, match=field):
         ModelConfig.from_canonical_text(text)
 
 

@@ -11,7 +11,7 @@ from edgekit.errors import ConfigError, NumericError, ShapeError, UsageError
 from edgekit.gradcheck import check_op
 from edgekit.tensor import Tensor
 from oracles import (batch_norm_storing, conv_im2col, conv_im2col_grads,
-                     deconv_padded)
+                     deconv_padded, probability_chain_bce)
 
 rng = np.random.default_rng(1234)
 
@@ -735,6 +735,29 @@ def test_clip_gradient_zero_outside():
     assert np.array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
+def test_bce_with_logits_matches_the_probability_chain_in_float64():
+    """Where |z| < 10 the clamp of the old chain never acts, so its loss and
+    gradient equal the primitive's up to rounding."""
+    z0 = rng.uniform(-10.0, 10.0, size=(2, 1, 6, 6))
+    y = (rng.random(z0.shape) < 0.3).astype(np.float64)
+    w_pos, w_neg = 0.7 * y, 0.3 * (1.0 - y)
+    results = []
+    for loss_fn in (T.bce_with_logits, probability_chain_bce):
+        z = Tensor(z0, requires_grad=True)
+        with T.fresh_tape():
+            loss = loss_fn(z, w_pos, w_neg)
+            T.backward(loss)
+        results.append((loss.item(), z.grad))
+    (new, g_new), (old, g_old) = results
+    assert abs(new - old) <= 1e-12 * abs(old)
+    assert np.abs(g_new - g_old).max() <= 1e-15
+
+
+def test_bce_with_logits_rejects_weights_of_another_shape():
+    with pytest.raises(ShapeError):
+        T.bce_with_logits(Tensor(np.zeros((2, 3))), np.ones((2, 3)), np.ones(3))
+
+
 def test_concat_and_crop_round_trip():
     a = rng.normal(size=(1, 2, 3, 3))
     b = rng.normal(size=(1, 2, 3, 3))
@@ -764,7 +787,7 @@ _NOT_PRIMITIVES = {"Tensor", "Tape", "active_tape", "fresh_tape", "no_grad",
 
 def _dtype_cases():
     r = np.random.default_rng(8).normal
-    return {
+    cases = {
         "add": (T.add, [r(size=(2, 3, 4)), r(size=(4,))]),
         "sub": (T.sub, [r(size=(3, 4)), r(size=(3, 1))]),
         "mul": (T.mul, [r(size=(2, 1, 4)), r(size=(2, 3, 1))]),
@@ -805,6 +828,14 @@ def _dtype_cases():
         "bilinear_resize": (lambda x: T.bilinear_resize(x, (7, 5)),
                             [r(size=(1, 2, 4, 4))]),
     }
+    # saturated logits, right and wrong, in the first row
+    z = np.vstack([[-20.0, -18.0, 18.0, 20.0], 4.0 * r(size=(3, 4))])
+    y = (r(size=z.shape) > 0.5).astype(np.float64)
+    y[0] = (1.0, 0.0, 1.0, 0.0)
+    scale = np.abs(r(size=z.shape)) + 0.5
+    cases["bce_with_logits"] = (
+        lambda t: T.bce_with_logits(t, scale * y, scale * (1.0 - y)), [z])
+    return cases
 
 
 def _run_case(fn, arrays, dtype):

@@ -1,4 +1,6 @@
+import inspect
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -55,7 +57,7 @@ def test_ignore_band_marks_subthreshold_votes():
 # -- loss ---------------------------------------------------------------------
 
 def test_weighted_bce_hand_case_log2():
-    loss = weighted_bce(Tensor([0.5, 0.5]), np.array([1.0, 0.0]))
+    loss = weighted_bce(Tensor([0.0, 0.0]), np.array([1.0, 0.0]))
     assert abs(loss.item() - math.log(2.0)) < 1e-12
 
 
@@ -65,9 +67,10 @@ def test_weighted_bce_all_positive_degenerates_to_zero():
 
 
 def test_weighted_bce_perfect_prediction_negligible():
+    """Logits of probability 1 - eps on every true class."""
     y = (rng.random((8, 8)) < 0.3).astype(np.float64)
-    loss = weighted_bce(Tensor(y.copy()), y)
     eps = 1e-7
+    loss = weighted_bce(Tensor((2 * y - 1) * math.log((1 - eps) / eps)), y)
     assert loss.item() <= 2 * y.size * eps * abs(math.log(eps))
 
 
@@ -91,6 +94,21 @@ def test_weighted_bce_gradient_matches_finite_differences():
         e.data[idx] = orig
         num = (hi - lo) / (2 * h)
         assert abs(num - e.grad[idx]) / max(1.0, abs(num)) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weighted_bce_saturated_wrong_logit_keeps_its_gradient(dtype):
+    """Logit +20 on the negative pixel and -20 on the positive one: each
+    class weighs 1/2, so dloss/dz = (σ(20)/2, -σ(20)/2), where a clamp on
+    the probabilities gives 0."""
+    z = Tensor(np.array([20.0, -20.0], dtype=dtype), requires_grad=True)
+    with T.compute_dtype(dtype), T.fresh_tape():
+        loss = weighted_bce(z, np.array([0.0, 1.0]))
+        T.backward(loss)
+    half = 0.5 / (1.0 + math.exp(-20.0))
+    assert z.grad.dtype == dtype
+    assert np.allclose(z.grad, [half, -half], rtol=1e-6, atol=0.0)
+    assert abs(loss.item() - math.log1p(math.exp(20.0))) < 1e-5
 
 
 def test_weighted_bce_ignore_band_excluded():
@@ -133,14 +151,19 @@ def test_stage_loss_equal_maps_closed_form():
 
 def test_stage_loss_two_pixel_hand_computation():
     y = np.array([1.0, 0.0])
-    e = Tensor(np.array([0.6, 0.3]))
-    s = Tensor(np.array([0.5, 0.5]))
+    e = Tensor(np.array([math.log(0.6 / 0.4), math.log(0.3 / 0.7)]))
+    s = Tensor(np.array([0.0, 0.0]))
     lam = 0.4
     alpha = 0.5
     head = -(alpha * math.log(0.6) + (1 - alpha) * math.log(0.7))
     side = math.log(2.0)
     expect = head + lam * 8 * side
     assert abs(stage_loss(e, [s] * 8, y, lam).item() - expect) < 1e-12
+
+
+def test_stage_loss_lam_default_is_the_train_config_default():
+    lam = inspect.signature(stage_loss).parameters["lam"].default
+    assert lam == TrainConfig().lam
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -320,15 +343,30 @@ def test_ignore_band_missing_from_a_scene_rejected():
     assert [s for _, s, _ in result.history] == [1, 2]
 
 
+# Tape records of one toy 64x64 iteration at batch 2, per op; the op is the
+# first part of its adjoint's __qualname__. Each of a stage's nine heads
+# emits logits, and its loss is one bce_with_logits record; the stage loss
+# adds eight lam-weighted side losses to the main head's.
+STAGE1_RECORDS = {"add": 48, "batch_norm": 36, "bce_with_logits": 9,
+                  "conv2d": 29, "deconv2d": 32, "gelu": 8, "layer_norm": 16,
+                  "matmul": 65, "mul": 16, "reshape": 28, "softmax": 8,
+                  "transpose": 20}
+STAGE2_RECORDS = {"add": 33, "batch_norm": 38, "bce_with_logits": 9,
+                  "conv2d": 33, "deconv2d": 32, "gelu": 4, "layer_norm": 8,
+                  "matmul": 33, "mul": 13, "reshape": 24, "softmax": 4,
+                  "transpose": 16}
+
+
 def test_tape_records_per_iteration(monkeypatch):
-    """One 64x64 training iteration of the toy model at batch 2 records 396
-    tape entries in stage one and 328 in stage two. A change to the op graph
-    changes these figures and must update them on purpose."""
+    """One 64x64 training iteration of the toy model at batch 2 records 315
+    tape entries in stage one and 247 in stage two, counted per op. A change
+    to the op graph changes these figures and must update them on purpose."""
     counts = []
     backward = T.backward
 
     def counting(loss):
-        counts.append(len(T.active_tape()))
+        counts.append(Counter(r.adjoint.__qualname__.split(".")[0]
+                              for r in T.active_tape().records))
         backward(loss)
 
     monkeypatch.setattr(T, "backward", counting)
@@ -336,7 +374,8 @@ def test_tape_records_per_iteration(monkeypatch):
     train_two_phase(model, _tiny_scenes(size=64),
                     TrainConfig(iterations_stage1=1, iterations_stage2=1,
                                 batch_size=2, crop=64, seed=0))
-    assert counts == [396, 328]
+    assert counts == [STAGE1_RECORDS, STAGE2_RECORDS]
+    assert [sum(c.values()) for c in counts] == [315, 247]
 
 
 def test_one_layout_through_a_training_iteration(monkeypatch):
@@ -384,8 +423,10 @@ def test_side_outputs_count_range_and_gradient_reach():
         assert len(sides) == 8
         for s in sides:
             assert s.shape == (1, 1, 32, 32)
-            assert 0.0 < s.data.min() and s.data.max() < 1.0
-        loss = stage_loss(Tensor(np.full((1, 1, 32, 32), 0.5)), sides, y)
+            with T.no_grad():
+                p = T.sigmoid(s).data
+            assert 0.0 < p.min() and p.max() < 1.0
+        loss = stage_loss(Tensor(np.zeros((1, 1, 32, 32))), sides, y)
         T.backward(loss)
     for hw in ((16, 16), (32, 48)):  # the heads give exactly 32 x 32
         with pytest.raises(ShapeError):
