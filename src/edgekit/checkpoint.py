@@ -93,7 +93,10 @@ def _utf8(raw: bytes, what: str) -> str:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
-    """Read arrays and the embedded config; verify the config digest."""
+    """Read arrays and the embedded config; verify the config digest.
+
+    The arrays are writable float32 copies of the file's values; a model
+    makes its float64 parameters from them in ``load_state_arrays``."""
     r = _Reader(Path(path).read_bytes())
     if r.take(4) != MAGIC:
         raise MagicMismatch(f"{path} does not start with {MAGIC!r}")
@@ -117,5 +120,5 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
             raise CheckpointError(f"checkpoint tensor {name}: {why}")
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
         _check_finite(name, arr)
-        arrays[name] = arr.astype(np.float64)
+        arrays[name] = arr.astype(np.float32)
     return arrays, config_text

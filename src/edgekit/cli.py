@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import (CheckpointError, ConfigError, EdgekitError, InputError,
-                     NumericError, ParseError)
+from .errors import EdgekitError, InputError, NumericError
 from .evalbench import DEFAULT_TOLERANCE, evaluate_predictions, write_pr_csv
 from .model import DEFAULT_SCALES, EdgeDetector, ModelConfig
 from .rasters import load_edge_map, load_image, save_edge_map
@@ -194,9 +193,6 @@ def main(argv=None) -> int:
         ap.error("infer: --scales requires --ms")
     try:
         return args.fn(args)
-    except (ParseError, ConfigError, InputError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

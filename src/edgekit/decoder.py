@@ -1,15 +1,16 @@
-"""The BiMLA decoder: lifts four tapped token sets to full-resolution features.
+"""The BiMLA decoder: lifts four tapped maps to full-resolution features.
 
-The decoder runs a top-down and a bottom-up aggregation path over the
-four tapped levels, upsamples all eight path outputs with learned strided
-transposed convolutions, and smooths them together: the first smoothing
-convolution reads the eight maps as one 8 x ``path_channels`` input, so their
-concatenation is never stored. Both stages build it
-from the shared widths of ``ModelConfig`` (input width ``embed_dim``); the
-stage fixes the rest. Its patch side p sets the upsampling, stride 2 then
-p/2, each by a kernel of twice its stride: exactly p times the token grid.
-The coarse stage (p = 16) uses 3x3 path/smoothing convolutions, the fine
-stage (p = 8) 1x1 ones (no padding artifacts).
+The decoder reads the encoder's four tapped levels as whole-image
+(B, C, h, w) maps on the token grid, runs a top-down and a bottom-up
+aggregation path over them, upsamples all eight path outputs with learned
+strided transposed convolutions, and smooths them together: the first
+smoothing convolution reads the eight maps as one 8 x ``path_channels``
+input, so their concatenation is never stored. Both stages build it from
+the shared widths of ``ModelConfig`` (input width ``embed_dim``); the stage
+fixes the rest. Its patch side p sets the upsampling, stride 2 then p/2,
+each by a kernel of twice its stride: exactly p times the token grid. The
+coarse stage (p = 16) uses 3x3 path/smoothing convolutions, the fine stage
+(p = 8) 1x1 ones (no padding artifacts).
 """
 
 from __future__ import annotations
@@ -20,20 +21,10 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .errors import ShapeError
 from .tensor import Tensor
 
 if TYPE_CHECKING:
     from .model import ModelConfig
-
-
-def reshape_tokens(tokens: Tensor, grid: tuple[int, int]) -> Tensor:
-    """(B, N, C) token rows to a (B, C, h, w) map, row-major like patchify."""
-    h, w = grid
-    b, n, c = tokens.shape
-    if n != h * w:
-        raise ShapeError(f"{n} tokens cannot fill a {h}x{w} grid")
-    return T.transpose(T.reshape(tokens, (b, h, w, c)), (0, 3, 1, 2))
 
 
 def top_down_path(maps: list[Tensor], proj: nn.ModuleList,
@@ -111,15 +102,14 @@ class BiMLADecoder(nn.Module):
                                         for _ in range(8))
         self.smooth = SmoothStack(8 * pc, cfg.smooth_channels, kernel, rng)
 
-    def forward(self, taps: list[Tensor], grid: tuple[int, int]
-                ) -> tuple[Tensor, list[Tensor]]:
-        paths = self.paths(taps, grid)
+    def forward(self, maps: list[Tensor]) -> tuple[Tensor, list[Tensor]]:
+        paths = self.paths(maps)
         ups = self.upsample(paths)
         return self.smooth(ups), paths
 
-    def paths(self, taps: list[Tensor], grid: tuple[int, int]) -> list[Tensor]:
-        """The eight token-resolution path features (top-down then bottom-up)."""
-        maps = [reshape_tokens(t, grid) for t in taps]
+    def paths(self, maps: list[Tensor]) -> list[Tensor]:
+        """The eight token-resolution path features (top-down then bottom-up)
+        of the four tapped (B, C, h, w) maps."""
         td = top_down_path(maps, self.td_proj, self.td_conv)
         bu = bottom_up_path(maps, self.bu_proj, self.bu_conv)
         return td + bu

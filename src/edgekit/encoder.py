@@ -1,57 +1,50 @@
-"""Patch embedding and pre-norm transformer encoder with block-output taps.
+"""Windowed patch embedding and pre-norm transformer encoder with
+whole-image tap maps.
 
-One Encoder instance serves both roles in the detector: the coarse-patch
-context encoder and the fine-patch window encoder (the latter shared across
-all windows of an image). Both read their width, heads, head width and MLP
-ratio from ``ModelConfig``; the stage passes its patch side and its four tap
-indices, and the deepest tap sets the number of blocks. Each encoder trains
-one position embedding for its native token grid and bilinearly resizes it
-to any other grid, as ViT and SETR do, so the same weights serve every input
-size.
+One Encoder class serves both stages of the detector: the coarse-patch
+context encoder, which sees the whole image as one window, and the
+fine-patch window encoder, which splits the image into ``windows`` x
+``windows`` windows and encodes each as its own token sequence with shared
+weights. Both read their width, heads, head width and MLP ratio from
+``ModelConfig``; the stage passes its patch side, its four tap indices and
+its window count, and the deepest tap sets the number of blocks. Each
+encoder trains one position embedding for its native per-window token grid
+and bilinearly resizes it to any other grid, as ViT and SETR do, so the
+same weights serve every input size. Every tap leaves the encoder as one
+(B, C, H / patch, W / patch) map of the whole image, the windows' token
+grids set side by side, which is what the decoder reads.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
-from .errors import PartitionError, ShapeError
+from .errors import PartitionError
 from .tensor import Tensor
 
 if TYPE_CHECKING:
     from .model import ModelConfig
 
 
-class TokenSequence(NamedTuple):
-    tokens: Tensor          # (B, N, C)
-    grid: tuple[int, int]   # rows x cols, rows * cols == N
-
-
-def flatten_patches(image: np.ndarray, patch: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """Split (B, 3, H, W) into (B, N, patch*patch*3), channel-last per patch."""
+def flatten_patches(image: np.ndarray, patch: int, windows: int
+                    ) -> tuple[np.ndarray, tuple[int, int]]:
+    """Split (B, 3, H, W) into ``windows`` x ``windows`` row-major windows
+    of row-major patches, each patch channel-last: (B * windows**2, N,
+    patch*patch*3) and the per-window token grid (gh, gw), N = gh * gw."""
     b, c, h, w = image.shape
-    if h % patch or w % patch:
-        raise PartitionError(
-            f"image {h}x{w} not divisible by patch size {patch}"
-        )
-    gh, gw = h // patch, w // patch
-    x = image.reshape(b, c, gh, patch, gw, patch)
-    x = x.transpose(0, 2, 4, 3, 5, 1)  # B, gh, gw, py, px, ch
-    return x.reshape(b, gh * gw, patch * patch * c), (gh, gw)
-
-
-def add_position(seq: TokenSequence, pos: Tensor) -> TokenSequence:
-    """Add position embeddings already sized to the token grid."""
-    n, c = seq.tokens.shape[-2], seq.tokens.shape[-1]
-    if pos.shape != (n, c):
-        raise ShapeError(
-            f"position embedding {pos.shape} does not match tokens ({n}, {c})"
-        )
-    return TokenSequence(T.add(seq.tokens, pos), seq.grid)
+    cell = windows * patch
+    if h % cell or w % cell:
+        raise PartitionError(f"image {h}x{w} not divisible into {windows}x{windows} "
+                             f"windows of patch size {patch}")
+    gh, gw = h // cell, w // cell
+    x = image.reshape(b, c, windows, gh, patch, windows, gw, patch)
+    x = x.transpose(0, 2, 5, 3, 6, 4, 7, 1)  # B, wy, wx, gh, gw, py, px, ch
+    return x.reshape(b * windows * windows, gh * gw, patch * patch * c), (gh, gw)
 
 
 class MultiHeadSelfAttention(nn.Module):
@@ -108,17 +101,19 @@ class Encoder(nn.Module):
 
     ``taps`` are the 1-based block indices whose outputs the decoder reads;
     the deepest tap is the depth, so the stack holds ``taps[-1]`` blocks.
-    ``grid`` is the native token grid: its position embedding ``pos`` is
-    trained and added as is, while any other grid adds ``pos`` bilinearly
-    resized to that grid.
+    ``windows`` is the number of windows per image side, each encoded alone.
+    ``grid`` is the native per-window token grid: its position embedding
+    ``pos`` is trained and added as is, while any other grid adds ``pos``
+    bilinearly resized to that grid.
     """
 
     def __init__(self, cfg: ModelConfig, patch: int, taps: tuple[int, ...],
-                 grid: tuple[int, int], rng: np.random.Generator):
+                 grid: tuple[int, int], windows: int, rng: np.random.Generator):
         super().__init__()
         self.patch = patch
         self.taps = taps
         self.grid = grid
+        self.windows = windows
         c = cfg.embed_dim
         self.proj = nn.Linear(patch * patch * 3, c, rng)
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(grid[0] * grid[1], c)),
@@ -135,21 +130,19 @@ class Encoder(nn.Module):
         pos = T.transpose(T.bilinear_resize(pos, grid), (0, 2, 3, 1))
         return T.reshape(pos, (grid[0] * grid[1], c))
 
-    def embed(self, image: np.ndarray) -> TokenSequence:
-        patches, grid = flatten_patches(image, self.patch)
-        seq = TokenSequence(self.proj(Tensor(patches)), grid)
-        return add_position(seq, self.position(grid))
-
-    def encode(self, seq: TokenSequence) -> list[Tensor]:
-        """Run all blocks, returning the outputs at the tap indices."""
-        z = seq.tokens
+    def forward(self, image: np.ndarray) -> list[Tensor]:
+        """The tapped block outputs of (B, 3, H, W), each a (B, C, H / patch,
+        W / patch) map with every window's tokens in place."""
+        patches, (gh, gw) = flatten_patches(image, self.patch, self.windows)
+        z = T.add(self.proj(Tensor(patches)), self.position((gh, gw)))
         taps = []
         for i, block in enumerate(self.blocks, start=1):
             z = block(z)
             if i in self.taps:
                 taps.append(z)
-        return taps
-
-    def forward(self, image: np.ndarray) -> tuple[list[Tensor], tuple[int, int]]:
-        seq = self.embed(image)
-        return self.encode(seq), seq.grid
+        # the maps are built after the last block: a tap's gradient sums its
+        # map's and the next block's contributions in the tape's order
+        b, d, c = image.shape[0], self.windows, z.shape[-1]
+        return [T.reshape(T.transpose(T.reshape(t, (b, d, d, gh, gw, c)),
+                                      (0, 5, 1, 3, 2, 4)), (b, c, d * gh, d * gw))
+                for t in taps]

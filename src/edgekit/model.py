@@ -1,11 +1,13 @@
 """Two-stage edge detector: coarse context stage, windowed fine stage, fusion.
 
 Stage one encodes the whole image on coarse patches and decodes pixel-level
-context features plus an edge head. Stage two splits the image into
-non-overlapping windows, runs a shared fine-patch encoder per window,
-reassembles the window token grids into whole-image grids, decodes, fuses
-with the stage-one features, and predicts the final edge map. Every head,
-the side heads included, emits logits, which the loss takes as they are;
+context features plus an edge head. Stage two encodes non-overlapping
+windows of the image on fine patches, each window alone with shared
+weights, decodes the whole-image tap maps its encoder returns, fuses with
+the stage-one features, and predicts the final edge map. The two stages run
+one token path and differ only in their constants (patch side, taps,
+window count, decoder kernel) and in stage two's fusion. Every head, the
+side heads included, emits logits, which the loss takes as they are;
 :meth:`EdgeDetector.infer` turns stage two's into probabilities.
 """
 
@@ -20,7 +22,7 @@ from . import nn
 from . import tensor as T
 from .decoder import BiMLADecoder, UpsampleBlock
 from .encoder import Encoder
-from .errors import ConfigError, NumericError, PartitionError, ShapeError, UsageError
+from .errors import ConfigError, NumericError, ShapeError, UsageError
 from .rasters import unshapeable
 from .tensor import Tensor
 
@@ -69,9 +71,12 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be a tuple of 4 strictly "
                                   f"increasing integers >= 1, got {taps!r}")
         c, pc, side = self.embed_dim, self.path_channels, self.side_channels
-        largest_weights = {  # by the widths that size them
+        hidden = self.mlp_ratio * c
+        largest_weights = {  # by the widths and depths that size them; a
+            # stage's MLP weights, stacked over its blocks, bound its depth
             "embed_dim, heads, head_dim": (self.heads, c, self.head_dim),
-            "embed_dim, mlp_ratio": (c, self.mlp_ratio * c),
+            "global_taps, embed_dim, mlp_ratio": (self.global_taps[-1], c, hidden),
+            "local_taps, embed_dim, mlp_ratio": (self.local_taps[-1], c, hidden),
             "path_channels": (pc, pc, GLOBAL_PATCH, GLOBAL_PATCH),
             "path_channels, smooth_channels": (self.smooth_channels, 8 * pc, 3, 3),
             "side_channels": (side, side, GLOBAL_PATCH, GLOBAL_PATCH),
@@ -163,18 +168,6 @@ def _parse(raw: str, default):
     return type(default)(raw)
 
 
-def partition_windows(image: np.ndarray, divisor: int) -> list[np.ndarray]:
-    """Split (B, 3, H, W) into divisor^2 windows, row-major order."""
-    h, w = image.shape[-2], image.shape[-1]
-    if h % divisor or w % divisor:
-        raise PartitionError(
-            f"image {h}x{w} not divisible into {divisor}x{divisor} windows"
-        )
-    wh, ww = h // divisor, w // divisor
-    return [image[..., iy * wh:(iy + 1) * wh, ix * ww:(ix + 1) * ww]
-            for iy in range(divisor) for ix in range(divisor)]
-
-
 class SideHead(UpsampleBlock):
     """Upsamples one path feature to auxiliary full-resolution edge logits."""
 
@@ -231,16 +224,14 @@ class GlobalStage(nn.Module):
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
-        self.cfg = cfg
         grid = _native_grid(cfg, GLOBAL_PATCH)
-        self.encoder = Encoder(cfg, GLOBAL_PATCH, cfg.global_taps, grid, rng)
+        self.encoder = Encoder(cfg, GLOBAL_PATCH, cfg.global_taps, grid, 1, rng)
         self.decoder = BiMLADecoder(cfg, GLOBAL_PATCH, 3, rng)
         self.head = nn.Conv2d(cfg.smooth_channels, 1, 1, rng)
         self.sides = _side_heads(cfg, GLOBAL_PATCH, rng)
 
     def forward(self, image: np.ndarray):
-        taps, grid = self.encoder(image)
-        f_g, paths = self.decoder(taps, grid)
+        f_g, paths = self.decoder(self.encoder(image))
         return f_g, self.head(f_g), paths
 
 
@@ -249,38 +240,20 @@ class LocalStage(nn.Module):
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         super().__init__()
-        self.cfg = cfg
         # a window is 1/divisor of the image, so a token covers divisor*patch
-        grid = _native_grid(cfg, cfg.window_divisor * LOCAL_PATCH)
-        self.encoder = Encoder(cfg, LOCAL_PATCH, cfg.local_taps, grid, rng)
+        d = cfg.window_divisor
+        grid = _native_grid(cfg, d * LOCAL_PATCH)
+        self.encoder = Encoder(cfg, LOCAL_PATCH, cfg.local_taps, grid, d, rng)
         self.decoder = BiMLADecoder(cfg, LOCAL_PATCH, 1, rng)
         ch = cfg.smooth_channels
         self.fusion = FeatureFusion(ch, rng)
         self.head = nn.Conv2d(ch, 1, 1, rng)
         self.sides = _side_heads(cfg, LOCAL_PATCH, rng)
 
-    def window_taps(self, image: np.ndarray) -> tuple[list[Tensor], tuple[int, int]]:
-        """Per-window taps reassembled into whole-image token grids."""
-        d = self.cfg.window_divisor
-        windows = partition_windows(image, d)
-        b = image.shape[0]
-        batched = np.concatenate([w[:, None] for w in windows], axis=1)
-        batched = batched.reshape(b * d * d, *image.shape[1:-2],
-                                  image.shape[-2] // d, image.shape[-1] // d)
-        taps, (gh, gw) = self.encoder(batched)
-        c = self.cfg.embed_dim
-        merged = []
-        for tap in taps:
-            t = T.reshape(tap, (b, d, d, gh, gw, c))
-            t = T.transpose(t, (0, 1, 3, 2, 4, 5))
-            merged.append(T.reshape(t, (b, d * gh * d * gw, c)))
-        return merged, (d * gh, d * gw)
-
     def forward(self, image: np.ndarray, f_g: Tensor | None):
         if f_g is None:
             raise UsageError("stage two requires the stage-one feature map")
-        taps, grid = self.window_taps(image)
-        f_r, paths = self.decoder(taps, grid)
+        f_r, paths = self.decoder(self.encoder(image))
         fused = self.fusion(f_g, f_r)
         return f_r, self.head(fused), paths, fused
 

@@ -134,11 +134,11 @@ def _two_block_encoder_check(rng: np.random.Generator) -> tuple[str, GradcheckRe
     """Toy two-block encoder, every parameter probed."""
     from .encoder import Encoder
 
-    enc = Encoder(_SMALL_BLOCKS, 8, (1, 2), (2, 2), rng)
+    enc = Encoder(_SMALL_BLOCKS, 8, (1, 2), (2, 2), 1, rng)
     img = rng.random((1, 3, 16, 16))
 
     def loss_fn():
-        taps, _ = enc(img)
+        taps = enc(img)
         return T.add(T.tensor_sum(T.mul(taps[0], 0.7)), T.tensor_sum(taps[1]))
 
     return ("encoder_2block", check_gradients(

@@ -19,9 +19,9 @@ norm that keeps its normalized map for the adjoint, and the eval-mode batch
 norm + ReLU that normalized by the running moments before the model folded
 it into its convolutions. The class-balanced loss as the engine computed
 it from probabilities, through a sigmoid, a clamp and two logs, checks the
-weighted sigmoid cross-entropy of logits that replaced it. The inverses of
-the model's token and window layouts are here too, because only tests need
-them, and so is the model's earlier inference path: float64 throughout,
+weighted sigmoid cross-entropy of logits that replaced it. The inverse of
+the encoder's windowed patch layout is here too, because only tests need
+it, and so is the model's earlier inference path: float64 throughout,
 with that eval-mode batch norm run after each convolution instead of
 folded in. The copies of stage one
 that check the two-phase freeze are taken here, through a spy on phase
@@ -289,19 +289,24 @@ def batch_norm_relu_eval(x: Tensor, bn: nn.BatchNorm2d) -> Tensor:
                              + bn.bias.data[:, None, None], 0.0))
 
 
-def flatten_map(m: Tensor) -> Tensor:
-    """Inverse of ``decoder.reshape_tokens``: a (B, C, h, w) map to (B, h*w, C)
-    token rows (exact round trip)."""
-    b, c, h, w = m.shape
-    return T.reshape(T.transpose(m, (0, 2, 3, 1)), (b, h * w, c))
-
-
-def reassemble_windows(windows: list[np.ndarray], divisor: int = 2) -> np.ndarray:
-    """Inverse of ``model.partition_windows``: row-major windows back to one
-    image."""
-    rows = [np.concatenate(windows[iy * divisor:(iy + 1) * divisor], axis=-1)
-            for iy in range(divisor)]
-    return np.concatenate(rows, axis=-2)
+def unflatten_patches(patches: np.ndarray, grid: tuple[int, int], patch: int,
+                      windows: int) -> np.ndarray:
+    """Inverse of ``encoder.flatten_patches``, pixel by pixel: each row of
+    (B * windows**2, gh * gw, patch * patch * 3) back into its window's
+    patch of a (B, 3, H, W) image."""
+    (gh, gw), p, d = grid, patch, windows
+    b = patches.shape[0] // (d * d)
+    image = np.empty((b, 3, d * gh * p, d * gw * p))
+    for n in range(patches.shape[0]):
+        bi, wi = divmod(n, d * d)
+        wy, wx = divmod(wi, d)
+        for t in range(gh * gw):
+            ty, tx = divmod(t, gw)
+            for k in range(p * p * 3):
+                (py, px), ch = divmod(k // 3, p), k % 3
+                image[bi, ch, (wy * gh + ty) * p + py,
+                      (wx * gw + tx) * p + px] = patches[n, t, k]
+    return image
 
 
 def unfold_batch_norm_in_float64(monkeypatch) -> None:

@@ -13,17 +13,17 @@ import numpy as np
 import pytest
 
 from edgekit import tensor as T
-from edgekit.encoder import Encoder
+from edgekit.encoder import Encoder, flatten_patches
 from edgekit.evalbench import evaluate_predictions, match_correspondence, nms_thin
-from edgekit.model import GLOBAL_PATCH, EdgeDetector, ModelConfig, partition_windows
+from edgekit.model import GLOBAL_PATCH, LOCAL_PATCH, EdgeDetector, ModelConfig
 from edgekit.suite import full_model_check, layer_checks
 from edgekit.synth import generate_scene
 from edgekit.tensor import Tensor
 from edgekit.train import (AnnotationStack, Scene, TrainConfig, consensus_labels,
                            stage_loss, train_two_phase, weighted_bce)
 
-from oracles import (brute_force_report, optimal_match_count, reassemble_windows,
-                     spy_stage1_at_phase_two, stage1_changes)
+from oracles import (brute_force_report, optimal_match_count, spy_stage1_at_phase_two,
+                     stage1_changes, unflatten_patches)
 
 EVAL_TOL = 0.0075
 
@@ -57,9 +57,9 @@ def test_shape_and_normalization_suite():
     rng = np.random.default_rng(1)
     # attention rows sum to 1 for every block and head
     cfg = ModelConfig()
-    enc = Encoder(cfg, GLOBAL_PATCH, cfg.global_taps, (4, 4), rng)
-    seq = enc.embed(rng.random((1, 3, 64, 64)))
-    z = seq.tokens
+    enc = Encoder(cfg, GLOBAL_PATCH, cfg.global_taps, (4, 4), 1, rng)
+    patches, _ = flatten_patches(rng.random((1, 3, 64, 64)), GLOBAL_PATCH, 1)
+    z = T.add(enc.proj(Tensor(patches)), enc.pos)
     max_row_err = 0.0
     with T.no_grad():
         for block in enc.blocks:
@@ -84,9 +84,10 @@ def test_shape_and_normalization_suite():
             for out in [e_g, e_r] + sides:
                 shapes_ok &= out.shape == (1, 1, h, w)
 
-    # bit-exact window partition round trip
+    # bit-exact windowed patchify round trip
     img = rng.random((2, 3, 96, 64))
-    round_ok = np.array_equal(reassemble_windows(partition_windows(img, 2)), img)
+    patches, grid = flatten_patches(img, LOCAL_PATCH, 2)
+    round_ok = np.array_equal(unflatten_patches(patches, grid, LOCAL_PATCH, 2), img)
 
     report("shape/normalization suite",
            rows_ok and shapes_ok and round_ok,

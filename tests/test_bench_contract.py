@@ -1,6 +1,6 @@
 """The names and records the benchmark uses must exist in the package.
 
-``bench/tracing.py`` replaces tensor primitives and decoder methods by name,
+``bench/tracing.py`` replaces tensor primitives and model methods by name,
 and reads and rewraps the tape records of the ops it wraps, so renaming or
 deleting one breaks ``bench/run.py --trace 1``. ``bench/workloads.py``
 builds its training settings by ``TrainConfig`` field name, so renaming a
@@ -43,12 +43,37 @@ def test_traced_ops_are_tensor_functions(name):
         assert callable(T.__dict__.get(op)), op
 
 
+def _model_built_patches() -> set[tuple[str, str]]:
+    """(owner expression, attribute) of each per-instance method that
+    ``Tracer.model_built`` wraps."""
+    for node in ast.walk(ast.parse(TRACING.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == "model_built":
+            return {(ast.unparse(call.args[0]), call.args[1].value)
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", "") == "_patch_instance"}
+    raise AssertionError(f"Tracer.model_built not found in {TRACING}")
+
+
 def test_traced_decoder_methods_exist():
+    """Every method ``Tracer.model_built`` wraps exists on a built model:
+    each stage's encoder and decoder methods and stage two's fusion. Its
+    owners are the detector, a stage or a stage's decoder, which are not
+    module aliases, so ``_bench_reads`` does not see them."""
+    patches = _model_built_patches()
+    assert patches >= {("stage.encoder", "forward"), ("dec", "forward"),
+                       ("dec", "paths"), ("dec", "upsample"),
+                       ("dec.smooth", "forward"),
+                       ("detector.local_stage.fusion", "forward")}
     model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
-    for dec in (model.global_stage.decoder, model.local_stage.decoder):
-        for attr in ("forward", "paths", "upsample"):
-            assert callable(getattr(dec, attr)), (type(dec).__name__, attr)
-        assert callable(dec.smooth.forward)
+    for stage in (model.global_stage, model.local_stage):
+        names = {"detector": model, "stage": stage, "dec": stage.decoder}
+        for owner, attr in sorted(patches):
+            first, *rest = owner.split(".")
+            obj = names[first]
+            for part in rest:
+                obj = getattr(obj, part)
+            assert callable(getattr(obj, attr)), (owner, attr)
 
 
 def test_tape_records_expose_what_the_tracer_reads():

@@ -187,6 +187,45 @@ def test_train_width_no_weight_can_hold_exit_code(trained, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key", ["global_taps", "local_taps"])
+def test_train_depth_no_weight_can_hold_exit_code(trained, tmp_path, monkeypatch,
+                                                  capsys, key):
+    """A deepest tap of 10**20 would build blocks until memory ran out; the
+    config refuses it before any model is built."""
+    _, data, _, _ = trained
+    built = []
+    monkeypatch.setattr(cli, "EdgeDetector", lambda *a, **kw: built.append(a))
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(SMALL_CONFIG.format(data=data, out=tmp_path / "run")
+                   + f"{key}=1,2,3,{10**20}\n")
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert f"{key}, embed_dim, mlp_ratio give a weight" in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["global_taps", "local_taps"])
+def test_infer_checkpoint_depth_no_weight_can_hold_exit_code(trained, tmp_path,
+                                                             monkeypatch, capsys, key):
+    """A checkpoint whose digest-matched config has a deepest tap of 10**20
+    exits 3 before a model is built."""
+    _, data, out, _ = trained
+    arrays, text = load_checkpoint(out / "model.ckpt")
+    default = ",".join(map(str, getattr(ModelConfig(), key)))
+    assert f"{key}={default}\n" in text
+    ckpt = tmp_path / "deep.ckpt"
+    save_checkpoint(ckpt, arrays, text.replace(f"{key}={default}\n",
+                                               f"{key}=1,2,3,{10**20}\n"))
+    built = []
+    monkeypatch.setattr(cli, "EdgeDetector", lambda *a, **kw: built.append(a))
+    assert main(["infer", "--ckpt", str(ckpt), "--in",
+                 str(data / "images" / "000.ppm"),
+                 "--out", str(tmp_path / "e.pgm")]) == 3
+    assert f"{key}, embed_dim, mlp_ratio give a weight" in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "e.pgm").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--n", "1", "--seed", "-3"],
     ["synth", "--n", "-2"],

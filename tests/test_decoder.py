@@ -3,12 +3,12 @@ import pytest
 
 from edgekit import nn
 from edgekit import tensor as T
-from edgekit.decoder import BiMLADecoder, UpsampleBlock, reshape_tokens
-from edgekit.errors import ShapeError, UsageError
+from edgekit.decoder import BiMLADecoder, UpsampleBlock
+from edgekit.errors import UsageError
 from edgekit.gradcheck import check_gradients
 from edgekit.model import ModelConfig
 from edgekit.tensor import Tensor
-from oracles import batch_norm_relu_eval, flatten_map
+from oracles import batch_norm_relu_eval
 
 rng = np.random.default_rng(21)
 # (patch, path/smoothing kernel) each stage fixes
@@ -18,27 +18,6 @@ STAGE = {"global": (16, 3), "local": (8, 1)}
 def small_decoder(stage="global", pc=4, seed=0):
     cfg = ModelConfig(embed_dim=4, path_channels=pc, smooth_channels=4)
     return BiMLADecoder(cfg, *STAGE[stage], np.random.default_rng(seed))
-
-
-def test_reshape_tokens_round_trip():
-    tokens = Tensor(rng.normal(size=(1, 4, 5)))
-    m = reshape_tokens(tokens, (2, 2))
-    assert m.shape == (1, 5, 2, 2)
-    back = flatten_map(m)
-    assert np.array_equal(back.data, tokens.data)
-
-
-def test_reshape_tokens_one_hot_position():
-    tokens = np.zeros((1, 4, 1))
-    tokens[0, 2, 0] = 1.0  # third token of a (2,2) grid -> row 1, col 0
-    m = reshape_tokens(Tensor(tokens), (2, 2))
-    assert m.data[0, 0, 1, 0] == 1.0
-    assert m.data.sum() == 1.0
-
-
-def test_reshape_tokens_grid_mismatch():
-    with pytest.raises(ShapeError):
-        reshape_tokens(Tensor(np.zeros((1, 4, 2))), (1, 3))
 
 
 def _identity_paths(dec: BiMLADecoder):
@@ -59,9 +38,9 @@ def _identity_paths(dec: BiMLADecoder):
 def test_top_down_identity_closed_form():
     dec = small_decoder()
     _identity_paths(dec)
-    taps = [Tensor(rng.normal(size=(1, 4, 4))) for _ in range(4)]
-    paths = dec.paths(taps, (2, 2))
-    maps = [reshape_tokens(t, (2, 2)).data for t in taps]
+    taps = [Tensor(rng.normal(size=(1, 4, 2, 2))) for _ in range(4)]
+    paths = dec.paths(taps)
+    maps = [t.data for t in taps]
     for level in range(4):
         expect = np.sum(maps[level:], axis=0)
         assert np.allclose(paths[level].data, expect, atol=1e-12)
@@ -70,9 +49,9 @@ def test_top_down_identity_closed_form():
 def test_bottom_up_identity_closed_form():
     dec = small_decoder()
     _identity_paths(dec)
-    taps = [Tensor(rng.normal(size=(1, 4, 4))) for _ in range(4)]
-    paths = dec.paths(taps, (2, 2))
-    maps = [reshape_tokens(t, (2, 2)).data for t in taps]
+    taps = [Tensor(rng.normal(size=(1, 4, 2, 2))) for _ in range(4)]
+    paths = dec.paths(taps)
+    maps = [t.data for t in taps]
     assert np.allclose(paths[7].data, np.sum(maps, axis=0), atol=1e-12)
     assert np.allclose(paths[4].data, maps[0], atol=1e-12)
 
@@ -80,18 +59,18 @@ def test_bottom_up_identity_closed_form():
 def test_path_symmetry_identity_weights():
     dec = small_decoder()
     _identity_paths(dec)
-    taps = [Tensor(rng.normal(size=(1, 4, 4))) for _ in range(4)]
-    paths = dec.paths(taps, (2, 2))
+    taps = [Tensor(rng.normal(size=(1, 4, 2, 2))) for _ in range(4)]
+    paths = dec.paths(taps)
     assert np.allclose(paths[0].data, paths[7].data, atol=1e-12)
 
 
 def test_single_top_level_reaches_every_top_down_output():
     dec = small_decoder()
     _identity_paths(dec)
-    taps = [Tensor(np.zeros((1, 4, 4))) for _ in range(3)]
-    taps.append(Tensor(rng.normal(size=(1, 4, 4))))
-    paths = dec.paths(taps, (2, 2))
-    top_map = reshape_tokens(taps[3], (2, 2)).data
+    taps = [Tensor(np.zeros((1, 4, 2, 2))) for _ in range(3)]
+    taps.append(Tensor(rng.normal(size=(1, 4, 2, 2))))
+    paths = dec.paths(taps)
+    top_map = taps[3].data
     for level in range(4):
         assert np.allclose(paths[level].data, top_map, atol=1e-12)
 
@@ -101,8 +80,8 @@ def test_zero_taps_zero_paths():
     for mods in (dec.td_proj, dec.td_conv, dec.bu_proj, dec.bu_conv):
         for m in mods:
             m.bias.data[:] = 0.0
-    taps = [Tensor(np.zeros((1, 4, 4))) for _ in range(4)]
-    for p in dec.paths(taps, (2, 2)):
+    taps = [Tensor(np.zeros((1, 4, 2, 2))) for _ in range(4)]
+    for p in dec.paths(taps):
         assert np.allclose(p.data, 0.0)
 
 
@@ -121,8 +100,8 @@ def test_decode_output_extent_and_paths():
         dec.eval()
         grid = (2, 3)
         out_hw = (grid[0] * patch, grid[1] * patch)
-        taps = [Tensor(rng.normal(size=(1, 6, 4))) for _ in range(4)]
-        feats, paths = dec(taps, grid)
+        taps = [Tensor(rng.normal(size=(1, 4, *grid))) for _ in range(4)]
+        feats, paths = dec(taps)
         assert feats.shape == (1, 4, *out_hw)
         assert len(paths) == 8
 
@@ -130,8 +109,8 @@ def test_decode_output_extent_and_paths():
 def test_zero_taps_constant_output():
     dec = small_decoder()
     dec.eval()
-    taps = [Tensor(np.zeros((1, 4, 4))) for _ in range(4)]
-    feats, _ = dec(taps, (2, 2))
+    taps = [Tensor(np.zeros((1, 4, 2, 2))) for _ in range(4)]
+    feats, _ = dec(taps)
     for ch in range(feats.shape[1]):
         assert np.ptp(feats.data[0, ch]) < 1e-12
 
@@ -139,12 +118,12 @@ def test_zero_taps_constant_output():
 def test_local_variant_receptive_field_confined():
     dec = small_decoder("local", seed=3)
     dec.eval()
-    base = [rng.normal(size=(1, 9, 4)) for _ in range(4)]
-    feats0, _ = dec([Tensor(t) for t in base], (3, 3))
+    base = [rng.normal(size=(1, 4, 3, 3)) for _ in range(4)]
+    feats0, _ = dec([Tensor(t) for t in base])
     bumped = [t.copy() for t in base]
     ti, tj = 1, 1  # middle token of the (3,3) grid
-    bumped[2][0, ti * 3 + tj] += 1.0
-    feats1, _ = dec([Tensor(t) for t in bumped], (3, 3))
+    bumped[2][0, :, ti, tj] += 1.0
+    feats1, _ = dec([Tensor(t) for t in bumped])
     diff = np.abs(feats1.data - feats0.data).sum(axis=(0, 1))
     # fine-variant upsampling footprint: token i reaches rows [2 i - 1, 2 i + 3)
     # after the stride-2 deconv (kernel 4, padding 1) and, through the
@@ -160,11 +139,11 @@ def test_local_variant_receptive_field_confined():
 def test_decoder_gradcheck_small():
     dec = small_decoder("local", pc=2, seed=1)
     dec.train()
-    taps_data = [rng.normal(size=(1, 4, 4)) for _ in range(4)]
+    taps_data = [rng.normal(size=(1, 4, 2, 2)) for _ in range(4)]
     weights = rng.normal(size=(1, 4, 16, 16))
 
     def loss_fn():
-        feats, _ = dec([Tensor(t) for t in taps_data], (2, 2))
+        feats, _ = dec([Tensor(t) for t in taps_data])
         return T.tensor_sum(T.mul(feats, weights))
 
     report = check_gradients(loss_fn, list(dec.named_parameters()),

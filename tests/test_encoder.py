@@ -3,9 +3,9 @@ import pytest
 
 from edgekit import nn
 from edgekit import tensor as T
-from edgekit.encoder import (Encoder, MultiHeadSelfAttention, TokenSequence,
-                             TransformerBlock, add_position, flatten_patches)
-from edgekit.errors import ConfigError, PartitionError, ShapeError
+from edgekit.encoder import (Encoder, MultiHeadSelfAttention, TransformerBlock,
+                             flatten_patches)
+from edgekit.errors import ConfigError, PartitionError
 from edgekit.gradcheck import check_gradients
 from edgekit.model import ModelConfig
 from edgekit.tensor import Tensor
@@ -15,21 +15,21 @@ rng = np.random.default_rng(7)
 TOY = ModelConfig(embed_dim=8, heads=2, head_dim=4, mlp_ratio=2)
 
 
-def toy_encoder(grid, seed, taps=(1, 2)):
+def toy_encoder(grid, seed, taps=(1, 2), windows=1):
     """An 8-wide encoder on 8 px patches; the default taps build two blocks
-    and tap both."""
-    return Encoder(TOY, 8, taps, grid, np.random.default_rng(seed))
+    and tap both, and the default window count encodes the whole image."""
+    return Encoder(TOY, 8, taps, grid, windows, np.random.default_rng(seed))
 
 
 def test_flatten_patches_grid():
     img = rng.random((1, 3, 32, 32))
-    patches, grid = flatten_patches(img, 16)
+    patches, grid = flatten_patches(img, 16, 1)
     assert grid == (2, 2)
     assert patches.shape == (1, 4, 16 * 16 * 3)
 
 
 def test_flatten_patches_paper_token_count():
-    patches, grid = flatten_patches(np.zeros((1, 3, 320, 320)), 16)
+    patches, grid = flatten_patches(np.zeros((1, 3, 320, 320)), 16, 1)
     assert patches.shape[1] == 400  # HW / 256
     assert grid == (20, 20)
 
@@ -37,44 +37,60 @@ def test_flatten_patches_paper_token_count():
 def test_flatten_patches_channel_last_order():
     img = np.zeros((1, 3, 2, 2))
     img[0, :, 0, 1] = [1.0, 2.0, 3.0]  # pixel (0,1), all channels
-    patches, _ = flatten_patches(img, 2)
+    patches, _ = flatten_patches(img, 2, 1)
     # row-major within patch, channels fastest: pixel (0,1) -> entries 3..5
     assert np.array_equal(patches[0, 0, 3:6], [1.0, 2.0, 3.0])
 
 
 def test_flatten_patches_indivisible():
     with pytest.raises(PartitionError, match="33x32.*16"):
-        flatten_patches(np.zeros((1, 3, 33, 32)), 16)
+        flatten_patches(np.zeros((1, 3, 33, 32)), 16, 1)
+
+
+@pytest.mark.parametrize("windows", [1, 2, 3])
+@pytest.mark.parametrize("cells", [(2, 2), (2, 3), (3, 1)])
+def test_windowed_patches_are_each_windows_own_patches(windows, cells):
+    """Image b's windows come as rows b * d**2 ... (b + 1) * d**2 - 1 in
+    row-major window order, and each holds the patches the window, cut out
+    alone, flattens to."""
+    p, d = 4, windows
+    wh, ww = cells[0] * p, cells[1] * p
+    img = rng.random((2, 3, d * wh, d * ww))
+    patches, grid = flatten_patches(img, p, d)
+    assert grid == cells
+    assert patches.shape == (2 * d * d, cells[0] * cells[1], p * p * 3)
+    for b in range(2):
+        for iy in range(d):
+            for ix in range(d):
+                window = img[b:b + 1, :, iy * wh:(iy + 1) * wh, ix * ww:(ix + 1) * ww]
+                own, own_grid = flatten_patches(window, p, 1)
+                assert own_grid == cells
+                assert np.array_equal(patches[(b * d + iy) * d + ix], own[0])
+
+
+def test_windowed_patches_need_whole_windows_of_patches():
+    """A side that holds whole patches but not whole windows of them is
+    refused."""
+    flatten_patches(np.zeros((1, 3, 24, 32)), 8, 1)
+    with pytest.raises(PartitionError, match="24x32.*2x2.*8"):
+        flatten_patches(np.zeros((1, 3, 24, 32)), 8, 2)
+    with pytest.raises(PartitionError):
+        flatten_patches(np.zeros((1, 3, 32, 24)), 8, 2)
 
 
 def test_zero_image_zero_bias_gives_zero_tokens():
     enc = toy_encoder((2, 2), 0)
     enc.proj.bias.data[:] = 0.0
-    patches, grid = flatten_patches(np.zeros((1, 3, 16, 16)), 8)
+    patches, grid = flatten_patches(np.zeros((1, 3, 16, 16)), 8, 1)
     tokens = enc.proj(Tensor(patches))
     assert np.array_equal(tokens.data, np.zeros_like(tokens.data))
-
-
-def test_add_position_identity_and_cancel():
-    tok = Tensor(rng.normal(size=(1, 4, 8)))
-    seq = TokenSequence(tok, (2, 2))
-    zero = add_position(seq, Tensor(np.zeros((4, 8))))
-    assert np.array_equal(zero.tokens.data, tok.data)
-    cancel = add_position(seq, Tensor(-tok.data[0]))
-    assert np.allclose(cancel.tokens.data[0], 0.0)
-
-
-def test_add_position_shape_error_no_interpolation():
-    seq = TokenSequence(Tensor(np.zeros((1, 4, 8))), (2, 2))
-    with pytest.raises(ShapeError):
-        add_position(seq, Tensor(np.zeros((9, 8))))
 
 
 def test_position_embedding_receives_gradient():
     enc = toy_encoder((2, 2), 0)
     img = rng.random((1, 3, 16, 16))
     with T.fresh_tape():
-        taps, _ = enc(img)
+        taps = enc(img)
         T.backward(T.tensor_sum(taps[-1]))
     assert enc.pos.grad is not None
     assert np.abs(enc.pos.grad).max() > 0
@@ -151,7 +167,7 @@ def test_attention_tape_records_independent_of_heads():
 
 def test_encode_all_taps_when_every_block_tapped():
     enc = toy_encoder((2, 2), 0, taps=(1, 2, 3, 4))
-    taps, _ = enc(rng.random((1, 3, 16, 16)))
+    taps = enc(rng.random((1, 3, 16, 16)))
     assert len(taps) == 4
 
 
@@ -159,15 +175,16 @@ def test_depth_is_the_last_tap():
     """The stack holds taps[-1] blocks and returns the tapped outputs only."""
     enc = toy_encoder((2, 2), 0, taps=(2, 5))
     assert len(enc.blocks) == 5
-    seq = enc.embed(rng.random((1, 3, 16, 16)))
-    taps = enc.encode(seq)
-    z, outs = seq.tokens, []
+    img = rng.random((1, 3, 16, 16))
+    taps = enc(img)
+    patches, _ = flatten_patches(img, 8, 1)
+    z, outs = T.add(enc.proj(Tensor(patches)), enc.pos), []
     for block in enc.blocks:
         z = block(z)
-        outs.append(z)
+        outs.append(z.data.reshape(1, 2, 2, 8).transpose(0, 3, 1, 2))
     assert len(taps) == 2
-    assert np.array_equal(taps[0].data, outs[1].data)
-    assert np.array_equal(taps[1].data, outs[4].data)
+    assert np.array_equal(taps[0].data, outs[1])
+    assert np.array_equal(taps[1].data, outs[4])
 
 
 def test_paper_scale_tap_defaults():
@@ -189,8 +206,7 @@ def test_encoder_deterministic_replay():
 
     def run():
         enc = toy_encoder((2, 2), 5)
-        taps, _ = enc(img)
-        return [t.data.copy() for t in taps]
+        return [t.data.copy() for t in enc(img)]
 
     a, b = run(), run()
     for x, y in zip(a, b):
@@ -201,18 +217,21 @@ def test_permutation_equivariance_without_positions():
     enc = toy_encoder((2, 2), 2)
     tokens = rng.normal(size=(1, 4, 8))
     perm = np.array([2, 0, 3, 1])
-    base = enc.encode(TokenSequence(Tensor(tokens), (2, 2)))
-    permuted = enc.encode(TokenSequence(Tensor(tokens[:, perm]), (2, 2)))
-    for t_base, t_perm in zip(base, permuted):
-        assert np.abs(t_base.data[:, perm] - t_perm.data).max() < 1e-12
+    base, permuted = Tensor(tokens), Tensor(tokens[:, perm])
+    for block in enc.blocks:
+        base, permuted = block(base), block(permuted)
+        assert np.abs(base.data[:, perm] - permuted.data).max() < 1e-12
 
 
 def test_tapped_output_shape():
+    """Every tap is a whole-image (B, C, H / patch, W / patch) map, the
+    windows' token grids side by side."""
     enc = toy_encoder((3, 2), 2)
-    taps, grid = enc(rng.random((2, 3, 24, 16)))
-    assert grid == (3, 2)
-    for t in taps:
-        assert t.shape == (2, 6, 8)
+    for t in enc(rng.random((2, 3, 24, 16))):
+        assert t.shape == (2, 8, 3, 2)
+    enc = toy_encoder((3, 2), 2, windows=2)
+    for t in enc(rng.random((2, 3, 48, 32))):
+        assert t.shape == (2, 8, 6, 4)
 
 
 def test_other_grids_resize_the_trained_embedding():
@@ -225,10 +244,9 @@ def test_other_grids_resize_the_trained_embedding():
         for p in enc.parameters():
             p.grad = None
         with T.fresh_tape():
-            taps, got = enc(rng.random((1, 3, 8 * grid[0], 8 * grid[1])))
+            taps = enc(rng.random((1, 3, 8 * grid[0], 8 * grid[1])))
             T.backward(T.tensor_sum(taps[-1]))
-        assert got == grid
-        assert taps[-1].shape == (1, grid[0] * grid[1], 8)
+        assert taps[-1].shape == (1, 8, *grid)
         assert np.abs(enc.pos.grad).max() > 0
         want = T.bilinear_resize(Tensor(native), grid).data[0].reshape(8, -1).T
         assert np.array_equal(enc.position(grid).data, want)
@@ -239,7 +257,7 @@ def test_two_block_encoder_gradcheck():
     img = rng.random((1, 3, 16, 16))
 
     def loss_fn():
-        taps, _ = enc(img)
+        taps = enc(img)
         return T.add(T.tensor_sum(T.mul(taps[0], 0.5)), T.tensor_sum(taps[1]))
 
     report = check_gradients(loss_fn, list(enc.named_parameters()),

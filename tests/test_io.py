@@ -185,8 +185,11 @@ def test_checkpoint_round_trip_ulp(tmp_path):
     assert cfg == "k=v\n"
     for name, arr in arrays.items():
         f32 = arr.astype(np.float32)
-        assert np.array_equal(loaded[name], f32.astype(np.float64))
-        err = np.abs(loaded[name] - arr)
+        # the file's float32 values, writable; the model's float64 copy is
+        # made by load_state_arrays
+        assert loaded[name].dtype == np.float32 and loaded[name].flags.writeable
+        assert np.array_equal(loaded[name], f32)
+        err = np.abs(loaded[name].astype(np.float64) - arr)
         assert np.all(err <= np.abs(np.spacing(f32)))  # spacing is < 0 below zero
 
 

@@ -1,3 +1,4 @@
+import copy
 import warnings
 from dataclasses import fields
 
@@ -7,11 +8,12 @@ import pytest
 from edgekit import tensor as T
 from edgekit.errors import (ConfigError, NumericError, PartitionError, ShapeError,
                             UsageError)
-from edgekit.model import EdgeDetector, ModelConfig, partition_windows
+from edgekit.encoder import flatten_patches
+from edgekit.model import EdgeDetector, ModelConfig
 from edgekit.tensor import Tensor
 from edgekit.train import stage_loss
 import oracles
-from oracles import reassemble_windows, unfold_batch_norm_in_float64
+from oracles import unflatten_patches, unfold_batch_norm_in_float64
 
 rng = np.random.default_rng(5)
 
@@ -33,24 +35,27 @@ def image():
 
 
 def test_partition_four_windows_row_major():
+    """The fine stage's patchify splits a 320 x 320 image into four 160 x
+    160 windows of 20 x 20 patches, row-major."""
     img = np.arange(3 * 320 * 320, dtype=np.float64).reshape(1, 3, 320, 320)
-    wins = partition_windows(img, 2)
-    assert len(wins) == 4
-    assert all(w.shape == (1, 3, 160, 160) for w in wins)
-    # pixel (0, W-1) lands in the top-right window at (0, W/2-1)
-    assert wins[1][0, 0, 0, 159] == img[0, 0, 0, 319]
-    assert np.array_equal(wins[0], img[:, :, :160, :160])
-    assert np.array_equal(wins[2], img[:, :, 160:, :160])
+    patches, grid = flatten_patches(img, 8, 2)
+    assert patches.shape == (4, 400, 8 * 8 * 3) and grid == (20, 20)
+    # pixel (0, W-1), channel 0, lands in the top-right window's last patch
+    # of its first row, at the patch's pixel (0, 7)
+    assert patches[1, 19, 7 * 3] == img[0, 0, 0, 319]
+    # pixel (H/2, 0) starts the bottom-left window
+    assert patches[2, 0, 0] == img[0, 0, 160, 0]
 
 
 def test_partition_round_trip_bit_exact():
-    img = rng.random((2, 3, 64, 64))
-    assert np.array_equal(reassemble_windows(partition_windows(img, 2)), img)
+    img = rng.random((2, 3, 64, 96))
+    patches, grid = flatten_patches(img, 8, 2)
+    assert np.array_equal(unflatten_patches(patches, grid, 8, 2), img)
 
 
 def test_partition_odd_extent_rejected():
     with pytest.raises(PartitionError):
-        partition_windows(np.zeros((1, 3, 33, 64)), 2)
+        flatten_patches(np.zeros((1, 3, 33, 64)), 8, 2)
 
 
 def test_stage1_shapes_and_range(net, image):
@@ -88,39 +93,40 @@ def test_stage1_deterministic_replay(net, image):
 
 
 def test_window_taps_match_per_window_encoding(net, image):
-    """Batched window encoding equals encoding each window separately,
-    regardless of processing order."""
+    """Each window's block of the fine encoder's whole-image tap maps equals
+    that window encoded alone, by the same weights with one window, in any
+    order."""
+    encoder = net.local_stage.encoder
+    alone = copy.copy(encoder)  # shares every parameter
+    alone.windows = 1
     with T.no_grad():
-        merged, grid = net.local_stage.window_taps(image)
-        windows = partition_windows(image, 2)
-        per_window = []
-        for w in (windows[2], windows[0], windows[3], windows[1]):  # any order
-            taps, g = net.local_stage.encoder(np.ascontiguousarray(w))
-            per_window.append((w, taps, g))
-    order = {id(windows[i]): i for i in range(4)}
+        maps = encoder(image)
+        per_window = {}
+        for wi in (2, 0, 3, 1):  # any order
+            iy, ix = divmod(wi, 2)
+            window = image[:, :, iy * 16:(iy + 1) * 16, ix * 16:(ix + 1) * 16]
+            per_window[wi] = alone(np.ascontiguousarray(window))
     gh, gw = 2, 2
     for level in range(4):
-        whole = merged[level].data.reshape(1, grid[0], grid[1], -1)
-        for w, taps, g in per_window:
-            wi = order[id(w)]
+        assert maps[level].shape == (1, 64, 2 * gh, 2 * gw)
+        for wi, taps in per_window.items():
             iy, ix = divmod(wi, 2)
-            block = taps[level].data.reshape(1, gh, gw, -1)
-            sub = whole[:, iy * gh:(iy + 1) * gh, ix * gw:(ix + 1) * gw]
-            assert np.abs(sub - block).max() < 1e-12
+            assert taps[level].shape == (1, 64, gh, gw)
+            sub = maps[level].data[:, :, iy * gh:(iy + 1) * gh, ix * gw:(ix + 1) * gw]
+            assert np.abs(sub - taps[level].data).max() < 1e-12
 
 
 def test_window_locality_of_taps(net, image):
-    """Zeroing one window's content changes only that window's tap rows."""
+    """Zeroing one window's content changes only that window's block of the
+    fine encoder's tap maps."""
     with T.no_grad():
-        base, grid = net.local_stage.window_taps(image)
+        base = net.local_stage.encoder(image)
         modified = image.copy()
         modified[:, :, :16, :16] = 0.0  # window 0 (top-left)
-        changed, _ = net.local_stage.window_taps(modified)
+        changed = net.local_stage.encoder(modified)
     gh = gw = 2
     for level in range(4):
-        a = base[level].data.reshape(grid[0], grid[1], -1)
-        b = changed[level].data.reshape(grid[0], grid[1], -1)
-        diff = np.abs(a - b).sum(axis=-1)
+        diff = np.abs(base[level].data - changed[level].data).sum(axis=(0, 1))
         assert diff[:gh, :gw].max() > 0
         outside = diff.copy()
         outside[:gh, :gw] = 0
@@ -382,6 +388,22 @@ def test_config_rejects_a_width_no_weight_can_hold(field):
         ModelConfig(**{field: 10**20})
     text = ModelConfig().canonical_text().replace(
         f"{field}={getattr(ModelConfig(), field)}\n", f"{field}={10**20}\n")
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig.from_canonical_text(text)
+
+
+@pytest.mark.parametrize("field", ["global_taps", "local_taps"])
+def test_config_rejects_a_depth_no_weight_can_hold(field):
+    """A deepest tap of 10**20 once passed the config, and building the
+    model would have made blocks until memory ran out; the stage's MLP
+    weights stacked over that depth are now refused, naming the taps."""
+    taps = (1, 2, 3, 10**20)
+    with pytest.raises(ConfigError, match=f"{field}.*cannot be made"):
+        ModelConfig(**{field: taps})
+    text = ModelConfig().canonical_text().replace(
+        f"{field}={','.join(map(str, getattr(ModelConfig(), field)))}\n",
+        f"{field}={','.join(map(str, taps))}\n")
+    assert f"{10**20}" in text
     with pytest.raises(ConfigError, match=field):
         ModelConfig.from_canonical_text(text)
 
