@@ -14,6 +14,7 @@ side heads included, emits logits, which the loss takes as they are;
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -313,6 +314,14 @@ class EdgeDetector(nn.Module):
         return state
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Adopt ``arrays`` as the model's state; the model takes ownership.
+
+        Each parameter's data becomes its array itself, not a copy, so a
+        checkpoint's float32 arrays stay float32 and a float64 state stays
+        float64. A parameter's array must be a writable float32 or float64
+        array. The float64 batch-norm running statistics are filled from
+        their arrays.
+        """
         own = self.state_arrays()
         missing = sorted(set(own) - set(arrays))
         extra = sorted(set(arrays) - set(own))
@@ -320,12 +329,18 @@ class EdgeDetector(nn.Module):
             raise UsageError(
                 f"state mismatch: missing {missing[:3]}, unexpected {extra[:3]}"
             )
+        params = dict(self.named_parameters())
         for name, a in own.items():
-            if arrays[name].shape != a.shape:
-                raise ShapeError(f"tensor {name} has shape {arrays[name].shape}, "
+            new = arrays[name]
+            if new.shape != a.shape:
+                raise ShapeError(f"tensor {name} has shape {new.shape}, "
                                  f"expected {a.shape}")
-        for name, p in self.named_parameters():
-            p.data = arrays[name].astype(np.float64)
+            if name in params and not (new.dtype in (np.float32, np.float64)
+                                       and new.flags.writeable):
+                raise UsageError(f"parameter {name} must be a writable float32 "
+                                 f"or float64 array, got {new.dtype}")
+        for name, p in params.items():
+            p.data = arrays[name]
         for name, b in self.named_buffers():
             b[...] = arrays[name]
 
@@ -333,8 +348,9 @@ class EdgeDetector(nn.Module):
 
     def infer(self, image: np.ndarray) -> np.ndarray:
         """Float64 stage-two edge probabilities (B, 1, H, W) in eval mode,
-        gradient-free, computed in float32 on float32 working copies of the
-        parameters with batch norm folded into the convolutions.
+        gradient-free, computed in float32 with batch norm folded into the
+        convolutions. A float32 parameter, as a loaded checkpoint holds,
+        computes as it is; a float64 one on a float32 copy for this call.
 
         Any H x W runs: the image is edge-padded up to the next multiple of
         both the coarse patch and the fine window cell, and the map is
@@ -342,20 +358,8 @@ class EdgeDetector(nn.Module):
         is restored afterwards.
         """
         image, squeeze = _as_batch(image)
-        h, w = image.shape[-2:]
-        mult = math.lcm(GLOBAL_PATCH, self.cfg.window_divisor * LOCAL_PATCH)
-        image = np.pad(image, ((0, 0), (0, 0), (0, -h % mult), (0, -w % mult)),
-                       mode="edge")
-        modes = [(m, m.training) for m in self.modules()]
-        self.eval()
-        try:
-            with T.no_grad(), nn.float32_working_copies(self):
-                f_g, _, _ = self.run_stage1(image)
-                out = T.sigmoid(self.run_stage2(image, f_g)[1]).data
-        finally:
-            for m, training in modes:
-                m.training = training
-        out = out[..., :h, :w].astype(np.float64)
+        with self._inference():
+            out = self._edge_map(image)
         return out[0] if squeeze else out
 
     def infer_multiscale(self, image: np.ndarray,
@@ -369,16 +373,41 @@ class EdgeDetector(nn.Module):
         image, squeeze = _as_batch(image)
         h, w = image.shape[-2:]
         acc = np.zeros((image.shape[0], 1, h, w))
-        with T.no_grad(), nn.float32_working_copies(self):
+        with self._inference():
             for s in scales:
                 size = (max(1, round(s * h)), max(1, round(s * w)))
                 if size == (h, w):
-                    acc += self.infer(image)
+                    acc += self._edge_map(image)
                 else:
-                    e = self.infer(T.bilinear_resize(Tensor(image), size).data)
+                    e = self._edge_map(T.bilinear_resize(Tensor(image), size).data)
                     acc += T.bilinear_resize(Tensor(e), (h, w)).data
         acc /= len(scales)
         return acc[0] if squeeze else acc
+
+    @contextmanager
+    def _inference(self):
+        """Eval mode, no tape and float32 parameters for one public call;
+        every submodule's train/eval flag is restored afterwards."""
+        modes = [(m, m.training) for m in self.modules()]
+        self.eval()
+        try:
+            with T.no_grad(), nn.float32_working_copies(self):
+                yield
+        finally:
+            for m, training in modes:
+                m.training = training
+
+    def _edge_map(self, image: np.ndarray) -> np.ndarray:
+        """Float64 edge probabilities of a (B, 3, H, W) batch: edge-pad to
+        the patch and window multiple, run both stages, take the sigmoid of
+        stage two's logits and crop back to H x W."""
+        h, w = image.shape[-2:]
+        mult = math.lcm(GLOBAL_PATCH, self.cfg.window_divisor * LOCAL_PATCH)
+        image = np.pad(image, ((0, 0), (0, 0), (0, -h % mult), (0, -w % mult)),
+                       mode="edge")
+        f_g, _, _ = self.run_stage1(image)
+        out = T.sigmoid(self.run_stage2(image, f_g)[1]).data
+        return out[..., :h, :w].astype(np.float64)
 
 
 def _as_batch(image: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -90,12 +90,16 @@ class Module:
 
 @contextmanager
 def float32_working_copies(model: Module):
-    """Compute in float32 on float32 copies of every parameter, yielding
-    the masters by name; on exit, also after an error, each parameter gets
-    back its master and the gradient it had on entry. A float32 parameter
-    is its own working copy, so a nested scope copies nothing."""
+    """Compute in float32 with every parameter held in float32.
+
+    A float64 parameter computes on a float32 copy of itself and is yielded,
+    by name, as its master; on exit, also after an error, it gets its master
+    back. A float32 parameter, such as a loaded checkpoint's, is its own
+    working copy: it is neither copied nor yielded, and keeps its data on
+    exit, so an optimizer makes its own float64 master for it. Every
+    parameter gets back the gradient it had on entry."""
     params = list(model.named_parameters())
-    masters = {name: p.data for name, p in params}
+    masters = {name: p.data for name, p in params if p.data.dtype == np.float64}
     grads = [p.grad for _, p in params]
     try:
         for _, p in params:
@@ -104,7 +108,7 @@ def float32_working_copies(model: Module):
             yield masters
     finally:
         for (name, p), grad in zip(params, grads):
-            p.data = masters[name]
+            p.data = masters.get(name, p.data)
             p.grad = grad
 
 

@@ -6,10 +6,12 @@ parameter, including batch-norm running statistics, and optimizes the
 windowed refinement stage the same way. The heads emit logits; each head's
 loss is one class-balanced sigmoid cross-entropy record taken from them.
 
-Training computes in float32 while the optimizer steps float64 master
-copies of the parameters; every parameter is its float64 master again when
-training returns or fails. A loss, gradient or batch-norm statistic that
-turns NaN or Inf stops training with a :class:`NumericError`.
+Training computes in float32, and only the optimizer holds float64: it
+steps a float64 master of every parameter it trains. A float64 parameter is
+its own master again when training returns or fails; a float32 one, as a
+loaded checkpoint holds, stays float32 and gets its master's cast after
+every step. A loss, gradient or batch-norm statistic that turns NaN or Inf
+stops training with a :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -239,11 +241,13 @@ def check_training_set(scenes: list[Scene], cfg: TrainConfig,
 def train_two_phase(model: EdgeDetector, scenes: list[Scene],
                     cfg: TrainConfig) -> TrainResult:
     """Optimize stage one, freeze it bit-exactly (the tests compare each of
-    its masters and buffers), then optimize stage two."""
+    its masters and buffers), then optimize stage two. Stage one is made
+    trainable again first, so a model that an earlier call froze trains."""
     check_training_set(scenes, cfg, model.cfg.input_hw)
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult()
     model.train()
+    model.set_requires_grad(True)
     with nn.float32_working_copies(model) as masters:
         _train_phase(model, scenes, cfg, rng, 1, result, masters)
         model.freeze_stage1()

@@ -1,5 +1,9 @@
+import hashlib
 import math
+import os
 import struct
+import tracemalloc
+from types import SimpleNamespace
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +14,7 @@ from edgekit.checkpoint import load_checkpoint, save_checkpoint
 from edgekit.errors import (CheckpointError, ConfigError, DigestMismatch,
                             MagicMismatch, NumericError, ParseError, ShapeError,
                             TruncatedFile, VersionMismatch)
-from edgekit.model import ModelConfig
+from edgekit.model import EdgeDetector, ModelConfig
 from edgekit.runconfig import SCHEMA, RunConfig, default_config_text
 from edgekit.train import TrainConfig
 
@@ -185,8 +189,7 @@ def test_checkpoint_round_trip_ulp(tmp_path):
     assert cfg == "k=v\n"
     for name, arr in arrays.items():
         f32 = arr.astype(np.float32)
-        # the file's float32 values, writable; the model's float64 copy is
-        # made by load_state_arrays
+        # the file's float32 values, writable, which load_state_arrays adopts
         assert loaded[name].dtype == np.float32 and loaded[name].flags.writeable
         assert np.array_equal(loaded[name], f32)
         err = np.abs(loaded[name].astype(np.float64) - arr)
@@ -198,6 +201,24 @@ def test_checkpoint_byte_identical_writes(tmp_path):
     save_checkpoint(tmp_path / "a.ckpt", arrays, "k=v\n")
     save_checkpoint(tmp_path / "b.ckpt", arrays, "k=v\n")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_checkpoint_layout_written_by_hand(tmp_path):
+    """The documented layout, built field by field here: a 0-d tensor keeps
+    rank 0, and a transposed view is written in C order of its own shape."""
+    t = np.arange(6.0).reshape(3, 2).T
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, {"t": t, "s": np.float64(2.5)}, "k=v\n")
+
+    def tensor(name, arr):
+        return (struct.pack("<I", len(name)) + name + struct.pack("<I", arr.ndim)
+                + struct.pack(f"<{arr.ndim}I", *arr.shape)
+                + arr.astype("<f4").tobytes(order="C"))
+
+    assert p.read_bytes() == (
+        b"EDTR" + struct.pack("<I", 8) + hashlib.sha256(b"k=v\n").digest()
+        + struct.pack("<I", 4) + b"k=v\n" + struct.pack("<I", 2)
+        + tensor(b"s", np.array(2.5)) + tensor(b"t", t))
 
 
 def test_checkpoint_tampered_magic_rejected(tmp_path):
@@ -272,6 +293,77 @@ def test_checkpoint_truncation(tmp_path):
     p.write_bytes(p.read_bytes()[:-5])
     with pytest.raises(TruncatedFile):
         load_checkpoint(p)
+
+
+# Where a checkpoint of _arrays() and "k=v\n" is cut, by the field it cuts;
+# the first tensor is "a.weight", of dims (2, 3), at byte 52.
+CUTS = {"magic": 2, "version": 6, "digest": 24, "config length": 42,
+        "config": 46, "count": 50, "name length": 54, "name": 60,
+        "rank": 66, "dims": 72, "payload start": 77, "payload middle": 88}
+
+
+@pytest.mark.parametrize("size_known", [True, False],
+                         ids=["size_from_fstat", "short_read"])
+@pytest.mark.parametrize("field", CUTS)
+def test_checkpoint_cut_inside_each_field_is_truncated(tmp_path, monkeypatch,
+                                                       field, size_known):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, _arrays(), "k=v\n")
+    data = p.read_bytes()
+    assert data[56:64] == b"a.weight"
+    assert struct.unpack("<3I", data[64:76]) == (2, 2, 3)
+    p.write_bytes(data[:CUTS[field]])
+    if not size_known:  # a file that shrinks while it is read
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+            st_size=fstat(fd).st_size + len(data)))
+    with pytest.raises(TruncatedFile):
+        load_checkpoint(p)
+
+
+def test_checkpoint_failed_save_keeps_the_earlier_file(tmp_path):
+    """A save refused on its last tensor leaves the checkpoint already at
+    its path byte for byte, and no temporary file beside it."""
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, _arrays(), "k=v\n")
+    before = p.read_bytes()
+    arrays = {**_arrays(), "z.last": np.array([1.0, np.inf])}
+    with pytest.raises(NumericError, match="z.last"):
+        save_checkpoint(p, arrays, "k=w\n")
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def _traced_peak(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_save_and_load_stream(tmp_path):
+    """Neither direction holds the whole file: a save of the 64x64 toy
+    model's 6.1 MB file peaks at one tensor's float32 cast (0.34 MB
+    measured), and a load at the arrays it returns (6.25 MB measured)."""
+    model = EdgeDetector(ModelConfig.toy(), seed=0)
+    state, text = model.state_arrays(), model.cfg.canonical_text()
+    p = tmp_path / "m.ckpt"
+    assert _traced_peak(lambda: save_checkpoint(p, state, text)) < 1e6
+    size = p.stat().st_size
+    assert _traced_peak(lambda: load_checkpoint(p)) < size + 1e6
+
+
+def test_checkpoint_bytes_of_a_fixed_model_are_pinned(tmp_path):
+    """The file of one fixed model, pinned by its SHA-256: a change to the
+    layout, the tensor order or the float32 rounding shows here, where two
+    writes by the same code cannot show it."""
+    model = EdgeDetector(ModelConfig.toy(input_hw=(32, 32)), seed=0)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model.state_arrays(), model.cfg.canonical_text())
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "6f95f64ca7e69e53ac4474d9ae734f8ca04127af04a313193b179b5de994dc63")
 
 
 # -- run config ---------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from edgekit import tensor as T
+from edgekit.checkpoint import load_checkpoint, save_checkpoint
 from edgekit.errors import (ConfigError, InputError, NumericError, ShapeError,
                             UsageError)
 from edgekit.model import EdgeDetector, ModelConfig
@@ -306,7 +307,6 @@ def test_two_phase_as_separate_one_phase_calls(monkeypatch):
     r1 = train_two_phase(model, scenes, tcfg)
     assert [(i, s) for i, s, _ in r1.history] == [(0, 1), (1, 1)]
     assert stage1_changes(model, phase_one[0]) == []
-    model.global_stage.set_requires_grad(True)
     r2 = train_two_phase(model, scenes,
                          replace(tcfg, iterations_stage1=0, iterations_stage2=2))
     assert [(i, s) for i, s, _ in r2.history] == [(0, 2), (1, 2)]
@@ -314,6 +314,47 @@ def test_two_phase_as_separate_one_phase_calls(monkeypatch):
     assert stage1_changes(model, phase_one[1]) == []
     assert stage1_changes(model, phase_one[0]) == []
     assert all(np.isfinite(l) for _, _, l in r1.history + r2.history)
+
+
+def test_two_phase_trains_stage1_on_every_call():
+    """A second call on one model trains stage one again, although the
+    first call left it frozen."""
+    scenes = _tiny_scenes()
+    model = _tiny_model()
+    tcfg = TrainConfig(iterations_stage1=1, iterations_stage2=1, batch_size=1,
+                       crop=32, seed=0)
+    r1 = train_two_phase(model, scenes, tcfg)
+    between = stage1_state(model)
+    r2 = train_two_phase(model, scenes, replace(tcfg, seed=1))
+    assert [s for _, s, _ in r1.history] == [s for _, s, _ in r2.history] == [1, 2]
+    weights = {n for n, _ in model.stage1_parameters()}
+    changed = weights & set(stage1_changes(model, between))
+    assert len(changed) > len(weights) // 2
+
+
+def test_two_phase_on_a_loaded_checkpoint_steps_float64_masters(tmp_path):
+    """A loaded checkpoint's float32 parameters train exactly as float64
+    copies of them do: the optimizer steps a float64 master of each, so every
+    loss and the float32 cast of every state array agree bit for bit, and
+    the parameters stay float32."""
+    p = tmp_path / "m.ckpt"
+    source = _tiny_model()
+    save_checkpoint(p, source.state_arrays(), source.cfg.canonical_text())
+    arrays, _ = load_checkpoint(p)
+    wide, held = _tiny_model(seed=1), _tiny_model(seed=2)
+    wide.load_state_arrays({n: a.astype(np.float64) for n, a in arrays.items()})
+    held.load_state_arrays(arrays)
+    tcfg = TrainConfig(iterations_stage1=3, iterations_stage2=3, batch_size=2,
+                       crop=32, seed=0)
+    r64 = train_two_phase(wide, _tiny_scenes(), tcfg)
+    r32 = train_two_phase(held, _tiny_scenes(), tcfg)
+    assert r32.history == r64.history
+    s64, s32 = wide.state_arrays(), held.state_arrays()
+    assert all(np.array_equal(s32[n].astype(np.float32), s64[n].astype(np.float32))
+               for n in s64)
+    assert all(s32[n] is arrays[n] for n, _ in held.named_parameters())
+    assert {p.data.dtype for p in held.parameters()} == {np.dtype(np.float32)}
+    assert {p.data.dtype for p in wide.parameters()} == {np.dtype(np.float64)}
 
 
 def test_crop_larger_than_image_rejected():
