@@ -8,7 +8,8 @@ Layout (all integers little-endian uint32, floats little-endian float32):
 Tensors are written in sorted-name order so identical weights always produce
 byte-identical files. The canonical model-config text is embedded so a
 checkpoint is self-describing; its digest is checked on load. A NaN or Inf
-value (also one the float32 cast makes) is refused on save and on load.
+value (also one the float32 cast makes) is refused on save and on load, and
+so is any byte after the last tensor.
 
 Both directions stream: a save writes tensor by tensor to a temporary file
 beside the target and renames it over the target only once every tensor is
@@ -154,4 +155,6 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
             arr = r.payload(name, dims)
             _check_finite(name, arr)
             arrays[name] = arr
+        if r.pos != r.size:
+            raise CheckpointError(f"{r.size - r.pos} bytes after the last tensor")
     return arrays, config_text

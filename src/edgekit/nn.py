@@ -90,26 +90,20 @@ class Module:
 
 @contextmanager
 def float32_working_copies(model: Module):
-    """Compute in float32 with every parameter held in float32.
-
-    A float64 parameter computes on a float32 copy of itself and is yielded,
-    by name, as its master; on exit, also after an error, it gets its master
-    back. A float32 parameter, such as a loaded checkpoint's, is its own
-    working copy: it is neither copied nor yielded, and keeps its data on
-    exit, so an optimizer makes its own float64 master for it. Every
-    parameter gets back the gradient it had on entry."""
-    params = list(model.named_parameters())
-    masters = {name: p.data for name, p in params if p.data.dtype == np.float64}
-    grads = [p.grad for _, p in params]
+    """Compute in float32 on every parameter's float32 cast; on exit, also
+    after an error, every parameter gets back the data and the gradient it
+    had on entry. A float32 parameter is its own cast, so what was written
+    into it in the scope stays."""
+    params = model.parameters()
+    saved = [(p.data, p.grad) for p in params]
     try:
-        for _, p in params:
+        for p in params:
             p.data = p.data.astype(np.float32, copy=False)
         with T.compute_dtype(np.float32):
-            yield masters
+            yield
     finally:
-        for (name, p), grad in zip(params, grads):
-            p.data = masters.get(name, p.data)
-            p.grad = grad
+        for p, (data, grad) in zip(params, saved):
+            p.data, p.grad = data, grad
 
 
 class ModuleList(Module):

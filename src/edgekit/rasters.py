@@ -86,8 +86,8 @@ def save_image(image: np.ndarray, path) -> None:
 def save_gray(values: np.ndarray, path) -> None:
     """Write (H, W) values in [0, 1] as binary P5 via round(255 * p)."""
     v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ShapeError(f"gray map of shape {v.shape} has no pixels")
+    if v.ndim != 2 or v.size == 0:
+        raise ShapeError(f"gray map of shape {v.shape} is not an (H, W) map with pixels")
     if not np.isfinite(v).all():
         raise NumericError("gray values hold NaN or Inf")
     if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
@@ -146,6 +146,8 @@ def load_float_raster(path) -> np.ndarray:
             f"truncated payload: expected {need} bytes, got {len(data) - pos}",
             len(data),
         )
+    if len(data) > pos + need:
+        raise ParseError(f"{len(data) - pos - need} bytes after the payload", pos + need)
     if why := unshapeable(dims):
         raise ParseError(why, 4)
     return np.frombuffer(data[pos:pos + need], dtype="<f4").reshape(dims).astype(np.float64)

@@ -6,12 +6,11 @@ parameter, including batch-norm running statistics, and optimizes the
 windowed refinement stage the same way. The heads emit logits; each head's
 loss is one class-balanced sigmoid cross-entropy record taken from them.
 
-Training computes in float32, and only the optimizer holds float64: it
-steps a float64 master of every parameter it trains. A float64 parameter is
-its own master again when training returns or fails; a float32 one, as a
-loaded checkpoint holds, stays float32 and gets its master's cast after
-every step. A loss, gradient or batch-norm statistic that turns NaN or Inf
-stops training with a :class:`NumericError`.
+Each phase computes on float32 working copies, and only the optimizer holds
+float64: it steps a float64 master of every parameter it trains and writes
+its cast into the copy. Every parameter holds its own array again when a
+phase returns or fails. A loss, gradient or batch-norm statistic that turns
+NaN or Inf stops training with a :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -132,22 +131,20 @@ class SGD:
     velocity, under a polynomial learning-rate schedule.
 
     Each parameter has a float64 master that the step updates, and a
-    float64 velocity. ``masters`` maps parameter names to their masters; a
-    parameter without one is its own master when it is float64 and gets a
-    float64 copy otherwise. A parameter whose data is not its master
-    receives the master's cast after every step. The rate, momentum, decay
-    and power are ``cfg``'s; the rate reaches zero at ``max_iterations``.
+    float64 velocity. The master is the parameter's data at construction
+    when that is float64, and a float64 copy of it otherwise; data that is
+    not its master, a working copy, gets the master's cast after each step.
+    The rate, momentum, decay and power are ``cfg``'s; the rate reaches zero
+    at ``max_iterations``.
     """
 
     def __init__(self, params: list[tuple[str, Tensor]], cfg: TrainConfig,
-                 max_iterations: int, masters: dict[str, np.ndarray] | None = None):
+                 max_iterations: int):
         self.params = list(params)
         self.cfg = cfg
         self.max_iterations = max_iterations
         self.iteration = 0
-        masters = masters or {}
-        self.masters = {name: masters[name] if name in masters
-                        else p.data.astype(np.float64, copy=False)
+        self.masters = {name: p.data.astype(np.float64, copy=False)
                         for name, p in self.params}
         self.velocity = {name: np.zeros_like(m) for name, m in self.masters.items()}
 
@@ -241,47 +238,49 @@ def check_training_set(scenes: list[Scene], cfg: TrainConfig,
 def train_two_phase(model: EdgeDetector, scenes: list[Scene],
                     cfg: TrainConfig) -> TrainResult:
     """Optimize stage one, freeze it bit-exactly (the tests compare each of
-    its masters and buffers), then optimize stage two. Stage one is made
+    its parameters and buffers), then optimize stage two. Stage one is made
     trainable again first, so a model that an earlier call froze trains."""
     check_training_set(scenes, cfg, model.cfg.input_hw)
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult()
     model.train()
     model.set_requires_grad(True)
-    with nn.float32_working_copies(model) as masters:
-        _train_phase(model, scenes, cfg, rng, 1, result, masters)
-        model.freeze_stage1()
-        _train_phase(model, scenes, cfg, rng, 2, result, masters)
+    _train_phase(model, scenes, cfg, rng, 1, result)
+    model.freeze_stage1()
+    _train_phase(model, scenes, cfg, rng, 2, result)
     return result
 
 
 def _train_phase(model: EdgeDetector, scenes: list[Scene], cfg: TrainConfig,
-                 rng: np.random.Generator, stage: int, result: TrainResult,
-                 masters: dict[str, np.ndarray]) -> None:
-    """Optimize one stage; stage two runs on top of the frozen stage one."""
+                 rng: np.random.Generator, stage: int, result: TrainResult) -> None:
+    """Optimize one stage, stage two on top of the frozen stage one, on
+    float32 working copies made after the optimizer takes its masters."""
     if stage == 1:
         iterations, params = cfg.iterations_stage1, model.stage1_parameters()
     else:
         iterations, params = cfg.iterations_stage2, model.stage2_parameters()
-    opt = SGD(params, cfg, iterations, masters=masters)
-    out_hw = (cfg.crop, cfg.crop)
-    for it in range(iterations):
-        x, y, ign = _sample_batch(scenes, cfg, rng)
-        try:
-            with T.fresh_tape():
-                f_g, logits, paths = model.run_stage1(x)
-                if stage == 2:
-                    _, logits, paths, _ = model.run_stage2(x, f_g)
-                sides = model.side_outputs(paths, "global" if stage == 1 else "local", out_hw)
-                loss = stage_loss(logits, sides, y, cfg.lam, ign)
-                T.backward(loss)
-            value = loss.item()
-            _check_finite(model, params, value)
-        except NumericError as exc:
-            raise NumericError(f"stage {stage} iteration {it}: {exc}") from exc
-        opt.step()
-        opt.zero_grad()
-        result.history.append((it, stage, value))
+    opt = SGD(params, cfg, iterations)
+    if not iterations:
+        return
+    part = "global" if stage == 1 else "local"
+    with nn.float32_working_copies(model):
+        for it in range(iterations):
+            x, y, ign = _sample_batch(scenes, cfg, rng)
+            try:
+                with T.fresh_tape():
+                    f_g, logits, paths = model.run_stage1(x)
+                    if stage == 2:
+                        _, logits, paths, _ = model.run_stage2(x, f_g)
+                    sides = model.side_outputs(paths, part, (cfg.crop, cfg.crop))
+                    loss = stage_loss(logits, sides, y, cfg.lam, ign)
+                    T.backward(loss)
+                value = loss.item()
+                _check_finite(model, params, value)
+            except NumericError as exc:
+                raise NumericError(f"stage {stage} iteration {it}: {exc}") from exc
+            opt.step()
+            opt.zero_grad()
+            result.history.append((it, stage, value))
 
 
 def _check_finite(model: EdgeDetector, params: list[tuple[str, Tensor]],

@@ -314,36 +314,36 @@ def unfold_batch_norm_in_float64(monkeypatch) -> None:
     float64 parameters, with every eval-mode batch norm a
     ``batch_norm_relu_eval`` call after its convolution, for the rest of the
     test."""
-    monkeypatch.setattr(nn, "float32_working_copies", lambda model: nullcontext({}))
+    monkeypatch.setattr(nn, "float32_working_copies", lambda model: nullcontext())
     monkeypatch.setattr(nn.ConvBNReLU, "forward",
                         lambda self, x: batch_norm_relu_eval(self.conv(x), self.bn))
     monkeypatch.setattr(nn.DeconvBNReLU, "forward",
                         lambda self, x: batch_norm_relu_eval(self.deconv(x), self.bn))
 
 
-def stage1_state(model, masters: dict[str, np.ndarray] | None = None
-                 ) -> dict[str, np.ndarray]:
+def stage1_state(model) -> dict[str, np.ndarray]:
     """Copies of every stage-one parameter and buffer of ``model`` by model
-    name; a parameter's copy is of its entry in ``masters`` when given."""
-    state = {n: (p.data if masters is None else masters[n]).copy()
-             for n, p in model.stage1_parameters()}
+    name."""
+    state = {n: p.data.copy() for n, p in model.stage1_parameters()}
     state.update(("global_stage." + n, b.copy())
                  for n, b in model.global_stage.named_buffers())
     return state
 
 
 def spy_stage1_at_phase_two(monkeypatch, model) -> list[dict[str, np.ndarray]]:
-    """A list that gets the ``stage1_state`` of ``model``, of the float64
-    masters, whenever ``train_two_phase`` builds phase two's optimizer, for
-    the rest of the test: the state phase one left, which phase two keeps."""
+    """A list that gets the ``stage1_state`` of ``model`` whenever
+    ``train_two_phase`` builds phase two's optimizer, for the rest of the
+    test: the state phase one left, which phase two keeps. The optimizer is
+    built outside the working copies, so on a float64 model the state holds
+    the float64 masters."""
     states = []
     sgd = train.SGD
     stage2 = [n for n, _ in model.stage2_parameters()]
 
-    def spy(params, cfg, max_iterations, masters=None):
+    def spy(params, cfg, max_iterations):
         if [n for n, _ in params] == stage2:
-            states.append(stage1_state(model, masters))
-        return sgd(params, cfg, max_iterations, masters)
+            states.append(stage1_state(model))
+        return sgd(params, cfg, max_iterations)
 
     monkeypatch.setattr(train, "SGD", spy)
     return states

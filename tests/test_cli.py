@@ -365,6 +365,16 @@ def test_non_finite_checkpoint_exit_code(trained, tmp_path):
     assert not (tmp_path / "e.pgm").exists()
 
 
+def test_checkpoint_with_bytes_after_its_last_tensor_exit_code(trained, tmp_path):
+    _, data, out, _ = trained
+    bad = tmp_path / "tail.ckpt"
+    bad.write_bytes((out / "model.ckpt").read_bytes() + bytes(29))
+    assert main(["infer", "--ckpt", str(bad), "--in",
+                 str(data / "images" / "000.ppm"),
+                 "--out", str(tmp_path / "e.pgm")]) == 3
+    assert not (tmp_path / "e.pgm").exists()
+
+
 @pytest.mark.parametrize("ms", [[], ["--ms"]])
 def test_infer_any_size_round_trip(trained, tmp_path, ms):
     _, _, out, _ = trained
@@ -506,6 +516,16 @@ def test_eval_huge_float_raster_header_exit_code(tmp_path):
     (tmp_path / "pred" / "000.epfm").write_bytes(
         FLOAT_MAGIC + struct.pack("<5I", 4, *[65536] * 4))
     assert main(args) == 3
+
+
+def test_eval_float_raster_with_bytes_after_its_payload_exit_code(tmp_path):
+    gt = np.zeros((8, 8))
+    gt[4, :] = 1.0
+    args = _eval_dir(tmp_path, gt, gt, suffix=".epfm")
+    pred = tmp_path / "pred" / "000.epfm"
+    pred.write_bytes(pred.read_bytes() + bytes(28))
+    assert main(args) == 3
+    assert main(args + ["--no-nms"]) == 3
 
 
 @pytest.mark.parametrize("header", [

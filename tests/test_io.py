@@ -78,6 +78,14 @@ def test_float_raster_huge_header_is_a_parse_error(tmp_path):
         rasters.load_float_raster(p)
 
 
+def test_float_raster_with_bytes_after_its_payload_is_a_parse_error(tmp_path):
+    p = tmp_path / "e.epfm"
+    rasters.save_float_raster(np.zeros((2, 3)), p)
+    p.write_bytes(p.read_bytes() + bytes(28))
+    with pytest.raises(ParseError, match="28 bytes after the payload"):
+        rasters.load_float_raster(p)
+
+
 # headers that describe no array numpy can make: rank above its 64 dims,
 # and an empty shape whose nonzero dims overflow the address space
 UNSHAPEABLE_FLOAT_HEADERS = {
@@ -100,6 +108,21 @@ def test_save_gray_rejects_an_empty_map(tmp_path, shape):
         with pytest.raises(ShapeError):
             save(np.zeros(shape), tmp_path / "e.pgm")
         assert not (tmp_path / "e.pgm").exists()
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 7), (5,), ()])
+def test_save_gray_rejects_a_map_that_is_not_2d(tmp_path, shape):
+    """A (1, 5, 7) map once became a 5 x 1 file of its first 5 pixels."""
+    for save in (rasters.save_gray, rasters.save_edge_map):
+        with pytest.raises(ShapeError):
+            save(np.zeros(shape), tmp_path / "e.pgm")
+        assert not (tmp_path / "e.pgm").exists()
+
+
+def test_float_edge_map_keeps_any_rank(tmp_path):
+    e = rng.random((1, 5, 7)).astype(np.float32).astype(np.float64)
+    rasters.save_edge_map(e, tmp_path / "e.epfm")
+    assert np.array_equal(rasters.load_edge_map(tmp_path / "e.epfm"), e)
 
 
 @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1,) * 4])
@@ -293,6 +316,16 @@ def test_checkpoint_truncation(tmp_path):
     p.write_bytes(p.read_bytes()[:-5])
     with pytest.raises(TruncatedFile):
         load_checkpoint(p)
+
+
+def test_checkpoint_with_bytes_after_its_last_tensor_is_a_checkpoint_error(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, _arrays(), "k=v\n")
+    one = p.read_bytes()
+    for tail in (bytes(29), one):  # garbage, and a second checkpoint
+        p.write_bytes(one + tail)
+        with pytest.raises(CheckpointError, match=f"{len(tail)} bytes after"):
+            load_checkpoint(p)
 
 
 # Where a checkpoint of _arrays() and "k=v\n" is cut, by the field it cuts;

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from edgekit import nn
 from edgekit import tensor as T
 from edgekit.checkpoint import load_checkpoint, save_checkpoint
 from edgekit.errors import (ConfigError, InputError, NumericError, ShapeError,
@@ -204,24 +205,22 @@ def test_sgd_momentum_and_decay_formula():
 
 
 def test_sgd_float32_parameter_steps_a_float64_master():
-    start = np.array([1.0, -2.0, 0.1 + 1e-9])
     p = Tensor(np.zeros(3), requires_grad=True)
-    p.data = start.astype(np.float32)
+    p.data = np.array([1.0, -2.0, 0.1], dtype=np.float32)
+    start = p.data.astype(np.float64)
     opt = SGD([("p", p)], TrainConfig(base_lr=1.0, momentum=0.9, weight_decay=2e-4,
-                                     lr_power=1.0), max_iterations=4,
-              masters={"p": start.copy()})
+                                     lr_power=1.0), max_iterations=4)
+    master = opt.masters["p"]
+    assert master.dtype == opt.velocity["p"].dtype == np.float64
+    assert master is not p.data
     p.grad = np.array([0.5, 0.25, 1e-3], dtype=np.float32)
     opt.step()
-    master = opt.masters["p"]
-    expect = start - (p.grad.astype(np.float64) + 2e-4 * start)
-    assert master.dtype == opt.velocity["p"].dtype == np.float64
-    assert np.array_equal(master, expect)
+    assert opt.masters["p"] is master
+    assert np.array_equal(master, start - (p.grad.astype(np.float64) + 2e-4 * start))
+    # the master keeps what a float32 step would round away
+    assert not np.array_equal(master, master.astype(np.float32))
     assert p.data.dtype == np.float32
     assert np.array_equal(p.data, master.astype(np.float32))
-    # without a given master, a float32 parameter gets a float64 copy
-    own = SGD([("p", p)], TrainConfig(base_lr=0.1), max_iterations=4)
-    assert own.masters["p"].dtype == np.float64
-    assert own.masters["p"] is not p.data
 
 
 def test_sgd_float64_parameter_is_its_own_master():
@@ -355,6 +354,29 @@ def test_two_phase_on_a_loaded_checkpoint_steps_float64_masters(tmp_path):
     assert all(s32[n] is arrays[n] for n, _ in held.named_parameters())
     assert {p.data.dtype for p in held.parameters()} == {np.dtype(np.float32)}
     assert {p.data.dtype for p in wide.parameters()} == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("iterations, scopes",
+                         [((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((0, 0), 0)],
+                         ids=["stage1_only", "stage2_only", "both", "neither"])
+def test_each_phase_that_iterates_enters_the_working_copies_once(
+        monkeypatch, iterations, scopes):
+    """A phase casts the model once and a phase of no iterations not at
+    all, so each of the benchmark's one-iteration calls casts once."""
+    entered = []
+    scope = nn.float32_working_copies
+
+    def counting(model):
+        entered.append(model)
+        return scope(model)
+
+    monkeypatch.setattr(nn, "float32_working_copies", counting)
+    model = _tiny_model()
+    train_two_phase(model, _tiny_scenes(),
+                    TrainConfig(iterations_stage1=iterations[0],
+                                iterations_stage2=iterations[1],
+                                batch_size=1, crop=32, seed=0))
+    assert entered == [model] * scopes
 
 
 def test_crop_larger_than_image_rejected():
@@ -512,6 +534,30 @@ def test_error_mid_training_still_leaves_float64_masters(monkeypatch):
     assert _dtypes(model) == {np.dtype(np.float64)}
     assert all(p.data is before[n] for n, p in model.named_parameters())
     assert all(p.grad is None for p in model.parameters())
+    assert T.current_dtype() == np.float64
+
+
+def test_working_copies_cast_and_put_back_every_array():
+    """The scope yields nothing, computes on every parameter's float32 cast
+    and, also after an error, gives each parameter back the array and the
+    gradient it had on entry; a float32 parameter is its own cast, so what
+    was written into it stays."""
+    model = _tiny_model()
+    held = model.global_stage.head.weight
+    held.data = held.data.astype(np.float32)
+    before = {n: (p.data, p.grad) for n, p in model.named_parameters()}
+    with pytest.raises(RuntimeError, match="inside"):
+        with nn.float32_working_copies(model) as got:
+            assert got is None and T.current_dtype() == np.float32
+            assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+            assert held.data is before["global_stage.head.weight"][0]
+            held.data[...] = 0.5
+            for p in model.parameters():
+                p.grad = np.ones_like(p.data)
+            raise RuntimeError("inside")
+    assert all(p.data is before[n][0] and p.grad is before[n][1]
+               for n, p in model.named_parameters())
+    assert (held.data == 0.5).all()
     assert T.current_dtype() == np.float64
 
 
